@@ -20,7 +20,7 @@ from .decisions import (
     rank1_decide,
     verify_witness,
 )
-from .errors import SoficError
+from .errors import ParseError, SoficError
 from .presentation import (
     analyze,
     derivative_of_comb_rep,
@@ -42,8 +42,11 @@ MODES = {
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, e.reason)) from None
 
 
 def _emit(text, out_path):
@@ -90,7 +93,12 @@ def _cmd_oracle_structure(args):
     g = _load_graph_any(args.graph)
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_PATH_BUDGET))
+        raw = os.environ.get(BUDGET_ENV, str(DEFAULT_PATH_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ParseError("%s must be an integer, not %r"
+                             % (BUDGET_ENV, raw)) from None
     s = oracle_structure(g, budget)
     _emit(formats.format_structure(s), args.output)
     return 0
@@ -238,7 +246,7 @@ def main(argv=None) -> int:
     except SoficError as e:
         print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

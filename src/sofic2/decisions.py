@@ -192,7 +192,13 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
                 assign[i] = None
         return None
 
-    return backtrack(0)
+    try:
+        return backtrack(0)
+    finally:
+        # backtrack refers to itself through its closure; breaking that
+        # cycle frees the candidate tables now, not at the next full
+        # collection, also when the search raises
+        del backtrack
 
 
 def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
@@ -259,23 +265,31 @@ def _rank1_periods(s: StructureGraph):
 
 
 def _max_matching(n_left, n_right, adj):
-    """Maximum bipartite matching by augmenting paths (Kuhn)."""
+    """Maximum bipartite matching by augmenting paths, each found by a
+    breadth-first search with parent pointers rather than by recursion."""
+    match_l = [-1] * n_left
     match_r = [-1] * n_right
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_r[j] < 0 or augment(match_r[j], seen):
-                match_r[j] = i
-                return True
-        return False
-
     size = 0
-    for i in range(n_left):
-        if augment(i, [False] * n_right):
+    for root in range(n_left):
+        parent = {}  # right vertex -> left vertex it was reached from
+        queue = [root]
+        free = -1
+        for i in queue:  # the loop also visits vertices appended on the way
+            for j in adj[i]:
+                if j not in parent:
+                    parent[j] = i
+                    if match_r[j] < 0:
+                        free = j
+                        break
+                    queue.append(match_r[j])
+            if free >= 0:
+                break
+        if free >= 0:
             size += 1
+        while free >= 0:  # flip the alternating path back to the root
+            i = parent[free]
+            match_r[free] = i
+            match_l[i], free = free, match_l[i]
     return size
 
 

@@ -16,11 +16,14 @@ characterization, not merely a sufficient condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import LabeledGraph, CombRep, CombTerm, word, _check_symbol
 from .errors import (
     EmptyRepresentation,
+    NotCountableCertified,
     NotRightResolving,
+    RankTooHigh,
     SizeLimitExceeded,
 )
 
@@ -210,47 +213,83 @@ def _tarjan_sccs(vertices, succ):
 
 
 def _cycle_certificate(g: LabeledGraph):
-    """(certified, cycles): cycles as vertex tuples in walk order when every
-    SCC is either trivial or a single simple cycle, else (False, ())."""
-    succ = {v: sorted({b for (b, s) in g.out_map.get(v, ())}) for v in g.vertices}
-    sccs = _tarjan_sccs(g.vertices, succ)
-    edge_count = {}
-    for (a, b, s) in g.edges:
-        edge_count[(a, b)] = edge_count.get((a, b), 0) + 1
+    """One SCC pass for the countability certificate and the rank:
+    (cycles, rank, vertex).
+
+    cycles is None when some strongly connected component is neither
+    trivial nor a single simple cycle, and vertex then lies in the first
+    such component.  Otherwise cycles are vertex tuples in walk order,
+    sorted by length then vertices, rank is the most cycles any path
+    visits, and vertex lies on the first cycle whose paths visit three or
+    more (None when rank <= 2).
+    """
+    succ = {v: sorted({b for (b, s) in g.out_map[v]}) for v in g.vertices}
+    sccs = _tarjan_sccs(g.vertices, succ)  # reverse topological order
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    best = []
     cycles = []
-    for comp in sccs:
-        cset = set(comp)
-        internal = [(a, b) for (a, b) in edge_count
-                    if a in cset and b in cset]
-        if len(comp) == 1 and not internal:
-            continue  # trivial SCC
-        n_internal = sum(edge_count[e] for e in internal)
-        if n_internal != len(comp):
-            return False, ()
-        # must be one simple cycle covering the component
+    deep = None
+    for i, comp in enumerate(sccs):
         nxt = {}
-        for (a, b) in internal:
-            if a in nxt:
-                return False, ()
-            nxt[a] = b
+        n_internal = 0
+        succ_best = 0
+        for v in comp:
+            for (b, _s) in g.out_map[v]:
+                j = comp_of[b]
+                if j == i:
+                    n_internal += 1
+                    nxt[v] = b
+                else:
+                    succ_best = max(succ_best, best[j])
         start = min(comp, key=str)
-        order = [start]
-        cur = nxt.get(start)
-        while cur is not None and cur != start and len(order) <= len(comp):
-            order.append(cur)
-            cur = nxt.get(cur)
-        if cur != start or len(order) != len(comp):
-            return False, ()
-        cycles.append(tuple(order))
+        if n_internal:
+            # strongly connected with one internal edge per vertex: exactly
+            # one simple cycle covering the component
+            if n_internal != len(comp):
+                return None, None, start
+            order = [start]
+            while nxt[order[-1]] != start:
+                order.append(nxt[order[-1]])
+            cycles.append(tuple(order))
+        best.append(succ_best + (n_internal > 0))
+        if best[-1] >= 3 and deep is None:
+            deep = start
     cycles.sort(key=lambda c: (len(c), c))
-    return True, tuple(cycles)
+    return tuple(cycles), max(best, default=0), deep
+
+
+class Admitted(NamedTuple):
+    """An admitted presentation: trimmed graph, disjoint cycles, rank <= 2."""
+
+    graph: LabeledGraph
+    cycles: tuple
+    rank: int
+
+
+def admit(g: LabeledGraph) -> Admitted:
+    """The one admission gate: checks right-resolving on g as given, trims
+    once and certifies cycles and rank in one SCC pass.  Raises
+    NotRightResolving, NotCountableCertified or RankTooHigh, in that order,
+    naming the offending vertex.  Does not minimize: countability and rank
+    are shift properties, and counting does not assume minimality."""
+    _require_rr(g)
+    g = trim_essential(g)
+    cycles, rank, vertex = _cycle_certificate(g)
+    if cycles is None:
+        raise NotCountableCertified(
+            "the component of vertex %r is not a single cycle" % (vertex,))
+    if rank > 2:
+        raise RankTooHigh("a path from the cycle through vertex %r visits "
+                          "three or more cycles" % (vertex,))
+    return Admitted(g, cycles, rank)
 
 
 def analyze(g: LabeledGraph) -> AnalysisReport:
     """Countability certificate and rank of the presented shift.
 
-    Works on the trimmed graph.  Rank equals the maximum number of distinct
-    cycles visited by any directed path in the cycle condensation: under
+    Reports rather than refuses, with admit's single SCC pass over the
+    trimmed graph.  Rank equals the maximum number of distinct cycles
+    visited by any directed path in the cycle condensation: under
     right-resolving and disjoint cycles every junction configuration is
     aperiodic (the first departing edge label must differ from the cycle
     label at its vertex), so paths through c cycles witness rank exactly c.
@@ -258,26 +297,9 @@ def analyze(g: LabeledGraph) -> AnalysisReport:
     rr = is_right_resolving(g)
     trimmed = trim_essential(g)
     essential = (trimmed.vertices == g.vertices and trimmed.edges == g.edges)
-    certified, cycles = _cycle_certificate(trimmed)
-    if not rr or not certified:
-        return AnalysisReport(rr, essential, cycles if certified else (),
-                              False, RANK_UNCERTIFIED)
-    on_cycle = {v: i for i, cyc in enumerate(cycles) for v in cyc}
-    succ = {v: sorted({b for (b, s) in trimmed.out_map.get(v, ())})
-            for v in trimmed.vertices}
-    sccs = _tarjan_sccs(trimmed.vertices, succ)  # reverse topological order
-    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-    best = [0] * len(sccs)
-    for i, comp in enumerate(sccs):  # successors already computed
-        succ_best = 0
-        for v in comp:
-            for w in succ.get(v, ()):
-                j = comp_of[w]
-                if j != i:
-                    succ_best = max(succ_best, best[j])
-        here = 1 if comp[0] in on_cycle else 0
-        best[i] = here + succ_best
-    rank = max(best, default=0)
+    cycles, rank, _vertex = _cycle_certificate(trimmed)
+    if not rr or cycles is None:
+        return AnalysisReport(rr, essential, cycles or (), False, RANK_UNCERTIFIED)
     return AnalysisReport(rr, essential, cycles, True,
                           rank if rank <= 2 else RANK_HIGH)
 

@@ -2,7 +2,8 @@
 synthesis of a presentation from a structure graph.
 
 The exact counting in build_structure works on any right-resolving,
-countable-certified, rank <= 2 presentation, without assuming minimality:
+countable-certified, rank <= 2 presentation without assuming minimality,
+so build_structure never minimizes its input:
 
 * every aperiodic configuration has a unique shift representative anchored
   at the first position where it departs from its left periodic tail
@@ -31,19 +32,8 @@ from .core import (
     canonicalize_config,
     canonicalize_point,
 )
-from .errors import (
-    BudgetExceeded,
-    NotCountableCertified,
-    RankTooHigh,
-)
-from .presentation import (
-    RANK_HIGH,
-    _cycle_certificate,
-    _require_rr,
-    analyze,
-    minimize_right_resolving,
-    trim_essential,
-)
+from .errors import BudgetExceeded
+from .presentation import _cycle_certificate, admit, trim_essential
 
 DEFAULT_PATH_BUDGET = 10 ** 6
 
@@ -86,18 +76,6 @@ class TransferMatrix:
             if a in vec:
                 out[b] = out.get(b, 0) + vec[a] * k
         return out
-
-
-def _checked(g: LabeledGraph):
-    """Trim and run the shared admission checks; returns (graph, cycles)."""
-    _require_rr(g)
-    g = trim_essential(g)
-    report = analyze(g)
-    if not report.is_countable_certified:
-        raise NotCountableCertified("presentation cycles are not disjoint")
-    if report.rank == RANK_HIGH:
-        raise RankTooHigh("a path visits three or more cycles")
-    return g, report.cycles
 
 
 def _cycle_labels(g: LabeledGraph, cycles):
@@ -174,8 +152,8 @@ def _orbit_anchored_counts(g: LabeledGraph, seeds, orbit: PeriodicOrbit, anchore
     p = orbit.period
     starts = [frozenset(seeds[orbit.point(s)]) for s in range(p)]
     sub = _subset_graph(g, starts)
-    certified, sub_cycles = _cycle_certificate(sub)
-    if not certified:
+    sub_cycles, _rank, _vertex = _cycle_certificate(sub)
+    if sub_cycles is None:
         raise AssertionError("future graph of a certified input grew joint cycles")
     sub_labels = _cycle_labels(sub, sub_cycles)
     cyc_edges = _cycle_edge_set(sub_cycles, sub_labels)
@@ -221,15 +199,12 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
     """Structure graph of the shift presented by g.
 
     Requires a right-resolving presentation whose trimmed form has pairwise
-    disjoint cycles and no path through three of them; raises
-    NotRightResolving, NotCountableCertified or RankTooHigh otherwise.
-    Counts are exact arbitrary-precision ints.
+    disjoint cycles and no path through three of them; admit raises
+    NotRightResolving, NotCountableCertified or RankTooHigh otherwise.  The
+    presentation is used as given, never minimized.  Counts are exact
+    arbitrary-precision ints.
     """
-    _require_rr(g)
-    g = trim_essential(g)
-    if not g.is_empty():
-        g = minimize_right_resolving(g)
-    g, cycles = _checked(g)
+    g, cycles, _rank = admit(g)
     if g.is_empty():
         return StructureGraph.make((), {})
     labels = _cycle_labels(g, cycles)
@@ -281,8 +256,7 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     deduplicated per orbit, then counted.  Independent of build_structure's
     transfer-matrix machinery; exact whenever the path count fits the
     budget."""
-    _require_rr(g)
-    g, cycles = _checked(g)
+    g, cycles, _rank = admit(g)
     if g.is_empty():
         return StructureGraph.make((), {})
     labels = _cycle_labels(g, cycles)

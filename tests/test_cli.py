@@ -163,6 +163,34 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_directory_argument_is_an_error(tmp_path, capsys):
+    assert main(["structure", str(tmp_path)]) == 2
+    assert str(tmp_path) in _one_error_line(capsys)
+
+
+def test_non_utf8_file_is_an_error(tmp_path, capsys):
+    p = tmp_path / "latin1.graph"
+    p.write_bytes(b"edge v v \xe9\n")
+    assert main(["structure", str(p)]) == 2
+    err = _one_error_line(capsys)
+    assert "ParseError" in err and "latin1.graph" in err
+
+
+def test_bad_budget_env_is_an_error(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "chain.graph"
+    gpath.write_text(formats.format_graph(chain_graph(3)))
+    monkeypatch.setenv("SOFIC2_PATH_BUDGET", "lots")
+    assert main(["oracle-structure", str(gpath)]) == 2
+    err = _one_error_line(capsys)
+    assert "SOFIC2_PATH_BUDGET" in err and "'lots'" in err
+
+
 def test_synthesize_round_trip_cli(tmp_path, fig1_sg_file, capsys):
     gpath = tmp_path / "synth.graph"
     assert main(["synthesize", fig1_sg_file, "-o", str(gpath)]) == 0

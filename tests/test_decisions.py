@@ -200,6 +200,14 @@ def test_rank1_examples():
                             periods_structure([2, 4], 6))
 
 
+def test_rank1_factor_deep_matching():
+    # 1200 fixed points a side: the matching must not recurse per point
+    x = periods_structure([1] * 1200, tag=1)
+    y = periods_structure([1] * 1200, tag=2)
+    assert rank1_decide(Mode.FACTOR, x, y)
+    assert not rank1_decide(Mode.FACTOR, x, periods_structure([1] * 1201, tag=3))
+
+
 def test_rank1_requires_rank_one(fig1_structure):
     with pytest.raises(NotRankOne):
         rank1_decide(Mode.CONJUGACY, fig1_structure, fig1_structure)

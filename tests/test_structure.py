@@ -81,14 +81,67 @@ def test_refusals():
     with pytest.raises(NotRightResolving):
         build_structure(nonrr)
     uncountable = LabeledGraph.make([], [("v", "v", "a"), ("v", "v", "b")])
-    with pytest.raises(NotCountableCertified):
+    with pytest.raises(NotCountableCertified, match="vertex 'v'"):
         build_structure(uncountable)
+    joint = LabeledGraph.make([], [("x", "x", "a"), ("x", "y", "b"),
+                                   ("y", "z", "a"), ("z", "y", "b"),
+                                   ("z", "z", "c")])
+    with pytest.raises(NotCountableCertified, match="vertex 'y'"):
+        oracle_structure(joint)
     from sofic2 import comb_rep, from_comb_rep
     rank3 = from_comb_rep(comb_rep([("0", "1", "2", "3", "4")]))
-    with pytest.raises(RankTooHigh):
+    with pytest.raises(RankTooHigh, match="vertex 'm0'"):
         build_structure(rank3)
-    with pytest.raises(RankTooHigh):
+    with pytest.raises(RankTooHigh, match="vertex 'm0'"):
         oracle_structure(rank3)
+    # the first cycle, from the sinks up, whose paths reach three cycles
+    chain3 = LabeledGraph.make([], [("u", "u", "a"), ("u", "v", "b"),
+                                    ("v", "v", "c"), ("v", "w", "d"),
+                                    ("w", "w", "e")])
+    with pytest.raises(RankTooHigh, match="vertex 'u'"):
+        build_structure(chain3)
+
+
+def _clone_vertex(rng, g):
+    """A presentation of the same shift with one vertex split in two: the
+    clone copies the vertex's out-edges and takes over some of its
+    in-edges.  Sometimes also adds a stray edge, which may change the shift
+    or break right-resolving."""
+    v = rng.choice([u for u in sorted(g.vertices) if len(g.in_map[u]) >= 2]
+                   or sorted(g.vertices))
+    edges = list(g.edges) + [("clone", b, s) for (a, b, s) in g.edges if a == v]
+    into_v = [k for k, (_a, b, _s) in enumerate(edges) if b == v]
+    moved = set(rng.sample(into_v, rng.randint(1, len(into_v) - 1))
+                if len(into_v) >= 2 else ())
+    edges = [(a, "clone" if k in moved else b, s)
+             for k, (a, b, s) in enumerate(edges)]
+    if rng.random() < 0.3:
+        ends = sorted({x for e in edges for x in e[:2]})
+        edges.append((rng.choice(ends), rng.choice(ends), rng.choice("abc")))
+    return LabeledGraph.make([], edges)
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except (NotRightResolving, NotCountableCertified, RankTooHigh) as e:
+        return type(e)
+
+
+def test_build_ignores_minimization():
+    # build_structure never minimizes: on non-minimal presentations it must
+    # agree with building from the minimized one, refusals included
+    from sofic2 import minimize_right_resolving
+    rng = random.Random(3131)
+    refused = set()
+    for _ in range(300):
+        h = _clone_vertex(rng, random_certified_graph(rng, max_vertices=10))
+        direct = _outcome(build_structure, h)
+        via_min = _outcome(lambda g: build_structure(minimize_right_resolving(g)), h)
+        assert direct == via_min
+        if isinstance(direct, type):
+            refused.add(direct)
+    assert refused == {NotRightResolving, NotCountableCertified, RankTooHigh}
 
 
 def test_disjoint_cycles_only():
