@@ -25,6 +25,7 @@ from .decisions import (
     is_rank_one,
     rank1_decide,
     realize_orbit_map,
+    search,
     verify_witness,
 )
 from .presentation import (
@@ -74,6 +75,7 @@ __all__ = [
     "from_comb_rep", "from_forbidden_words", "gi_gadget", "hom_gadget",
     "is_rank_one", "is_right_resolving", "minimize_right_resolving",
     "oracle_structure", "primitive_root", "rank1_decide", "rank_of_comb_rep",
-    "realize_orbit_map", "shift_point", "synthesize", "transitional_paths",
+    "realize_orbit_map", "search", "shift_point", "synthesize",
+    "transitional_paths",
     "trim_essential", "verify_witness", "word", "words_of_length",
 ]

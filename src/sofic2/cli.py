@@ -13,13 +13,7 @@ import os
 import sys
 
 from . import formats
-from .decisions import (
-    Mode,
-    decide,
-    is_rank_one,
-    rank1_decide,
-    verify_witness,
-)
+from .decisions import Mode, decide, search, verify_witness
 from .errors import ParseError, SoficError
 from .presentation import (
     analyze,
@@ -114,20 +108,14 @@ def _cmd_decide(args):
     mode = MODES[args.mode]
     x = formats.parse_structure(_read(args.a))
     y = formats.parse_structure(_read(args.b))
-    fast = (not args.no_fastpath) and is_rank_one(x) and is_rank_one(y)
-    if fast:
-        yes = rank1_decide(mode, x, y)
-        witness = decide(mode, x, y) if (yes and args.witness) else None
-    else:
-        witness = decide(mode, x, y)
-        yes = witness is not None
-    if not yes:
+    witness = (search if args.no_fastpath else decide)(mode, x, y)
+    if witness is None:
         print("NO")
         return 1
     print("YES")
     if args.witness:
         _emit(formats.format_witness(witness), args.witness)
-    elif witness is not None and not fast:
+    else:
         sys.stdout.write(formats.format_witness(witness))
     return 0
 

@@ -232,13 +232,14 @@ class LabeledGraph:
 
     @classmethod
     def make(cls, vertices, edges) -> "LabeledGraph":
-        vs = frozenset(vertices)
+        vs = set(vertices)
         es = []
         for (a, b, s) in edges:
             _check_symbol(s)
-            vs |= {a, b}
+            vs.add(a)
+            vs.add(b)
             es.append((a, b, s))
-        return cls(vs, tuple(sorted(es)))
+        return cls(frozenset(vs), tuple(sorted(es)))
 
     @cached_property
     def out_map(self):

@@ -115,6 +115,22 @@ def test_decide_fastpath_writes_verifiable_witness(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decide_prints_rank1_witness(tmp_path, capsys):
+    from conftest import periods_structure
+    a = tmp_path / "a.sg"
+    b = tmp_path / "b.sg"
+    a.write_text(formats.format_structure(periods_structure([2, 4, 6], 1)))
+    b.write_text(formats.format_structure(periods_structure([2, 3], 2)))
+    for mode in ("hom", "factor"):
+        assert main(["decide", "--mode", mode, str(a), str(b)]) == 0
+        head, _, witness = capsys.readouterr().out.partition("\n")
+        assert head == "YES" and witness.startswith("map ")
+        w = tmp_path / ("%s.txt" % mode)
+        w.write_text(witness)
+        assert main(["verify", "--mode", mode, str(a), str(b), str(w)]) == 0
+        assert capsys.readouterr().out.strip() == "VALID"
+
+
 def test_rank_and_derive(tmp_path, fig1_rep_file, capsys):
     assert main(["rank", fig1_rep_file]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -1,6 +1,7 @@
 """Decision procedures: worked examples, exhaustive-search agreement,
 rank-1 fast paths and witness realization."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,13 +11,17 @@ from sofic2 import (
     LabeledGraph,
     Mode,
     SGHomomorphism,
+    StructureGraph,
     build_structure,
     canonicalize_point,
     decide,
     digraph_isomorphic,
+    formats,
+    hom_gadget,
     is_rank_one,
     rank1_decide,
     realize_orbit_map,
+    search,
     verify_witness,
 )
 from sofic2.errors import NotRankOne, WitnessInvalid
@@ -25,6 +30,7 @@ from sofic2.reductions import Digraph
 from conftest import (
     make_structure,
     periods_structure,
+    random_simple_graph,
     random_structure_graph,
     rename_structure,
 )
@@ -201,7 +207,7 @@ def test_rank1_examples():
 
 
 def test_rank1_factor_deep_matching():
-    # 1200 fixed points a side: the matching must not recurse per point
+    # 1200 fixed points a side: the cover check must not recurse per point
     x = periods_structure([1] * 1200, tag=1)
     y = periods_structure([1] * 1200, tag=2)
     assert rank1_decide(Mode.FACTOR, x, y)
@@ -221,7 +227,85 @@ def test_rank1_agrees_with_general_decide():
         x = periods_structure([rng.randint(1, 6) for _ in range(rng.randint(1, 4))], 7)
         y = periods_structure([rng.randint(1, 6) for _ in range(rng.randint(1, 4))], 8)
         for mode in ALL_MODES:
-            assert rank1_decide(mode, x, y) == (decide(mode, x, y) is not None)
+            assert rank1_decide(mode, x, y) == (search(mode, x, y) is not None)
+
+
+def test_decide_rank1_witness_is_first_search_witness():
+    # targets are the same periods, divisors of a sample of the source
+    # periods (factor YES with orbits to spare), or independent draws
+    rng = random.Random(4127)
+    for _ in range(150):
+        ps = [rng.randint(1, 8) for _ in range(rng.randint(0, 7))]
+        r = rng.random()
+        if r < 0.25:
+            qs = ps
+        elif r < 0.6:
+            qs = [rng.choice([d for d in range(1, p + 1) if p % d == 0])
+                  for p in rng.sample(ps, rng.randint(0, len(ps)))]
+        else:
+            qs = [rng.randint(1, 8) for _ in range(rng.randint(0, 7))]
+        x, y = periods_structure(ps, 1), periods_structure(qs, 2)
+        for mode in ALL_MODES:
+            assert decide(mode, x, y) == search(mode, x, y), (mode, x, y)
+
+
+def _deep_pairs():
+    """1200 fixed points against a renamed copy: once rank 1, once with a
+    count-1 transition from the first point to the second (not rank 1)."""
+    x = periods_structure([1] * 1200, tag=1)
+    yield x, periods_structure([1] * 1200, tag=2)
+    a, b = x.orbits[0].point(0), x.orbits[1].point(0)
+    counts = dict(x.transitions)
+    counts[(a, b)] = 1
+    xb = StructureGraph.make(x.orbits, counts)
+    yield xb, rename_structure(xb, "r")
+
+
+def test_deep_pairs_need_no_recursion():
+    for (x, y) in _deep_pairs():
+        for mode in ALL_MODES:
+            w = decide(mode, x, y)
+            assert w is not None and verify_witness(mode, x, y, w), mode
+
+
+def _pinned_pairs():
+    """Seeded random pairs with renamed twins, seeded rank-1 pairs both
+    ways, and the first ten pairs of the criterion-7 gadget stream."""
+    rng = random.Random(4111)
+    pairs = []
+    for _ in range(30):
+        x = random_structure_graph(rng, max_orbits=4, max_period=3, max_count=4)
+        y = random_structure_graph(rng, max_orbits=4, max_period=3, max_count=6)
+        pairs += [(x, y), (x, rename_structure(x, "p"))]
+    for _ in range(20):
+        x = periods_structure([rng.randint(1, 6) for _ in range(rng.randint(1, 5))], 1)
+        y = periods_structure([rng.randint(1, 6) for _ in range(rng.randint(1, 5))], 2)
+        pairs += [(x, y), (y, x)]
+    rng = random.Random(2027)
+    pool = [random_simple_graph(rng, max_vertices=6) for _ in range(40)]
+    gadgets = {}
+    for _ in range(10):
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        for k in (i, j):
+            if k not in gadgets:
+                gadgets[k] = hom_gadget(pool[k])
+        pairs.append((gadgets[i], gadgets[j]))
+    return pairs
+
+
+# sha256 of the witnesses (or NO) on _pinned_pairs in ALL_MODES order, as
+# the recursive search that `search` replaced returned them: 196 YES of 440
+PINNED_WITNESS_DIGEST = (
+    "6f90cb0d1422b688eb8547fb65fa91f51b56d005ef417ae96489b96a9f23582f")
+
+
+def test_search_first_witnesses_are_pinned():
+    h = hashlib.sha256()
+    for (x, y) in _pinned_pairs():
+        for mode in ALL_MODES:
+            w = search(mode, x, y)
+            h.update((formats.format_witness(w) if w is not None else "NO\n").encode())
+    assert h.hexdigest() == PINNED_WITNESS_DIGEST
 
 
 def test_realize_orbit_map_examples(fig1_structure):
