@@ -54,7 +54,6 @@ from .reductions import (
     hom_gadget,
 )
 from .structure import (
-    TransferMatrix,
     TransitionalPath,
     build_structure,
     oracle_structure,
@@ -67,7 +66,7 @@ __all__ = [
     "AnalysisReport", "ColoredGraph", "CombRep", "CombTerm", "Digraph",
     "EventuallyPeriodicPoint", "LabeledGraph", "Mode", "PeriodicOrbit",
     "PeriodicPoint", "SGHomomorphism", "SimpleGraph", "StructureGraph",
-    "TransferMatrix", "TransitionalPath", "Word", "analyze",
+    "TransitionalPath", "Word", "analyze",
     "brute_graph_oracle", "build_structure", "canonicalize_config",
     "canonicalize_point", "check_right_resolving", "comb_rep", "comb_term",
     "decide", "derivative_of_comb_rep", "determinize", "digraph_count_table",

@@ -259,10 +259,15 @@ class LabeledGraph:
     def alphabet(self):
         return frozenset(s for (_, _, s) in self.edges)
 
-    def step(self, v, s):
-        """Successors of v under label s (a list; singleton when
-        right-resolving)."""
-        return [b for (b, t) in self.out_map.get(v, ()) if t == s]
+    def subset_step(self, state):
+        """(label, successor set) pairs of a set of vertices, in ascending
+        label order: one step of the subset construction.  Successor sets
+        are frozensets and never empty."""
+        succ = {}
+        for v in state:
+            for (b, s) in self.out_map[v]:
+                succ.setdefault(s, set()).add(b)
+        return [(s, frozenset(succ[s])) for s in sorted(succ)]
 
     def is_empty(self) -> bool:
         return not self.vertices

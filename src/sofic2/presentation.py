@@ -34,20 +34,27 @@ RANK_UNCERTIFIED = "not-certified"
 def trim_essential(g: LabeledGraph) -> LabeledGraph:
     """Maximal subgraph in which every vertex lies on a bi-infinite walk.
 
-    Iteratively removes vertices lacking an incoming or outgoing edge; the
+    Removes vertices lacking an incoming or outgoing edge, one at a time
+    from a queue while updating the degrees of their neighbours; the
     presented shift is unchanged.  May return the empty graph.
     """
-    vs = set(g.vertices)
-    edges = list(g.edges)
-    while True:
-        has_out = {a for (a, b, s) in edges if b in vs and a in vs}
-        has_in = {b for (a, b, s) in edges if a in vs and b in vs}
-        keep = {v for v in vs if v in has_out and v in has_in}
-        if keep == vs:
-            break
-        vs = keep
-    return LabeledGraph.make(vs, [(a, b, s) for (a, b, s) in edges
-                                  if a in vs and b in vs])
+    indeg = dict.fromkeys(g.vertices, 0)
+    outdeg = dict.fromkeys(g.vertices, 0)
+    for (a, b, _s) in g.edges:
+        outdeg[a] += 1
+        indeg[b] += 1
+    queue = [v for v in g.vertices if not indeg[v] or not outdeg[v]]
+    gone = set(queue)
+    while queue:
+        v = queue.pop()
+        for (deg, nbrs) in ((indeg, g.out_map[v]), (outdeg, g.in_map[v])):
+            for (w, _s) in nbrs:
+                deg[w] -= 1
+                if not deg[w] and w not in gone:
+                    gone.add(w)
+                    queue.append(w)
+    return LabeledGraph.make(g.vertices - gone, [(a, b, s) for (a, b, s) in g.edges
+                                                 if a not in gone and b not in gone])
 
 
 def check_right_resolving(g: LabeledGraph):
@@ -85,10 +92,7 @@ def determinize(g: LabeledGraph, max_states: int = 100_000) -> LabeledGraph:
     while frontier:
         nxt = []
         for state in frontier:
-            for s in sorted(set(t for v in state for (_, t) in g.out_map.get(v, ()))):
-                succ = frozenset(b for v in state for b in g.step(v, s))
-                if not succ:
-                    continue
+            for s, succ in g.subset_step(state):
                 if succ not in names:
                     if len(names) >= max_states:
                         raise SizeLimitExceeded("determinization exceeded %d states"

@@ -4,6 +4,7 @@ validate the decision procedures against classical graph problems."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,7 +14,7 @@ from .core import (
     _check_symbol,
     comb_rep,
 )
-from .errors import ImproperColoring, IsolatedVertex, MalformedStructureGraph, TooLarge
+from .errors import ImproperColoring, IsolatedVertex, TooLarge
 from .presentation import from_comb_rep
 from .structure import build_structure
 
@@ -38,9 +39,6 @@ class SimpleGraph:
             vs |= {a, b}
             es.add(frozenset((a, b)))
         return cls(frozenset(vs), frozenset(es))
-
-    def neighbors(self, v):
-        return sorted(w for e in self.edges if v in e for w in e if w != v)
 
 
 @dataclass(frozen=True)
@@ -150,10 +148,7 @@ def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
     every rotation edge becomes 3 parallel length-3 paths, every transition
     edge with count k becomes m parallel length-m paths for the table entry
     m of k."""
-    try:
-        s.validate()
-    except MalformedStructureGraph:
-        raise
+    s.validate()
     if count_table is None:
         count_table = digraph_count_table(s)
     pts = s.points()
@@ -252,13 +247,12 @@ def _refine_colors(g: Digraph):
 
 
 def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
-    """Backtracking digraph isomorphism with color-refinement pruning;
-    handles parallel arcs by multiplicity."""
+    """Backtracking digraph isomorphism with color-refinement pruning, on
+    an explicit stack; handles parallel arcs by multiplicity."""
     if len(g.vertices) != len(h.vertices) or len(g.arcs) != len(h.arcs):
         return False
     gc, gout, gin = _refine_colors(g)
     hc, hout, hin = _refine_colors(h)
-    from collections import Counter
     if Counter(gc.values()) != Counter(hc.values()):
         return False
     g_mult = Counter(g.arcs)
@@ -276,19 +270,21 @@ def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
                 return False
         return g_mult.get((v, v), 0) == h_mult.get((w, w), 0)
 
-    def backtrack(i):
-        if i == len(gv):
+    # one candidate iterator per vertex of gv being tried, in gv order
+    pending = [iter(cands[gv[0]])] if gv else []
+    while pending:
+        v = gv[len(pending) - 1]
+        for w in pending[-1]:
+            if w not in used and consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                break
+        else:
+            pending.pop()
+            if pending:
+                used.discard(mapping.pop(gv[len(pending) - 1]))
+            continue
+        if len(pending) == len(gv):
             return True
-        v = gv[i]
-        for w in cands[v]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            used.discard(w)
-            del mapping[v]
-        return False
-
-    return backtrack(0)
+        pending.append(iter(cands[gv[len(pending)]]))
+    return not gv

@@ -12,7 +12,8 @@ so build_structure never minimizes its input:
 * with the anchor fixed, distinct configurations correspond bijectively to
   walks in the determinized future graph seeded with the set of all cycle
   vertices that can emit the left tail, so transitional futures are counted
-  by transfer-matrix iteration over that subset graph;
+  by a frontier over subset states that sums the walks reaching each state
+  and stops at the first state on a cycle;
 * the anchored counts are then smeared over simultaneous shifts of both
   endpoints, one hit per distinct endpoint pair, and every periodic point
   contributes one extra orbit to its own diagonal edge.
@@ -33,7 +34,7 @@ from .core import (
     canonicalize_point,
 )
 from .errors import BudgetExceeded
-from .presentation import _cycle_certificate, admit, trim_essential
+from .presentation import admit, trim_essential
 
 DEFAULT_PATH_BUDGET = 10 ** 6
 
@@ -53,29 +54,6 @@ class TransitionalPath:
     @property
     def length(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Counts of non-cycle edges between states; cycle edges are zeroed.
-    Entries are exact ints, so iterated application never overflows."""
-
-    entries: tuple  # sorted ((src, dst), count)
-
-    @classmethod
-    def from_edges(cls, edges):
-        acc = {}
-        for (a, _lbl, b) in edges:
-            acc[(a, b)] = acc.get((a, b), 0) + 1
-        return cls(tuple(sorted(acc.items())))
-
-    def apply(self, vec):
-        """Row vector times matrix: vec maps state -> count."""
-        out = {}
-        for ((a, b), k) in self.entries:
-            if a in vec:
-                out[b] = out.get(b, 0) + vec[a] * k
-        return out
 
 
 def _cycle_labels(g: LabeledGraph, cycles):
@@ -100,19 +78,6 @@ def _cycle_edge_set(cycles, labels):
     }
 
 
-def _structure_points(cycles, labels):
-    """seeds: periodic point -> set of cycle vertices emitting its stream;
-    membership: vertex -> (cycle index, position)."""
-    seeds = {}
-    membership = {}
-    for i, cyc in enumerate(cycles):
-        for a in range(len(cyc)):
-            pt = canonicalize_point(labels[i], a)
-            seeds.setdefault(pt, set()).add(cyc[a])
-            membership[cyc[a]] = (i, a)
-    return seeds, membership
-
-
 def _smear(anchored):
     """Expand anchored per-orbit counts over simultaneous endpoint shifts."""
     final = {}
@@ -123,76 +88,50 @@ def _smear(anchored):
     return final
 
 
-def _subset_graph(g: LabeledGraph, starts):
-    """Deterministic future graph over subset states reachable from the
-    given seed sets.  States are named by sorted vertex tuples."""
-    name = lambda fs: tuple(sorted(fs))
-    states = {name(s): frozenset(s) for s in starts}
-    frontier = list(states)
-    edges = []
-    while frontier:
-        nxt = []
-        for sid in frontier:
-            state = states[sid]
-            labels = sorted({s for v in state for (_b, s) in g.out_map.get(v, ())})
-            for s in labels:
-                succ = frozenset(b for v in state for b in g.step(v, s))
-                tid = name(succ)
-                if tid not in states:
-                    states[tid] = succ
-                    nxt.append(tid)
-                edges.append((sid, tid, s))
-        frontier = nxt
-    return LabeledGraph.make(states.keys(), edges)
+def _anchored_counts(g: LabeledGraph, point_of):
+    """Anchored transition counts, keyed by (left point, right point).
 
-
-def _orbit_anchored_counts(g: LabeledGraph, seeds, orbit: PeriodicOrbit, anchored):
-    """Accumulate anchored counts for departures from every phase of one
-    orbit into the shared dict."""
-    p = orbit.period
-    starts = [frozenset(seeds[orbit.point(s)]) for s in range(p)]
-    sub = _subset_graph(g, starts)
-    sub_cycles, _rank, _vertex = _cycle_certificate(sub)
-    if sub_cycles is None:
-        raise AssertionError("future graph of a certified input grew joint cycles")
-    sub_labels = _cycle_labels(sub, sub_cycles)
-    cyc_edges = _cycle_edge_set(sub_cycles, sub_labels)
-    start_ids = [tuple(sorted(s)) for s in starts]
-    start_cycle = set(start_ids)
-    on_cycle = {}
-    stream = {}
-    for i, cyc in enumerate(sub_cycles):
-        for c, sid in enumerate(cyc):
-            on_cycle[sid] = i
-            stream[sid] = canonicalize_point(sub_labels[i], c)
-    trans_out = {v: [] for v in sub.vertices}
-    for (a, b, s) in sub.edges:
-        if (a, b, s) not in cyc_edges:
-            trans_out[a].append((s, b))
-    matrix = TransferMatrix.from_edges(
-        (a, s, b) for (a, b, s) in sub.edges if (a, b, s) not in cyc_edges)
-    for s in range(p):
-        x_hat = orbit.point(s)
-        vec = {}
-        for (_lbl, b) in trans_out[start_ids[s]]:
-            vec[b] = vec.get(b, 0) + 1
-        ell = 1
+    For each periodic point x, a frontier of subset states of g starts at
+    the set of cycle vertices emitting x, leaves it by every edge but its
+    cycle edge, and stops at the first state that lies on a cycle of the
+    future graph; counts are summed per state.
+    """
+    seeds = {}
+    for v, pt in point_of.items():
+        seeds.setdefault(pt, set()).add(v)
+    anchored = {}
+    steps = {}  # subset state -> its (label, successor set) pairs
+    for x_hat, start in seeds.items():
+        vec = {frozenset(start): 1}
+        ell = 0
         while vec:
-            if ell > len(sub.vertices) + 1:
+            # a transitional path is simple, so its length is at most the
+            # number of distinct states stepped so far plus 1
+            if ell > len(steps) + 1:
                 raise AssertionError("transitional frontier failed to terminate")
-            live = {}
-            for sid, cnt in vec.items():
-                if sid in on_cycle:
-                    if sid in start_cycle:
-                        raise AssertionError("transitional path re-entered its source cycle")
-                    if trans_out[sid]:
-                        raise AssertionError("cycle-to-cycle path despite rank check")
-                    key = (x_hat, stream[sid].shift(-ell))
-                    anchored[key] = anchored.get(key, 0) + cnt
-                else:
-                    live[sid] = cnt
-            vec = matrix.apply(live)
+            nxt = {}
+            for state, cnt in vec.items():
+                if ell:  # the start lies on x's cycle; the walk departs from it
+                    # g is right-resolving with disjoint cycles, so stepping
+                    # along a cycle word maps a set of vertices that all
+                    # emit one point y bijectively onto itself: exactly
+                    # such states lie on a cycle of the future graph, and
+                    # y is their stream
+                    y = point_of.get(next(iter(state)))
+                    if y is not None and all(point_of.get(v) == y for v in state):
+                        key = (x_hat, y.shift(-ell))
+                        anchored[key] = anchored.get(key, 0) + cnt
+                        continue
+                out = steps.get(state)
+                if out is None:
+                    out = steps[state] = g.subset_step(state)
+                for (s, b) in out:
+                    # the start's edge labelled x_hat.at(0) is its cycle edge
+                    if ell or s != x_hat.at(0):
+                        nxt[b] = nxt.get(b, 0) + cnt
+            vec = nxt
             ell += 1
+    return anchored
 
 
 def build_structure(g: LabeledGraph) -> StructureGraph:
@@ -208,12 +147,10 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
     if g.is_empty():
         return StructureGraph.make((), {})
     labels = _cycle_labels(g, cycles)
-    seeds, _membership = _structure_points(cycles, labels)
-    orbits = sorted({pt.orbit for pt in seeds}, key=PeriodicOrbit.sort_key)
-    anchored = {}
-    for orbit in orbits:
-        _orbit_anchored_counts(g, seeds, orbit, anchored)
-    counts = _smear(anchored)
+    point_of = {v: canonicalize_point(labels[i], a)
+                for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
+    orbits = sorted({pt.orbit for pt in point_of.values()}, key=PeriodicOrbit.sort_key)
+    counts = _smear(_anchored_counts(g, point_of))
     for o in orbits:
         for r in range(o.period):
             pt = o.point(r)
@@ -224,7 +161,7 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
 def transitional_paths(g: LabeledGraph, cycles, labels, budget):
     """Every simple non-cycle-edge path between cycle vertices, by DFS."""
     cyc_edges = _cycle_edge_set(cycles, labels)
-    _seeds, membership = _structure_points(cycles, labels)
+    membership = {v: (i, a) for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
     trans_out = {v: [] for v in g.vertices}
     for (a, b, s) in g.edges:
         if (a, b, s) not in cyc_edges:
@@ -254,8 +191,7 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     """Structure graph by definitional enumeration: every transitional path
     is expanded into its configuration, configurations are canonicalized and
     deduplicated per orbit, then counted.  Independent of build_structure's
-    transfer-matrix machinery; exact whenever the path count fits the
-    budget."""
+    subset-state frontier; exact whenever the path count fits the budget."""
     g, cycles, _rank = admit(g)
     if g.is_empty():
         return StructureGraph.make((), {})

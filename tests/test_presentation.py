@@ -28,9 +28,12 @@ from conftest import FIG1_TERMS, random_comb_rep
 def test_trim_removes_dead_ends():
     g = LabeledGraph.make(["loop", "dead"],
                           [("loop", "loop", "a"), ("loop", "dead", "b")])
-    t = trim_essential(g)
-    assert t.vertices == frozenset(["loop"])
-    assert t.edges == (("loop", "loop", "a"),)
+    # a 3000-vertex dangling tail beyond the dead end
+    tail = [("dead", "t0", "a")] + [("t%d" % i, "t%d" % (i + 1), "a") for i in range(2999)]
+    for h in (g, LabeledGraph.make(g.vertices, g.edges + tuple(tail))):
+        t = trim_essential(h)
+        assert t.vertices == frozenset(["loop"])
+        assert t.edges == (("loop", "loop", "a"),)
 
 
 def test_trim_keeps_self_loop():

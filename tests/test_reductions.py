@@ -183,6 +183,16 @@ def test_digraph_gadget_faithful(fig1_structure):
         assert same == (decide(Mode.CONJUGACY, s, t) is not None)
 
 
+def test_digraph_isomorphic_needs_no_recursion():
+    from conftest import periods_structure
+    # 1140 gadget vertices each: deeper than the default recursion limit
+    s, t = periods_structure([1] * 60), periods_structure([1] * 60, tag=1)
+    table = digraph_count_table(s, t)
+    g, h = digraph_gadget(s, table), digraph_gadget(t, table)
+    assert len(g.vertices) == len(h.vertices) == 1140
+    assert digraph_isomorphic(g, h)
+
+
 def test_digraph_gadget_empty():
     from sofic2 import StructureGraph
     d = digraph_gadget(StructureGraph.make((), {}))
