@@ -15,7 +15,6 @@ from .core import (
     comb_rep,
     comb_term,
     primitive_root,
-    shift_point,
     word,
 )
 from .decisions import (
@@ -53,20 +52,14 @@ from .reductions import (
     gi_gadget,
     hom_gadget,
 )
-from .structure import (
-    TransitionalPath,
-    build_structure,
-    oracle_structure,
-    synthesize,
-    transitional_paths,
-)
+from .structure import build_structure, oracle_structure, synthesize
 from . import errors, formats
 
 __all__ = [
     "AnalysisReport", "ColoredGraph", "CombRep", "CombTerm", "Digraph",
     "EventuallyPeriodicPoint", "LabeledGraph", "Mode", "PeriodicOrbit",
     "PeriodicPoint", "SGHomomorphism", "SimpleGraph", "StructureGraph",
-    "TransitionalPath", "Word", "analyze",
+    "Word", "analyze",
     "brute_graph_oracle", "build_structure", "canonicalize_config",
     "canonicalize_point", "check_right_resolving", "comb_rep", "comb_term",
     "decide", "derivative_of_comb_rep", "determinize", "digraph_count_table",
@@ -74,7 +67,6 @@ __all__ = [
     "from_comb_rep", "from_forbidden_words", "gi_gadget", "hom_gadget",
     "is_rank_one", "is_right_resolving", "minimize_right_resolving",
     "oracle_structure", "primitive_root", "rank1_decide", "rank_of_comb_rep",
-    "realize_orbit_map", "search", "shift_point", "synthesize",
-    "transitional_paths",
+    "realize_orbit_map", "search", "synthesize",
     "trim_essential", "verify_witness", "word", "words_of_length",
 ]

@@ -7,7 +7,9 @@ stored values coincides with equality of the configurations (respectively
 their shift orbits) that they denote:
 
 * a periodic orbit is named by the lexicographically least rotation of its
-  primitive root word (symbol tokens compare as strings);
+  primitive root word (symbol tokens compare as strings); the rotation and
+  the primitive period come from one linear pass (Duval's Lyndon
+  factorization of the doubled word);
 * a periodic point is an orbit plus a phase, denoting the configuration
   ``x[t] = root[(t + phase) % period]``;
 * an eventually periodic point is anchored so that position 0 is the leftmost
@@ -45,25 +47,29 @@ def word(w) -> Word:
     return syms
 
 
+def _rotation(w: Word):
+    """(d, p): the least index d at which the lexicographically least
+    rotation of w starts, and the primitive period p of w (w is a power of
+    w[:p]).  One pass of Duval's Lyndon factorization over w + w: the last
+    factor started is the least rotation, of period j - k."""
+    n, s = len(w), w + w
+    i = 0
+    while i < n:
+        d, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return d, j - k
+
+
 def primitive_root(w: Word):
     """Shortest word x with w = x**k; returns (x, k) with k maximal."""
     if not w:
         raise EmptyWord("empty word has no primitive root")
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            return w[:d], n // d
-    raise AssertionError("unreachable")
-
-
-def _least_rotation(w: Word):
-    """Index d and value of the lexicographically least rotation of w."""
-    best_d, best = 0, w
-    for d in range(1, len(w)):
-        rot = w[d:] + w[:d]
-        if rot < best:
-            best_d, best = d, rot
-    return best_d, best
+    _, p = _rotation(w)
+    return w[:p], len(w) // p
 
 
 @dataclass(frozen=True)
@@ -76,10 +82,9 @@ class PeriodicOrbit:
     def __post_init__(self):
         if not self.root:
             raise EmptyWord("orbit root must be nonempty")
-        r, k = primitive_root(self.root)
-        if k != 1:
+        d, p = _rotation(self.root)
+        if p != len(self.root):
             raise ValueError("orbit root %r is not primitive" % (self.root,))
-        d, _ = _least_rotation(self.root)
         if d != 0:
             raise ValueError("orbit root %r is not the least rotation" % (self.root,))
         object.__setattr__(self, "_hash", hash(("orbit", self.root)))
@@ -133,14 +138,8 @@ def canonicalize_point(u, phase: int = 0) -> PeriodicPoint:
     u = word(u)
     if not u:
         raise EmptyWord("cannot canonicalize the empty word")
-    root0, _ = primitive_root(u)
-    d, least = _least_rotation(root0)
-    return PeriodicPoint(PeriodicOrbit(least), (phase - d) % len(root0))
-
-
-def shift_point(x: PeriodicPoint, n: int) -> PeriodicPoint:
-    """n-fold shift of a periodic point (phase arithmetic mod period)."""
-    return x.shift(n)
+    d, p = _rotation(u)
+    return PeriodicPoint(PeriodicOrbit((u + u)[d:d + p]), (phase - d) % p)
 
 
 @dataclass(frozen=True)

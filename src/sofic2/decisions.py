@@ -60,9 +60,6 @@ class SGHomomorphism:
     def mapping(self):
         return dict(self.pairs)
 
-    def image(self, pt):
-        return self.mapping[pt]
-
 
 def _validate_pair(x: StructureGraph, y: StructureGraph):
     x.validate()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .core import (
     LabeledGraph,
-    PeriodicPoint,
+    PeriodicOrbit,
     StructureGraph,
     CombRep,
     CombTerm,
@@ -50,7 +50,7 @@ def format_word(w: Word) -> str:
 def parse_word(tok: str, n=0) -> Word:
     if tok == "-":
         return ()
-    return word([_file_symbol(t, n) for t in tok.split(".")])
+    return tuple(_file_symbol(t, n) for t in tok.split("."))
 
 
 # -- labeled graphs ---------------------------------------------------------
@@ -84,6 +84,18 @@ def format_structure(s: StructureGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _parse_orbit(tok, n) -> PeriodicOrbit:
+    """The orbit whose canonical root word the token spells."""
+    w = parse_word(tok, n)
+    if not w:
+        raise ParseError("line %d: orbit word must be nonempty" % n)
+    try:
+        return PeriodicOrbit(w)
+    except ValueError:
+        raise ParseError("line %d: %r is not a canonical orbit word (expected %s)"
+                         % (n, tok, format_word(canonicalize_point(w).orbit.root)))
+
+
 def _parse_point(tok, orbits, n):
     if ":" not in tok:
         raise ParseError("line %d: expected orbit:phase, got %r" % (n, tok))
@@ -105,14 +117,7 @@ def parse_structure(text: str) -> StructureGraph:
     counts = {}
     for n, toks in _lines(text):
         if toks[0] == "orbit" and len(toks) == 3 and toks[2].startswith("word="):
-            w = parse_word(toks[2][len("word="):], n)
-            if not w:
-                raise ParseError("line %d: orbit word must be nonempty" % n)
-            orbit = canonicalize_point(w, 0).orbit
-            if orbit.root != w:
-                raise ParseError(
-                    "line %d: %r is not a canonical orbit word (expected %s)"
-                    % (n, toks[2], format_word(orbit.root)))
+            orbit = _parse_orbit(toks[2][len("word="):], n)
             if toks[1] in orbits:
                 raise ParseError("line %d: duplicate orbit id %r" % (n, toks[1]))
             orbits[toks[1]] = orbit
@@ -271,40 +276,36 @@ def parse_digraph(text: str) -> Digraph:
 
 # -- witnesses ---------------------------------------------------------------
 
-def _format_point(p: PeriodicPoint) -> str:
-    return "%s:%d" % (format_word(p.orbit.root), p.phase)
-
-
-def _parse_free_point(tok, n):
+def _parse_free_point(tok, orbits, n):
+    """A word:phase token; `orbits` caches the orbit of each word token."""
     if ":" not in tok:
         raise ParseError("line %d: expected word:phase" % n)
     w, ph = tok.rsplit(":", 1)
-    root = parse_word(w, n)
-    if not root:
-        raise ParseError("line %d: empty orbit word" % n)
     try:
         phase = int(ph)
     except ValueError:
         raise ParseError("line %d: bad phase" % n)
-    pt = canonicalize_point(root, phase)
-    if pt.orbit.root != root:
-        raise ParseError("line %d: %r is not a canonical orbit word" % (n, w))
-    return pt
+    if w not in orbits:
+        orbits[w] = _parse_orbit(w, n)
+    return orbits[w].point(phase)
 
 
 def format_witness(h: SGHomomorphism) -> str:
-    out = ["map %s %s" % (_format_point(a), _format_point(b))
+    # each orbit's root word is spelled once per file
+    orbits = {p.orbit for pair in h.pairs for p in pair}
+    words = {o: format_word(o.root) for o in orbits}
+    out = ["map %s:%d %s:%d" % (words[a.orbit], a.phase, words[b.orbit], b.phase)
            for (a, b) in h.pairs]
     return "\n".join(out) + "\n" if out else "# empty map\n"
 
 
 def parse_witness(text: str) -> SGHomomorphism:
-    mapping = {}
+    mapping, orbits = {}, {}
     for n, toks in _lines(text):
         if toks[0] != "map" or len(toks) != 3:
             raise ParseError("line %d: expected 'map src dst'" % n)
-        a = _parse_free_point(toks[1], n)
-        b = _parse_free_point(toks[2], n)
+        a = _parse_free_point(toks[1], orbits, n)
+        b = _parse_free_point(toks[2], orbits, n)
         if a in mapping:
             raise ParseError("line %d: duplicate source point" % n)
         mapping[a] = b

@@ -21,13 +21,11 @@ so build_structure never minimizes its input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .core import (
     LabeledGraph,
     PeriodicOrbit,
-    PeriodicPoint,
     EventuallyPeriodicPoint,
     StructureGraph,
     canonicalize_config,
@@ -37,23 +35,6 @@ from .errors import BudgetExceeded
 from .presentation import admit, trim_essential
 
 DEFAULT_PATH_BUDGET = 10 ** 6
-
-
-@dataclass(frozen=True)
-class TransitionalPath:
-    """A simple path using no cycle edges, from a vertex of one cycle to a
-    vertex of another (or the same) cycle."""
-
-    vertices: tuple
-    labels: tuple
-    start_cycle: int
-    start_index: int
-    end_cycle: int
-    end_index: int
-
-    @property
-    def length(self) -> int:
-        return len(self.labels)
 
 
 def _cycle_labels(g: LabeledGraph, cycles):
@@ -146,10 +127,10 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
     g, cycles, _rank = admit(g)
     if g.is_empty():
         return StructureGraph.make((), {})
-    labels = _cycle_labels(g, cycles)
-    point_of = {v: canonicalize_point(labels[i], a)
+    starts = [canonicalize_point(w) for w in _cycle_labels(g, cycles)]
+    point_of = {v: starts[i].shift(a)
                 for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
-    orbits = sorted({pt.orbit for pt in point_of.values()}, key=PeriodicOrbit.sort_key)
+    orbits = sorted({pt.orbit for pt in starts}, key=PeriodicOrbit.sort_key)
     counts = _smear(_anchored_counts(g, point_of))
     for o in orbits:
         for r in range(o.period):
@@ -158,33 +139,31 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
     return StructureGraph.make(orbits, counts).validate()
 
 
-def transitional_paths(g: LabeledGraph, cycles, labels, budget):
-    """Every simple non-cycle-edge path between cycle vertices, by DFS."""
+def _transitional_paths(g: LabeledGraph, cycles, labels, budget):
+    """Every simple non-cycle-edge path between cycle vertices, by DFS, as
+    (labels, start cycle, start index, end cycle, end index) tuples."""
     cyc_edges = _cycle_edge_set(cycles, labels)
     membership = {v: (i, a) for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
     trans_out = {v: [] for v in g.vertices}
     for (a, b, s) in g.edges:
         if (a, b, s) not in cyc_edges:
             trans_out[a].append((s, b))
-    for v in trans_out:
-        trans_out[v].sort()
-    paths = []
+    found = 0
     for i, cyc in enumerate(cycles):
         for a, start in enumerate(cyc):
             stack = [(start, (start,), ())]
             while stack:
                 v, verts, labs = stack.pop()
                 if labs and v in membership:
-                    j, bpos = membership[v]
-                    paths.append(TransitionalPath(verts, labs, i, a, j, bpos))
-                    if len(paths) > budget:
+                    found += 1
+                    if found > budget:
                         raise BudgetExceeded("more than %d transitional paths" % budget)
+                    yield (labs, i, a) + membership[v]
                     continue
                 for (s, b) in sorted(trans_out[v]):
                     if b in verts:
                         raise AssertionError("non-simple transitional path")
                     stack.append((b, verts + (b,), labs + (s,)))
-    return paths
 
 
 def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) -> StructureGraph:
@@ -196,11 +175,11 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     if g.is_empty():
         return StructureGraph.make((), {})
     labels = _cycle_labels(g, cycles)
+    starts = [canonicalize_point(w) for w in labels]
     configs = set()
-    for path in transitional_paths(g, cycles, labels, path_budget):
-        left = canonicalize_point(labels[path.start_cycle], path.start_index)
-        right = canonicalize_point(labels[path.end_cycle], path.end_index)
-        cfg = canonicalize_config(left, path.labels, right.shift(-path.length))
+    for (labs, i, a, j, b) in _transitional_paths(g, cycles, labels, path_budget):
+        cfg = canonicalize_config(starts[i].shift(a), labs,
+                                  starts[j].shift(b - len(labs)))
         if not isinstance(cfg, EventuallyPeriodicPoint):
             raise AssertionError("periodic junction in a right-resolving presentation")
         configs.add(cfg)
@@ -209,8 +188,7 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
         key = (cfg.left, cfg.right)
         anchored[key] = anchored.get(key, 0) + 1
     counts = _smear(anchored)
-    orbits = sorted({canonicalize_point(labels[i], 0).orbit
-                     for i in range(len(cycles))}, key=PeriodicOrbit.sort_key)
+    orbits = sorted({pt.orbit for pt in starts}, key=PeriodicOrbit.sort_key)
     for o in orbits:
         for r in range(o.period):
             pt = o.point(r)

@@ -11,7 +11,6 @@ from sofic2 import (
     canonicalize_point,
     comb_rep,
     primitive_root,
-    shift_point,
     word,
 )
 from sofic2.errors import EmptyWord, InvalidCombRep
@@ -52,10 +51,10 @@ def test_canonicalize_point_orbit_invariance():
 
 def test_shift_point_examples():
     x = canonicalize_point("12", 0)
-    assert shift_point(x, 1).phase == 1
-    assert shift_point(shift_point(x, 1), 1) == x
+    assert x.shift(1).phase == 1
+    assert x.shift(1).shift(1) == x
     fixed = canonicalize_point("0", 0)
-    assert shift_point(fixed, -7) == fixed
+    assert fixed.shift(-7) == fixed
 
 
 def test_shift_point_group_laws():
@@ -63,9 +62,9 @@ def test_shift_point_group_laws():
     for _ in range(100):
         u = tuple(rng.choice("abc") for _ in range(rng.randint(1, 6)))
         x = canonicalize_point(u, rng.randint(-5, 5))
-        assert shift_point(x, x.period) == x
+        assert x.shift(x.period) == x
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert shift_point(shift_point(x, a), b) == shift_point(x, a + b)
+        assert x.shift(a).shift(b) == x.shift(a + b)
 
 
 def test_canonicalize_config_single_defect():

@@ -145,3 +145,22 @@ def test_big_counts_serialize_exactly():
     text = formats.format_structure(s)
     assert "count=%d" % (2 ** 64) in text
     assert formats.parse_structure(text) == s
+
+
+def test_long_period_witness_round_trip():
+    from sofic2 import Mode, decide, verify_witness
+    from conftest import periods_structure
+    s = periods_structure([400])
+    h = decide(Mode.CONJUGACY, s, s)
+    assert len(h.pairs) == 400
+    _stable(formats.format_witness, formats.parse_witness, h)
+    assert verify_witness(Mode.CONJUGACY, s, s, formats.parse_witness(
+        formats.format_witness(h)))
+    # a rotated root first appears on the last line; words already seen on
+    # earlier lines do not let it through
+    root = s.orbits[0].root
+    rotated = formats.format_word(root[1:] + root[:1])
+    text = formats.format_witness(h) + "map %s:0 %s:0\n" % (
+        formats.format_word(root), rotated)
+    with pytest.raises(ParseError, match="line 401: .* not a canonical"):
+        formats.parse_witness(text)

@@ -312,3 +312,38 @@ def test_empty_graph_structures():
     s = build_structure(LabeledGraph.make([], []))
     assert s.is_empty()
     assert oracle_structure(LabeledGraph.make(["w"], [])).is_empty()
+
+
+def _long_cycle_graph(rng):
+    """One cycle of 256-1024 vertices (its word sometimes a power) with one
+    to three departures, each a short path to a fixed point or to a cycle
+    of period at most 3."""
+    n = rng.randint(256, 1024)
+    root = [rng.choice("ab") for _ in range(n // rng.choice((1, 2, 4)))]
+    w = root * (n // len(root))
+    n = len(w)
+    edges = [("c%d" % i, "c%d" % ((i + 1) % n), w[i]) for i in range(n)]
+    sinks = []
+    for k in range(rng.randint(1, 2)):
+        m = rng.randint(1, 3)
+        sinks.append(["k%d_%d" % (k, i) for i in range(m)])
+        edges += [(sinks[k][i], sinks[k][(i + 1) % m], rng.choice("01"))
+                  for i in range(m)]
+    for d in range(rng.randint(1, 3)):
+        path = (["c%d" % rng.randrange(n)]
+                + ["m%d_%d" % (d, i) for i in range(rng.randint(0, 2))]
+                + [rng.choice(rng.choice(sinks))])
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            edges.append((a, b, "x%d_%d" % (d, i)))
+        if rng.random() < 0.5:
+            edges.append((path[0], path[1], "y%d" % d))
+    return LabeledGraph.make([], edges)
+
+
+def test_long_periods_match_oracle():
+    rng = random.Random(401)
+    for _ in range(6):
+        g = _long_cycle_graph(rng)
+        s = build_structure(g)
+        assert s == oracle_structure(g)
+        assert max(o.period for o in s.orbits) >= 64
