@@ -13,7 +13,6 @@ from .core import (
     canonicalize_config,
     canonicalize_point,
     comb_rep,
-    comb_term,
     primitive_root,
     word,
 )
@@ -39,7 +38,6 @@ from .presentation import (
     minimize_right_resolving,
     rank_of_comb_rep,
     trim_essential,
-    words_of_length,
 )
 from .reductions import (
     ColoredGraph,
@@ -61,12 +59,12 @@ __all__ = [
     "PeriodicPoint", "SGHomomorphism", "SimpleGraph", "StructureGraph",
     "Word", "analyze",
     "brute_graph_oracle", "build_structure", "canonicalize_config",
-    "canonicalize_point", "check_right_resolving", "comb_rep", "comb_term",
+    "canonicalize_point", "check_right_resolving", "comb_rep",
     "decide", "derivative_of_comb_rep", "determinize", "digraph_count_table",
     "digraph_gadget", "digraph_isomorphic", "errors", "formats",
     "from_comb_rep", "from_forbidden_words", "gi_gadget", "hom_gadget",
     "is_rank_one", "is_right_resolving", "minimize_right_resolving",
     "oracle_structure", "primitive_root", "rank1_decide", "rank_of_comb_rep",
     "realize_orbit_map", "search", "synthesize",
-    "trim_essential", "verify_witness", "word", "words_of_length",
+    "trim_essential", "verify_witness", "word",
 ]

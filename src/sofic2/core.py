@@ -362,10 +362,6 @@ class CombTerm:
         return canonicalize_config(left, v, right)
 
 
-def comb_term(us, vs=()) -> CombTerm:
-    return CombTerm(tuple(word(u) for u in us), tuple(word(v) for v in vs))
-
-
 @dataclass(frozen=True)
 class CombRep:
     """A finite union of CombTerms with every junction aperiodic."""

@@ -61,11 +61,6 @@ class SGHomomorphism:
         return dict(self.pairs)
 
 
-def _validate_pair(x: StructureGraph, y: StructureGraph):
-    x.validate()
-    y.validate()
-
-
 def _aperiodic(count, src, dst):
     return count - 1 if src == dst else count
 
@@ -174,7 +169,8 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     bounded by the recursion limit.  Its cost is exponential in the worst
     case: the paper shows these decisions NP-hard.
     """
-    _validate_pair(x, y)
+    x.validate()
+    y.validate()
     xp, yp = _search_profile(x), _search_profile(y)
     n, m = len(xp.periods), len(yp.periods)
     if mode is Mode.CONJUGACY and (xp.periods != yp.periods
@@ -264,7 +260,8 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     lets the remaining source orbits cover every uncovered target.  Other
     inputs go to `search`.  Neither path recurses.
     """
-    _validate_pair(x, y)
+    x.validate()
+    y.validate()
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y)
     if not rank1_decide(mode, x, y):
@@ -369,7 +366,8 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
     """Independent validity check of a witness; never raises on malformed
     maps, simply returns False.  Shares no search code with decide."""
     try:
-        _validate_pair(x, y)
+        x.validate()
+        y.validate()
     except MalformedStructureGraph:
         return False
     vm = dict(h.pairs)
@@ -434,7 +432,8 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
     periods (a flow over period classes)."""
-    _validate_pair(x, y)
+    x.validate()
+    y.validate()
     ps = _rank1_periods(x)
     qs = _rank1_periods(y)
     if mode is Mode.CONJUGACY:

@@ -96,13 +96,12 @@ def _parse_orbit(tok, n) -> PeriodicOrbit:
                          % (n, tok, format_word(canonicalize_point(w).orbit.root)))
 
 
-def _parse_point(tok, orbits, n):
+def _parse_point(tok, orbit_of, n):
+    """An orbit:phase token; orbit_of(name, n) resolves the orbit part."""
     if ":" not in tok:
         raise ParseError("line %d: expected orbit:phase, got %r" % (n, tok))
     name, phase = tok.rsplit(":", 1)
-    if name not in orbits:
-        raise ParseError("line %d: unknown orbit %r" % (n, name))
-    o = orbits[name]
+    o = orbit_of(name, n)
     try:
         ph = int(phase)
     except ValueError:
@@ -115,6 +114,12 @@ def _parse_point(tok, orbits, n):
 def parse_structure(text: str) -> StructureGraph:
     orbits = {}
     counts = {}
+
+    def orbit_of(name, n):
+        if name not in orbits:
+            raise ParseError("line %d: unknown orbit %r" % (n, name))
+        return orbits[name]
+
     for n, toks in _lines(text):
         if toks[0] == "orbit" and len(toks) == 3 and toks[2].startswith("word="):
             orbit = _parse_orbit(toks[2][len("word="):], n)
@@ -122,8 +127,8 @@ def parse_structure(text: str) -> StructureGraph:
                 raise ParseError("line %d: duplicate orbit id %r" % (n, toks[1]))
             orbits[toks[1]] = orbit
         elif toks[0] == "trans" and len(toks) == 4 and toks[3].startswith("count="):
-            a = _parse_point(toks[1], orbits, n)
-            b = _parse_point(toks[2], orbits, n)
+            a = _parse_point(toks[1], orbit_of, n)
+            b = _parse_point(toks[2], orbit_of, n)
             try:
                 c = int(toks[3][len("count="):])
             except ValueError:
@@ -276,20 +281,6 @@ def parse_digraph(text: str) -> Digraph:
 
 # -- witnesses ---------------------------------------------------------------
 
-def _parse_free_point(tok, orbits, n):
-    """A word:phase token; `orbits` caches the orbit of each word token."""
-    if ":" not in tok:
-        raise ParseError("line %d: expected word:phase" % n)
-    w, ph = tok.rsplit(":", 1)
-    try:
-        phase = int(ph)
-    except ValueError:
-        raise ParseError("line %d: bad phase" % n)
-    if w not in orbits:
-        orbits[w] = _parse_orbit(w, n)
-    return orbits[w].point(phase)
-
-
 def format_witness(h: SGHomomorphism) -> str:
     # each orbit's root word is spelled once per file
     orbits = {p.orbit for pair in h.pairs for p in pair}
@@ -301,11 +292,17 @@ def format_witness(h: SGHomomorphism) -> str:
 
 def parse_witness(text: str) -> SGHomomorphism:
     mapping, orbits = {}, {}
+
+    def orbit_of(w, n):  # each distinct word token is resolved once per file
+        if w not in orbits:
+            orbits[w] = _parse_orbit(w, n)
+        return orbits[w]
+
     for n, toks in _lines(text):
         if toks[0] != "map" or len(toks) != 3:
             raise ParseError("line %d: expected 'map src dst'" % n)
-        a = _parse_free_point(toks[1], orbits, n)
-        b = _parse_free_point(toks[2], orbits, n)
+        a = _parse_point(toks[1], orbit_of, n)
+        b = _parse_point(toks[2], orbit_of, n)
         if a in mapping:
             raise ParseError("line %d: duplicate source point" % n)
         mapping[a] = b

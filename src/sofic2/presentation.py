@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import LabeledGraph, CombRep, CombTerm, word, _check_symbol
+from .core import LabeledGraph, CombRep, CombTerm, canonicalize_point, word, _check_symbol
 from .errors import (
     EmptyRepresentation,
     NotCountableCertified,
@@ -29,6 +29,7 @@ from .errors import (
 
 RANK_HIGH = ">=3"
 RANK_UNCERTIFIED = "not-certified"
+MAX_DETERMINIZE_STATES = 100_000
 
 
 def trim_essential(g: LabeledGraph) -> LabeledGraph:
@@ -79,7 +80,7 @@ def _require_rr(g: LabeledGraph):
         raise NotRightResolving("label collisions at %r" % (bad[:5],))
 
 
-def determinize(g: LabeledGraph, max_states: int = 100_000) -> LabeledGraph:
+def determinize(g: LabeledGraph) -> LabeledGraph:
     """Right-resolving presentation of the same shift via the subset
     construction seeded with the full vertex set.  Already-deterministic
     graphs pass through unchanged."""
@@ -94,9 +95,9 @@ def determinize(g: LabeledGraph, max_states: int = 100_000) -> LabeledGraph:
         for state in frontier:
             for s, succ in g.subset_step(state):
                 if succ not in names:
-                    if len(names) >= max_states:
+                    if len(names) >= MAX_DETERMINIZE_STATES:
                         raise SizeLimitExceeded("determinization exceeded %d states"
-                                                % max_states)
+                                                % MAX_DETERMINIZE_STATES)
                     names[succ] = "d%d" % len(names)
                     nxt.append(succ)
                 edges.append((names[state], names[succ], s))
@@ -218,31 +219,34 @@ def _tarjan_sccs(vertices, succ):
 
 def _cycle_certificate(g: LabeledGraph):
     """One SCC pass for the countability certificate and the rank:
-    (cycles, rank, vertex).
+    (cycles, label, rank, vertex).
 
     cycles is None when some strongly connected component is neither
     trivial nor a single simple cycle, and vertex then lies in the first
     such component.  Otherwise cycles are vertex tuples in walk order,
-    sorted by length then vertices, rank is the most cycles any path
-    visits, and vertex lies on the first cycle whose paths visit three or
-    more (None when rank <= 2).
+    sorted by length then vertices, label maps each cycle vertex to the
+    label of its cycle edge, rank is the most cycles any path visits, and
+    vertex lies on the first cycle whose paths visit three or more (None
+    when rank <= 2).
     """
     succ = {v: sorted({b for (b, s) in g.out_map[v]}) for v in g.vertices}
     sccs = _tarjan_sccs(g.vertices, succ)  # reverse topological order
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     best = []
     cycles = []
+    label = {}
     deep = None
     for i, comp in enumerate(sccs):
         nxt = {}
         n_internal = 0
         succ_best = 0
         for v in comp:
-            for (b, _s) in g.out_map[v]:
+            for (b, s) in g.out_map[v]:
                 j = comp_of[b]
                 if j == i:
                     n_internal += 1
                     nxt[v] = b
+                    label[v] = s
                 else:
                     succ_best = max(succ_best, best[j])
         start = min(comp, key=str)
@@ -250,7 +254,7 @@ def _cycle_certificate(g: LabeledGraph):
             # strongly connected with one internal edge per vertex: exactly
             # one simple cycle covering the component
             if n_internal != len(comp):
-                return None, None, start
+                return None, None, None, start
             order = [start]
             while nxt[order[-1]] != start:
                 order.append(nxt[order[-1]])
@@ -259,33 +263,39 @@ def _cycle_certificate(g: LabeledGraph):
         if best[-1] >= 3 and deep is None:
             deep = start
     cycles.sort(key=lambda c: (len(c), c))
-    return tuple(cycles), max(best, default=0), deep
+    return tuple(cycles), label, max(best, default=0), deep
 
 
 class Admitted(NamedTuple):
-    """An admitted presentation: trimmed graph, disjoint cycles, rank <= 2."""
+    """An admitted presentation: the trimmed graph, and the periodic point
+    read off its cycle from each cycle vertex."""
 
     graph: LabeledGraph
-    cycles: tuple
-    rank: int
+    points: dict
 
 
 def admit(g: LabeledGraph) -> Admitted:
     """The one admission gate: checks right-resolving on g as given, trims
-    once and certifies cycles and rank in one SCC pass.  Raises
-    NotRightResolving, NotCountableCertified or RankTooHigh, in that order,
-    naming the offending vertex.  Does not minimize: countability and rank
-    are shift properties, and counting does not assume minimality."""
+    once and certifies cycles and rank in one SCC pass, which also names
+    each cycle vertex's periodic point (each cycle word is canonicalized
+    once).  Raises NotRightResolving, NotCountableCertified or RankTooHigh,
+    in that order, naming the offending vertex.  Does not minimize:
+    countability and rank are shift properties, and counting does not
+    assume minimality."""
     _require_rr(g)
     g = trim_essential(g)
-    cycles, rank, vertex = _cycle_certificate(g)
+    cycles, label, rank, vertex = _cycle_certificate(g)
     if cycles is None:
         raise NotCountableCertified(
             "the component of vertex %r is not a single cycle" % (vertex,))
     if rank > 2:
         raise RankTooHigh("a path from the cycle through vertex %r visits "
                           "three or more cycles" % (vertex,))
-    return Admitted(g, cycles, rank)
+    points = {}
+    for cyc in cycles:
+        start = canonicalize_point(tuple(label[v] for v in cyc))
+        points.update((v, start.shift(a)) for a, v in enumerate(cyc))
+    return Admitted(g, points)
 
 
 def analyze(g: LabeledGraph) -> AnalysisReport:
@@ -301,7 +311,7 @@ def analyze(g: LabeledGraph) -> AnalysisReport:
     rr = is_right_resolving(g)
     trimmed = trim_essential(g)
     essential = (trimmed.vertices == g.vertices and trimmed.edges == g.edges)
-    cycles, rank, _vertex = _cycle_certificate(trimmed)
+    cycles, _label, rank, _vertex = _cycle_certificate(trimmed)
     if not rr or cycles is None:
         return AnalysisReport(rr, essential, cycles or (), False, RANK_UNCERTIFIED)
     return AnalysisReport(rr, essential, cycles, True,
@@ -423,18 +433,3 @@ def derivative_of_comb_rep(r: CombRep) -> CombRep:
         out.append(CombTerm(t.us[:-1], t.vs[:-1]))
     return CombRep.make(out)
 
-
-def words_of_length(g: LabeledGraph, n: int):
-    """All length-n label words of paths in the essential part of g (the
-    n-blocks of the presented shift).  Test helper; exponential output."""
-    g = trim_essential(g)
-    frontier = {(): frozenset(g.vertices)}
-    for _ in range(n):
-        nxt = {}
-        for w, vs in frontier.items():
-            for v in sorted(vs):
-                for (b, s) in g.out_map.get(v, ()):
-                    key = w + (s,)
-                    nxt.setdefault(key, set()).add(b)
-        frontier = {w: frozenset(vs) for w, vs in nxt.items()}
-    return set(frontier)

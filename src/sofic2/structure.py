@@ -17,6 +17,11 @@ so build_structure never minimizes its input:
 * the anchored counts are then smeared over simultaneous shifts of both
   endpoints, one hit per distinct endpoint pair, and every periodic point
   contributes one extra orbit to its own diagonal edge.
+
+Admission names the periodic point read off its cycle from each cycle
+vertex.  The edge leaving a cycle vertex with its point's first symbol is
+its cycle edge, unique because the presentation is right-resolving.  The
+oracle shares admission and the last step with build_structure.
 """
 
 from __future__ import annotations
@@ -25,38 +30,14 @@ from math import lcm
 
 from .core import (
     LabeledGraph,
-    PeriodicOrbit,
     EventuallyPeriodicPoint,
     StructureGraph,
     canonicalize_config,
-    canonicalize_point,
 )
 from .errors import BudgetExceeded
-from .presentation import admit, trim_essential
+from .presentation import admit
 
 DEFAULT_PATH_BUDGET = 10 ** 6
-
-
-def _cycle_labels(g: LabeledGraph, cycles):
-    """Label word along each cycle, aligned with its vertex tuple."""
-    out = []
-    for cyc in cycles:
-        m = len(cyc)
-        labs = []
-        for k in range(m):
-            found = [s for (b, s) in g.out_map[cyc[k]] if b == cyc[(k + 1) % m]]
-            # certificate guarantees a unique cycle edge here
-            labs.append(found[0])
-        out.append(tuple(labs))
-    return out
-
-
-def _cycle_edge_set(cycles, labels):
-    return {
-        (cyc[k], cyc[(k + 1) % len(cyc)], labels[i][k])
-        for i, cyc in enumerate(cycles)
-        for k in range(len(cyc))
-    }
 
 
 def _smear(anchored):
@@ -115,52 +96,48 @@ def _anchored_counts(g: LabeledGraph, point_of):
     return anchored
 
 
+def _structure_graph(point_of, anchored):
+    """Smear the anchored counts, add one orbit on each periodic point's
+    own diagonal edge, then make and validate."""
+    counts = _smear(anchored)
+    points = set(point_of.values())
+    for pt in points:
+        counts[(pt, pt)] = counts.get((pt, pt), 0) + 1
+    return StructureGraph.make({pt.orbit for pt in points}, counts).validate()
+
+
 def build_structure(g: LabeledGraph) -> StructureGraph:
     """Structure graph of the shift presented by g.
 
     Requires a right-resolving presentation whose trimmed form has pairwise
     disjoint cycles and no path through three of them; admit raises
-    NotRightResolving, NotCountableCertified or RankTooHigh otherwise.  The
-    presentation is used as given, never minimized.  Counts are exact
-    arbitrary-precision ints.
+    NotRightResolving, NotCountableCertified or RankTooHigh otherwise, and
+    names the periodic point of each cycle vertex.  The presentation is
+    used as given, never minimized.  Counts are exact arbitrary-precision
+    ints.
     """
-    g, cycles, _rank = admit(g)
-    if g.is_empty():
-        return StructureGraph.make((), {})
-    starts = [canonicalize_point(w) for w in _cycle_labels(g, cycles)]
-    point_of = {v: starts[i].shift(a)
-                for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
-    orbits = sorted({pt.orbit for pt in starts}, key=PeriodicOrbit.sort_key)
-    counts = _smear(_anchored_counts(g, point_of))
-    for o in orbits:
-        for r in range(o.period):
-            pt = o.point(r)
-            counts[(pt, pt)] = counts.get((pt, pt), 0) + 1
-    return StructureGraph.make(orbits, counts).validate()
+    g, point_of = admit(g)
+    return _structure_graph(point_of, _anchored_counts(g, point_of))
 
 
-def _transitional_paths(g: LabeledGraph, cycles, labels, budget):
-    """Every simple non-cycle-edge path between cycle vertices, by DFS, as
-    (labels, start cycle, start index, end cycle, end index) tuples."""
-    cyc_edges = _cycle_edge_set(cycles, labels)
-    membership = {v: (i, a) for i, cyc in enumerate(cycles) for a, v in enumerate(cyc)}
-    trans_out = {v: [] for v in g.vertices}
-    for (a, b, s) in g.edges:
-        if (a, b, s) not in cyc_edges:
-            trans_out[a].append((s, b))
+def _transitional_paths(g: LabeledGraph, point_of, budget):
+    """Every simple path from a cycle vertex that leaves by a non-cycle edge
+    and ends at the first cycle vertex it meets, by DFS, as (labels, start
+    vertex, end vertex) tuples."""
     found = 0
-    for i, cyc in enumerate(cycles):
-        for a, start in enumerate(cyc):
-            stack = [(start, (start,), ())]
-            while stack:
-                v, verts, labs = stack.pop()
-                if labs and v in membership:
-                    found += 1
-                    if found > budget:
-                        raise BudgetExceeded("more than %d transitional paths" % budget)
-                    yield (labs, i, a) + membership[v]
-                    continue
-                for (s, b) in sorted(trans_out[v]):
+    for start, x in point_of.items():
+        stack = [(start, (start,), ())]
+        while stack:
+            v, verts, labs = stack.pop()
+            if labs and v in point_of:
+                found += 1
+                if found > budget:
+                    raise BudgetExceeded("more than %d transitional paths" % budget)
+                yield labs, start, v
+                continue
+            for (b, s) in sorted(g.out_map[v]):
+                # the start's edge labelled x.at(0) is its cycle edge
+                if labs or s != x.at(0):
                     if b in verts:
                         raise AssertionError("non-simple transitional path")
                     stack.append((b, verts + (b,), labs + (s,)))
@@ -171,15 +148,10 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     is expanded into its configuration, configurations are canonicalized and
     deduplicated per orbit, then counted.  Independent of build_structure's
     subset-state frontier; exact whenever the path count fits the budget."""
-    g, cycles, _rank = admit(g)
-    if g.is_empty():
-        return StructureGraph.make((), {})
-    labels = _cycle_labels(g, cycles)
-    starts = [canonicalize_point(w) for w in labels]
+    g, point_of = admit(g)
     configs = set()
-    for (labs, i, a, j, b) in _transitional_paths(g, cycles, labels, path_budget):
-        cfg = canonicalize_config(starts[i].shift(a), labs,
-                                  starts[j].shift(b - len(labs)))
+    for (labs, u, w) in _transitional_paths(g, point_of, path_budget):
+        cfg = canonicalize_config(point_of[u], labs, point_of[w].shift(-len(labs)))
         if not isinstance(cfg, EventuallyPeriodicPoint):
             raise AssertionError("periodic junction in a right-resolving presentation")
         configs.add(cfg)
@@ -187,13 +159,7 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     for cfg in configs:
         key = (cfg.left, cfg.right)
         anchored[key] = anchored.get(key, 0) + 1
-    counts = _smear(anchored)
-    orbits = sorted({pt.orbit for pt in starts}, key=PeriodicOrbit.sort_key)
-    for o in orbits:
-        for r in range(o.period):
-            pt = o.point(r)
-            counts[(pt, pt)] = counts.get((pt, pt), 0) + 1
-    return StructureGraph.make(orbits, counts).validate()
+    return _structure_graph(point_of, anchored)
 
 
 def _bits(n: int):
@@ -231,7 +197,9 @@ def synthesize(s: StructureGraph) -> LabeledGraph:
     the periodic point itself) becomes, per set bit 2^k of c', one gadget
     path q -> p with k doubled fresh-labeled edges, padded with single
     fresh-labeled edges to the least positive multiple of lcm(m_i, m_j)
-    that is >= k + 2, so the gadget contributes exactly to its class."""
+    that is >= k + 2, so the gadget contributes exactly to its class.
+    Every vertex lies on a cycle or on a gadget path between two, so the
+    output is essential as built."""
     s.validate()
     orbits = list(s.orbits)
     index = {o: i for i, o in enumerate(orbits)}
@@ -268,4 +236,4 @@ def synthesize(s: StructureGraph) -> LabeledGraph:
         for r in range(m):
             edges.append(("p%d_%d" % (j, r), "p%d_%d" % (j, (r + 1) % m),
                           "a%d_%d" % (j, r)))
-    return trim_essential(LabeledGraph.make([], edges + gadget_edges))
+    return LabeledGraph.make([], edges + gadget_edges)

@@ -45,6 +45,22 @@ def chain_graph(k):
     return LabeledGraph.make([], edges)
 
 
+def words_of_length(g, n):
+    """All length-n label words of paths in the essential part of g (the
+    n-blocks of the presented shift); exponential output."""
+    g = trim_essential(g)
+    frontier = {(): frozenset(g.vertices)}
+    for _ in range(n):
+        nxt = {}
+        for w, vs in frontier.items():
+            for v in sorted(vs):
+                for (b, s) in g.out_map.get(v, ()):
+                    key = w + (s,)
+                    nxt.setdefault(key, set()).add(b)
+        frontier = {w: frozenset(vs) for w, vs in nxt.items()}
+    return set(frontier)
+
+
 def make_structure(diagonals, cross=()):
     """diagonals: [(root word, diagonal count)]; cross: [((root, phase),
     (root, phase), count)] expanded over simultaneous shifts."""

@@ -79,6 +79,16 @@ def test_decide_conjugacy_with_witness(tmp_path, fig1_sg_file,
     assert capsys.readouterr().out.strip() == "VALID"
 
 
+def test_verify_rejects_phase_outside_period(tmp_path, capsys):
+    a = tmp_path / "a.sg"
+    a.write_text(formats.format_structure(make_structure([("a", 1)])))
+    w = tmp_path / "w.txt"
+    w.write_text("map a:5 a:-3\n")
+    assert main(["verify", "--mode", "conj", str(a), str(a), str(w)]) == 2
+    err = _one_error_line(capsys)
+    assert "ParseError" in err and "phase 5 outside period 1" in err
+
+
 def test_decide_no_case(tmp_path, capsys):
     a = tmp_path / "a.sg"
     b = tmp_path / "b.sg"

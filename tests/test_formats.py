@@ -134,6 +134,16 @@ def test_witness_round_trip(fig1_structure):
     _stable(formats.format_witness, formats.parse_witness, h)
 
 
+def test_phase_outside_period_rejected():
+    # one map has one spelling: phases are not reduced modulo the period
+    with pytest.raises(ParseError, match="line 1: phase 5 outside period 1"):
+        formats.parse_witness("map a:5 a:-3\n")
+    with pytest.raises(ParseError, match="line 2: phase -1 outside period 2"):
+        formats.parse_witness("map a.b:0 a.b:1\nmap a.b:-1 a.b:0\n")
+    with pytest.raises(ParseError, match="line 2: phase 1 outside period 1"):
+        formats.parse_structure("orbit o0 word=a\ntrans o0:1 o0:0 count=1\n")
+
+
 def test_word_tokens_with_dots_rejected():
     with pytest.raises(ParseError):
         formats.format_word(("a.b",))

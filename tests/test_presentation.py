@@ -17,12 +17,11 @@ from sofic2 import (
     rank_of_comb_rep,
     trim_essential,
     word,
-    words_of_length,
 )
 from sofic2.errors import EmptyRepresentation, NotRightResolving
 from sofic2.presentation import RANK_HIGH, RANK_UNCERTIFIED
 
-from conftest import FIG1_TERMS, random_comb_rep
+from conftest import FIG1_TERMS, random_comb_rep, words_of_length
 
 
 def test_trim_removes_dead_ends():

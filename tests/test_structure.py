@@ -304,6 +304,7 @@ def test_synthesize_output_is_right_resolving_and_certified():
         s = random_structure_graph(rng)
         rep = analyze(synthesize(s))
         assert rep.is_right_resolving
+        assert rep.is_essential
         assert rep.is_countable_certified
         assert rep.rank in (1, 2)
 
@@ -347,3 +348,48 @@ def test_long_periods_match_oracle():
         s = build_structure(g)
         assert s == oracle_structure(g)
         assert max(o.period for o in s.orbits) >= 64
+
+
+def _reach(adj, v):
+    """Vertices reachable from v by one or more edges."""
+    seen, todo = set(), [v]
+    while todo:
+        for b in adj[todo.pop()]:
+            if b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return seen
+
+
+def test_admit_names_each_cycle_vertex_point():
+    from sofic2.presentation import admit
+    rng = random.Random(71)
+    graphs = [random_certified_graph(rng) for _ in range(60)]
+    rng = random.Random(401)
+    graphs += [_long_cycle_graph(rng) for _ in range(6)]
+    for g in graphs:
+        adm = admit(g)
+        h = adm.graph
+        fwd = {v: [b for (b, _s) in h.out_map[v]] for v in h.vertices}
+        bwd = {v: [a for (a, _s) in h.in_map[v]] for v in h.vertices}
+        cycles = {}  # least vertex of each cycle -> its vertex set
+        on_cycle = set()
+        for v in h.vertices:
+            comp = set() if v in on_cycle else _reach(fwd, v) & _reach(bwd, v)
+            if v in comp:
+                cycles[min(comp)] = comp
+                on_cycle |= comp
+        assert set(adm.points) == on_cycle
+        for start, comp in cycles.items():
+            order, word = [start], []
+            while True:
+                (b, s), = [(b, s) for (b, s) in h.out_map[order[-1]] if b in comp]
+                word.append(s)
+                if b == start:
+                    break
+                order.append(b)
+            m = len(order)
+            assert m == len(comp)
+            for k, v in enumerate(order):
+                x = adm.points[v]
+                assert all(x.at(t) == word[(k + t) % m] for t in range(x.period))
