@@ -9,7 +9,6 @@ use canonical orderings and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import formats
@@ -24,8 +23,6 @@ from .presentation import (
 )
 from .reductions import digraph_count_table, digraph_gadget, gi_gadget, hom_gadget
 from .structure import DEFAULT_PATH_BUDGET, build_structure, oracle_structure, synthesize
-
-BUDGET_ENV = "SOFIC2_PATH_BUDGET"
 
 MODES = {
     "conj": Mode.CONJUGACY,
@@ -85,15 +82,7 @@ def _cmd_structure(args):
 
 def _cmd_oracle_structure(args):
     g = _load_graph_any(args.graph)
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV, str(DEFAULT_PATH_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ParseError("%s must be an integer, not %r"
-                             % (BUDGET_ENV, raw)) from None
-    s = oracle_structure(g, budget)
+    s = oracle_structure(g, args.budget)
     _emit(formats.format_structure(s), args.output)
     return 0
 
@@ -180,7 +169,7 @@ def build_parser():
     p = sub.add_parser("oracle-structure",
                        help="structure graph by path enumeration")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_oracle_structure)
 

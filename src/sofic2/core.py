@@ -283,6 +283,8 @@ class StructureGraph:
 
     @classmethod
     def make(cls, orbits, transitions) -> "StructureGraph":
+        """The graph on the given orbits and the orbits of the transition
+        endpoints; raises MalformedStructureGraph unless well-formed."""
         orbs = set(orbits)
         for (x, y) in transitions:
             orbs.add(x.orbit)
@@ -290,7 +292,7 @@ class StructureGraph:
         items = tuple(sorted(
             (((x, y), int(c)) for ((x, y), c) in transitions.items()),
             key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key())))
-        return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items)
+        return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items).validate()
 
     @cached_property
     def transition_map(self):
@@ -312,7 +314,9 @@ class StructureGraph:
         Well-formedness: transition endpoints belong to listed orbits, all
         counts are >= 1, every point carries its diagonal transition edge, and
         counts are invariant under simultaneously shifting both endpoints
-        (true of the invariant of any shift space).  Idempotent and cached.
+        (true of the invariant of any shift space).  `make` runs it, so
+        every graph it returns is well-formed; the result is cached, and a
+        further call returns at once.
         """
         if self.__dict__.get("_validated"):
             return self

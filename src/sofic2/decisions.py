@@ -27,11 +27,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .core import StructureGraph
-from .errors import MalformedStructureGraph, NotRankOne, WitnessInvalid
+from .errors import NotRankOne, WitnessInvalid
 
 
 class Mode(enum.Enum):
@@ -55,10 +54,6 @@ class SGHomomorphism:
     def make(cls, mapping) -> "SGHomomorphism":
         return cls(tuple(sorted(mapping.items(),
                                 key=lambda kv: kv[0].sort_key())))
-
-    @cached_property
-    def mapping(self):
-        return dict(self.pairs)
 
 
 def _aperiodic(count, src, dst):
@@ -84,17 +79,16 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
     prof = s.__dict__.get("_search_profile")
     if prof is not None:
         return prof
-    orbits = sorted(s.orbits, key=lambda o: o.sort_key())
-    idx = {o: i for i, o in enumerate(orbits)}
-    periods = tuple(o.period for o in orbits)
+    idx = {o: i for i, o in enumerate(s.orbits)}
+    periods = tuple(o.period for o in s.orbits)
     base, total = [], 0
     for p in periods:
         base.append(total)
         total += p
     edges = tuple((idx[a.orbit], a.phase, idx[b.orbit], b.phase, c)
                   for ((a, b), c) in s.transitions)
-    bucket = [[] for _ in orbits]
-    offdiag = [False] * len(orbits)
+    bucket = [[] for _ in periods]
+    offdiag = [False] * len(periods)
     count = {}
     by_period = {}
     for i, p in enumerate(periods):
@@ -104,11 +98,8 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
         if (ia, pa) != (ib, pb):
             offdiag[ia] = offdiag[ib] = True
         count[(base[ia] + pa, base[ib] + pb)] = c
-    # the graph's own point tuple, when its orbits are listed sorted
-    pts = s.points() if tuple(orbits) == s.orbits else tuple(
-        o.point(r) for o in orbits for r in range(o.period))
     prof = _SearchProfile(
-        pts, periods, tuple(base), edges, tuple(map(tuple, bucket)),
+        s.points(), periods, tuple(base), edges, tuple(map(tuple, bucket)),
         tuple(offdiag), count,
         {p: tuple(js) for p, js in by_period.items()})
     s.__dict__["_search_profile"] = prof
@@ -129,10 +120,12 @@ def _witness(xp, yp, targets, offsets):
 
 
 def _counts_ok(mode, xp, yp, targets, offsets):
-    """The counting condition of a complete assignment: every target
-    transition receives a preimage, and in factor mode enough aperiodic
-    supply to cover its aperiodic orbits."""
-    if mode in (Mode.BLOCK_MAP, Mode.EMBEDDING):
+    """The factor-mode counting condition of a complete assignment: every
+    target transition receives a preimage with enough aperiodic supply to
+    cover its aperiodic orbits.  Other modes have none; a complete
+    conjugacy assignment already maps the transitions one to one onto
+    equally many target transitions of equal count."""
+    if mode is not Mode.FACTOR:
         return True
     ybase, yper = yp.base, yp.periods
     preim = {}
@@ -141,8 +134,6 @@ def _counts_ok(mode, xp, yp, targets, offsets):
         key = (ybase[ja] + (pa + offsets[ia]) % yper[ja],
                ybase[jb] + (pb + offsets[ib]) % yper[jb])
         preim[key] = preim.get(key, 0) + (c - 1 if (ia, pa) == (ib, pb) else c)
-    if mode is Mode.CONJUGACY:
-        return all(key in preim for key in yp.count)
     for (key, c) in yp.count.items():
         got = preim.get(key)
         if got is None or got < (c - 1 if key[0] == key[1] else c):
@@ -163,14 +154,13 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     least as large for embeddings, equal for conjugacies).  Injective modes
     never reuse a target; surjective modes stop reusing targets once the
     uncovered targets are as many as the orbits left.  A complete
-    assignment is a witness when the mode's counting condition holds.
+    assignment is a witness; in factor mode it must also meet the counting
+    condition.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
     case: the paper shows these decisions NP-hard.
     """
-    x.validate()
-    y.validate()
     xp, yp = _search_profile(x), _search_profile(y)
     n, m = len(xp.periods), len(yp.periods)
     if mode is Mode.CONJUGACY and (xp.periods != yp.periods
@@ -260,8 +250,6 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     lets the remaining source orbits cover every uncovered target.  Other
     inputs go to `search`.  Neither path recurses.
     """
-    x.validate()
-    y.validate()
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y)
     if not rank1_decide(mode, x, y):
@@ -365,11 +353,6 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
                    h: SGHomomorphism) -> bool:
     """Independent validity check of a witness; never raises on malformed
     maps, simply returns False.  Shares no search code with decide."""
-    try:
-        x.validate()
-        y.validate()
-    except MalformedStructureGraph:
-        return False
     vm = dict(h.pairs)
     pts_x, pts_y = x.points(), set(y.points())
     if set(vm) != set(pts_x):
@@ -432,8 +415,6 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
     periods (a flow over period classes)."""
-    x.validate()
-    y.validate()
     ps = _rank1_periods(x)
     qs = _rank1_periods(y)
     if mode is Mode.CONJUGACY:

@@ -33,6 +33,21 @@ def _lines(text):
             yield n, line.split()
 
 
+def _vertex_lines(text, keyword, fields):
+    """The names on the `vertex NAME` lines, and (line number, fields) for
+    each line of `keyword` and `fields` tokens; any other line is an
+    error."""
+    vertices, rows = [], []
+    for n, toks in _lines(text):
+        if toks[0] == "vertex" and len(toks) == 2:
+            vertices.append(toks[1])
+        elif toks[0] == keyword and len(toks) == fields + 1:
+            rows.append((n, tuple(toks[1:])))
+        else:
+            raise ParseError("line %d: expected 'vertex' or '%s'" % (n, keyword))
+    return vertices, rows
+
+
 def _file_symbol(tok, n=0):
     if not tok or "." in tok or "#" in tok or any(c.isspace() for c in tok):
         raise ParseError("line %d: bad symbol token %r" % (n, tok))
@@ -62,15 +77,9 @@ def format_graph(g: LabeledGraph) -> str:
 
 
 def parse_graph(text: str) -> LabeledGraph:
-    vertices, edges = [], []
-    for n, toks in _lines(text):
-        if toks[0] == "vertex" and len(toks) == 2:
-            vertices.append(toks[1])
-        elif toks[0] == "edge" and len(toks) == 4:
-            edges.append((toks[1], toks[2], _file_symbol(toks[3], n)))
-        else:
-            raise ParseError("line %d: expected 'vertex' or 'edge'" % n)
-    return LabeledGraph.make(vertices, edges)
+    vertices, rows = _vertex_lines(text, "edge", 3)
+    return LabeledGraph.make(vertices, [(a, b, _file_symbol(s, n))
+                                        for n, (a, b, s) in rows])
 
 
 # -- structure graphs -------------------------------------------------------
@@ -138,12 +147,10 @@ def parse_structure(text: str) -> StructureGraph:
             counts[(a, b)] = c
         else:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
-    s = StructureGraph.make(orbits.values(), counts)
     try:
-        s.validate()
+        return StructureGraph.make(orbits.values(), counts)
     except MalformedStructureGraph as e:
         raise ParseError("structure file invalid: %s" % e)
-    return s
 
 
 # -- combinatorial representations ------------------------------------------
@@ -244,17 +251,9 @@ def format_simple(g: SimpleGraph) -> str:
 
 
 def parse_simple(text: str) -> SimpleGraph:
-    vertices = []
-    edges = []
-    for n, toks in _lines(text):
-        if toks[0] == "vertex" and len(toks) == 2:
-            vertices.append(toks[1])
-        elif toks[0] == "edge" and len(toks) == 3:
-            edges.append((toks[1], toks[2]))
-        else:
-            raise ParseError("line %d: expected 'vertex' or 'edge'" % n)
+    vertices, rows = _vertex_lines(text, "edge", 2)
     try:
-        return SimpleGraph.make(vertices, edges)
+        return SimpleGraph.make(vertices, [e for _n, e in rows])
     except ValueError as e:
         raise ParseError(str(e))
 
@@ -268,15 +267,8 @@ def format_digraph(g: Digraph) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    vertices, arcs = [], []
-    for n, toks in _lines(text):
-        if toks[0] == "vertex" and len(toks) == 2:
-            vertices.append(toks[1])
-        elif toks[0] == "arc" and len(toks) == 3:
-            arcs.append((toks[1], toks[2]))
-        else:
-            raise ParseError("line %d: expected 'vertex' or 'arc'" % n)
-    return Digraph.make(vertices, arcs)
+    vertices, rows = _vertex_lines(text, "arc", 2)
+    return Digraph.make(vertices, [a for _n, a in rows])
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -119,13 +119,11 @@ def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
 
     Refines the one-class partition by (class, label -> successor class)
     signatures until stable, then quotients.  The presented shift is
-    unchanged; output is right-resolving, essential and a fixed point of
-    this operation.
+    unchanged; output is right-resolving, essential (a quotient of an
+    essential graph is essential) and a fixed point of this operation.
     """
     _require_rr(g)
     g = trim_essential(g)
-    if g.is_empty():
-        return g
     verts = sorted(g.vertices)
     labels = sorted(g.alphabet)
     succ = {}
@@ -149,7 +147,7 @@ def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
         rep.setdefault(color[v], v)
     quot_edges = {(rep[color[a]], rep[color[b]], s) for (a, b, s) in g.edges}
     out = LabeledGraph.make({rep[c] for c in rep}, sorted(quot_edges))
-    return _canonical_rename(trim_essential(out), "m")
+    return _canonical_rename(out, "m")
 
 
 @dataclass(frozen=True)
@@ -337,9 +335,11 @@ def from_comb_rep(r: CombRep) -> LabeledGraph:
     Builds one cycle per u word and transitional paths for the junctions.  A
     path from cycle i always borrows the first symbol of the next u, entering
     the target cycle one step in, so empty junction words need no special
-    case; skip paths realize zero repetitions of interior cycles.  The union
-    automaton is then determinized (subset construction, which only ever
-    shrinks state sets on right-resolving parts), trimmed and minimized.
+    case; skip paths realize zero repetitions of interior cycles.  Every
+    vertex lies on a cycle or on a path between two cycle vertices, so the
+    union automaton is essential as built; it is then determinized (subset
+    construction, which only ever shrinks state sets on right-resolving
+    parts) and minimized.
     """
     if not isinstance(r, CombRep):
         r = CombRep.make(tuple(r))
@@ -365,9 +365,7 @@ def from_comb_rep(r: CombRep) -> LabeledGraph:
                 arr = cycle_v[j][1 % len(term.us[j])]
                 tag = "t%d_p%d_%d" % (ti, i, j)
                 edges.extend(_junction_path_edges(dep, tuple(labels), arr, tag))
-    g = trim_essential(LabeledGraph.make(vertices, edges))
-    g = determinize(g)
-    return minimize_right_resolving(g)
+    return minimize_right_resolving(determinize(LabeledGraph.make(vertices, edges)))
 
 
 def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:

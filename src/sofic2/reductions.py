@@ -105,7 +105,7 @@ def gi_gadget(g: ColoredGraph) -> StructureGraph:
         if g.color[a] == 1:
             a, b = b, a
         counts[(pts[a], pts[b])] = 1
-    return StructureGraph.make([p.orbit for p in pts.values()], counts).validate()
+    return StructureGraph.make([p.orbit for p in pts.values()], counts)
 
 
 MARKER = "%"
@@ -148,7 +148,6 @@ def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
     every rotation edge becomes 3 parallel length-3 paths, every transition
     edge with count k becomes m parallel length-m paths for the table entry
     m of k."""
-    s.validate()
     if count_table is None:
         count_table = digraph_count_table(s)
     pts = s.points()

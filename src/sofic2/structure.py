@@ -98,12 +98,12 @@ def _anchored_counts(g: LabeledGraph, point_of):
 
 def _structure_graph(point_of, anchored):
     """Smear the anchored counts, add one orbit on each periodic point's
-    own diagonal edge, then make and validate."""
+    own diagonal edge, then make the graph."""
     counts = _smear(anchored)
     points = set(point_of.values())
     for pt in points:
         counts[(pt, pt)] = counts.get((pt, pt), 0) + 1
-    return StructureGraph.make({pt.orbit for pt in points}, counts).validate()
+    return StructureGraph.make({pt.orbit for pt in points}, counts)
 
 
 def build_structure(g: LabeledGraph) -> StructureGraph:
@@ -200,7 +200,6 @@ def synthesize(s: StructureGraph) -> LabeledGraph:
     that is >= k + 2, so the gadget contributes exactly to its class.
     Every vertex lies on a cycle or on a gadget path between two, so the
     output is essential as built."""
-    s.validate()
     orbits = list(s.orbits)
     index = {o: i for i, o in enumerate(orbits)}
     edges = []

@@ -227,9 +227,7 @@ def random_structure_graph(rng, max_orbits=6, max_period=4, max_count=10,
         c = rng.randint(1, max_count)
         for t in range(lcm(x.period, y.period)):
             counts[(x.shift(t), y.shift(t))] = c
-    s = StructureGraph.make(orbits, counts)
-    s.validate()
-    return s
+    return StructureGraph.make(orbits, counts)
 
 
 def random_simple_graph(rng, max_vertices=6, name="uvwxyz"):

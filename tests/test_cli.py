@@ -54,16 +54,6 @@ def test_oracle_structure_budget(tmp_path, capsys):
     assert main(["oracle-structure", str(gpath), "--budget", "100"]) == 2
 
 
-def test_oracle_budget_env(tmp_path, capsys, monkeypatch):
-    gpath = tmp_path / "chain.graph"
-    gpath.write_text(formats.format_graph(chain_graph(10)))
-    monkeypatch.setenv("SOFIC2_PATH_BUDGET", "100")
-    assert main(["oracle-structure", str(gpath)]) == 2
-    monkeypatch.setenv("SOFIC2_PATH_BUDGET", "5000")
-    assert main(["oracle-structure", str(gpath)]) == 0
-    capsys.readouterr()
-
-
 def test_decide_conjugacy_with_witness(tmp_path, fig1_sg_file,
                                        fig1_structure, capsys):
     renamed = rename_structure(fig1_structure, "x")
@@ -206,15 +196,6 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
     assert main(["structure", str(p)]) == 2
     err = _one_error_line(capsys)
     assert "ParseError" in err and "latin1.graph" in err
-
-
-def test_bad_budget_env_is_an_error(tmp_path, capsys, monkeypatch):
-    gpath = tmp_path / "chain.graph"
-    gpath.write_text(formats.format_graph(chain_graph(3)))
-    monkeypatch.setenv("SOFIC2_PATH_BUDGET", "lots")
-    assert main(["oracle-structure", str(gpath)]) == 2
-    err = _one_error_line(capsys)
-    assert "SOFIC2_PATH_BUDGET" in err and "'lots'" in err
 
 
 def test_synthesize_round_trip_cli(tmp_path, fig1_sg_file, capsys):

@@ -6,14 +6,16 @@ import pytest
 
 from sofic2 import (
     EventuallyPeriodicPoint,
+    PeriodicOrbit,
     PeriodicPoint,
+    StructureGraph,
     canonicalize_config,
     canonicalize_point,
     comb_rep,
     primitive_root,
     word,
 )
-from sofic2.errors import EmptyWord, InvalidCombRep
+from sofic2.errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
 
 
 def test_primitive_root_examples():
@@ -163,3 +165,16 @@ def test_comb_rep_rejects_periodic_junction():
 def test_comb_rep_deduplicates():
     r = comb_rep([("0", "1", "0"), ("0", "1", "0"), ("0",)])
     assert len(r.terms) == 2
+
+
+def test_structure_graph_make_is_the_gate():
+    a, ab = PeriodicOrbit(("a",)), PeriodicOrbit(("a", "b"))
+    x, y = a.point(0), ab.point(0)
+    with pytest.raises(MalformedStructureGraph, match="count < 1"):
+        StructureGraph.make([a], {(x, x): 0})
+    with pytest.raises(MalformedStructureGraph, match="missing diagonal"):
+        StructureGraph.make([a], {})
+    with pytest.raises(MalformedStructureGraph, match="not shift equivariant"):
+        StructureGraph.make([ab], {(y, y): 1, (y.shift(1), y.shift(1)): 2})
+    s = StructureGraph.make([a], {(x, x): 1})
+    assert s.validate() is s

@@ -188,7 +188,7 @@ def test_embedding_composes():
             continue
         done += 1
         composed = SGHomomorphism.make(
-            {a: h2.mapping[b] for (a, b) in h1.pairs})
+            {a: dict(h2.pairs)[b] for (a, b) in h1.pairs})
         assert verify_witness(Mode.EMBEDDING, x, z, composed)
         assert decide(Mode.EMBEDDING, x, z) is not None
 

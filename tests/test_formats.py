@@ -121,6 +121,19 @@ def test_colored_and_simple_round_trip():
                 random_simple_graph(rng))
 
 
+@pytest.mark.parametrize("parse, text, line, expected", [
+    (formats.parse_graph, "vertex a\nnode a\n", 2, "'vertex' or 'edge'"),
+    (formats.parse_graph, "vertex a\n\nedge a a\n", 3, "'vertex' or 'edge'"),
+    (formats.parse_simple, "vertex u\narc u v\n", 2, "'vertex' or 'edge'"),
+    (formats.parse_simple, "edge u v w\n", 1, "'vertex' or 'edge'"),
+    (formats.parse_digraph, "vertex u\nedge u v\n", 2, "'vertex' or 'arc'"),
+    (formats.parse_digraph, "# arcs\narc u\n", 2, "'vertex' or 'arc'"),
+])
+def test_vertex_line_parsers_name_the_bad_line(parse, text, line, expected):
+    with pytest.raises(ParseError, match="^line %d: expected %s$" % (line, expected)):
+        parse(text)
+
+
 def test_digraph_round_trip():
     d = Digraph.make(["isolated"], [("a", "b"), ("a", "b"), ("b", "a")])
     _stable(formats.format_digraph, formats.parse_digraph, d)
