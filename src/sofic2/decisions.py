@@ -16,6 +16,15 @@ search order (source orbits by period then root, their targets likewise,
 offsets ascending).  `search` stays public as the reference that the rank-1
 path is tested against.
 
+`search` prunes only subtrees that hold no witness, so its first witness
+is the first in that order.  Forward checking (Haralick and Elliott 1980)
+narrows the choices of the later orbits that share transitions with each
+orbit it maps, and backtracks as soon as one has none left.  The first
+orbit of each source component takes phase offset 0 only: shifting all
+images of one component keeps every count, injectivity, and in factor
+mode the component's preimage supply, so some witness at least as early
+has offset 0 there.
+
 The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
 own transition count, and its image is forced to the target's periodic
@@ -56,6 +65,10 @@ class SGHomomorphism:
                                 key=lambda kv: kv[0].sort_key())))
 
 
+# the upper bound on a target count outside conjugacy mode
+_UNBOUNDED = float("inf")
+
+
 def _aperiodic(count, src, dst):
     return count - 1 if src == dst else count
 
@@ -69,10 +82,16 @@ class _SearchProfile(NamedTuple):
     periods: tuple    # per orbit, its period (ascending)
     base: tuple       # per orbit, the id of its phase-0 point
     edges: tuple      # transitions as (orbit, phase, orbit, phase, count)
-    bucket: tuple     # per orbit i, the edges whose later orbit is i
-    offdiag: tuple    # per orbit, whether an off-diagonal edge touches it
-    count: dict       # (point id, point id) -> transition count
+    own: tuple        # per orbit, its own edges as (phase, phase, count)
+    later: tuple      # per orbit i, (l, edges) per orbit l > i sharing
+                      # edges with i, each as (phase at i, phase at l,
+                      # count, whether it leaves i)
+    first: tuple      # per orbit, whether it comes first in its component
+    count: dict       # u * len(pts) + v -> count of the transition from
+                      # the point with id u to the point with id v
     by_period: dict   # period -> ascending orbit indices, periods ascending
+    options: dict     # as a target: (period, all offsets, injective) -> the
+                      # choices of a source orbit, filled by _options
 
 
 def _search_profile(s: StructureGraph) -> _SearchProfile:
@@ -87,39 +106,81 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
         total += p
     edges = tuple((idx[a.orbit], a.phase, idx[b.orbit], b.phase, c)
                   for ((a, b), c) in s.transitions)
-    bucket = [[] for _ in periods]
-    offdiag = [False] * len(periods)
+    own = [[] for _ in periods]
+    shared = {}  # (i, l) with i < l -> the edges between orbits i and l
+    # components: each orbit points at an earlier orbit of its component,
+    # or at itself when it comes first
+    comp = list(range(len(periods)))
     count = {}
     by_period = {}
     for i, p in enumerate(periods):
         by_period.setdefault(p, []).append(i)
     for (ia, pa, ib, pb, c) in edges:
-        bucket[max(ia, ib)].append((ia, pa, ib, pb, c))
-        if (ia, pa) != (ib, pb):
-            offdiag[ia] = offdiag[ib] = True
-        count[(base[ia] + pa, base[ib] + pb)] = c
+        count[(base[ia] + pa) * total + base[ib] + pb] = c
+        if ia == ib:
+            own[ia].append((pa, pb, c))
+            continue
+        if ia < ib:
+            shared.setdefault((ia, ib), []).append((pa, pb, c, True))
+        else:
+            shared.setdefault((ib, ia), []).append((pb, pa, c, False))
+        ra, rb = _root(comp, ia), _root(comp, ib)
+        comp[max(ra, rb)] = min(ra, rb)
+    later = [()] * len(periods)
+    for (i, l), group in sorted(shared.items()):
+        later[i] += ((l, tuple(group)),)
     prof = _SearchProfile(
-        s.points(), periods, tuple(base), edges, tuple(map(tuple, bucket)),
-        tuple(offdiag), count,
-        {p: tuple(js) for p, js in by_period.items()})
+        s.points(), periods, tuple(base), edges, tuple(map(tuple, own)),
+        tuple(later), tuple([_root(comp, i) == i for i in range(len(periods))]),
+        count, {p: tuple(js) for p, js in by_period.items()}, {})
     s.__dict__["_search_profile"] = prof
     return prof
 
 
-def _witness(xp, yp, targets, offsets):
-    """The vertex map sending source orbit i to target orbit targets[i]
-    with phase offset offsets[i]."""
-    vmap = {}
+def _root(comp, i):
+    """The first orbit of i's component so far, halving the path walked."""
+    while comp[i] != i:
+        comp[i] = i = comp[comp[i]]
+    return i
+
+
+def _images(yp, j, off, p):
+    """Per phase r of a source orbit of period p, the id of its image in
+    target orbit j at phase offset `off`."""
+    yb, q = yp.base[j], yp.periods[j]
+    # yb + (r + off) % q for r in range(p), where q divides p
+    return (tuple(range(yb + off, yb + q)) + tuple(range(yb, yb + off))) * (p // q)
+
+
+def _options(yp, p, shifts, injective):
+    """The choices of a source orbit of period p in target graph yp, in
+    search order: each a target orbit with the image ids of the source
+    phases.  Every phase offset when `shifts`, else only offset 0.  Cached
+    on yp, and never edited: forward checking narrows a copy."""
+    key = (p, shifts, injective)
+    opts = yp.options.get(key)
+    if opts is None:
+        if injective:
+            js = yp.by_period.get(p, ())
+        else:
+            js = [j for q, group in yp.by_period.items() if p % q == 0
+                  for j in group]
+        opts = yp.options[key] = [
+            (j, _images(yp, j, off, p)) for j in js
+            for off in (range(yp.periods[j]) if shifts else (0,))]
+    return opts
+
+
+def _witness(xp, yp, images):
+    """The vertex map sending phase r of source orbit i to the point with
+    id images[i][r]."""
     xpts, ypts = xp.pts, yp.pts
-    for i, p in enumerate(xp.periods):
-        j, off, b = targets[i], offsets[i], xp.base[i]
-        yb, q = yp.base[j], yp.periods[j]
-        for r in range(p):
-            vmap[xpts[b + r]] = ypts[yb + (r + off) % q]
-    return SGHomomorphism.make(vmap)
+    return SGHomomorphism.make(
+        {xpts[b + r]: ypts[v] for b, img in zip(xp.base, images)
+         for r, v in enumerate(img)})
 
 
-def _counts_ok(mode, xp, yp, targets, offsets):
+def _counts_ok(mode, xp, yp, images):
     """The factor-mode counting condition of a complete assignment: every
     target transition receives a preimage with enough aperiodic supply to
     cover its aperiodic orbits.  Other modes have none; a complete
@@ -127,16 +188,15 @@ def _counts_ok(mode, xp, yp, targets, offsets):
     equally many target transitions of equal count."""
     if mode is not Mode.FACTOR:
         return True
-    ybase, yper = yp.base, yp.periods
+    size = len(yp.pts)
     preim = {}
     for (ia, pa, ib, pb, c) in xp.edges:
-        ja, jb = targets[ia], targets[ib]
-        key = (ybase[ja] + (pa + offsets[ia]) % yper[ja],
-               ybase[jb] + (pb + offsets[ib]) % yper[jb])
+        key = images[ia][pa] * size + images[ib][pb]
         preim[key] = preim.get(key, 0) + (c - 1 if (ia, pa) == (ib, pb) else c)
     for (key, c) in yp.count.items():
         got = preim.get(key)
-        if got is None or got < (c - 1 if key[0] == key[1] else c):
+        u, v = divmod(key, size)
+        if got is None or got < (c - 1 if u == v else c):
             return False
     return True
 
@@ -147,15 +207,27 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
 
     A depth-first search with one level per source orbit, taken by period
     then root.  Each level tries the target orbits by period then root and,
-    for each, the phase offsets ascending; only offset 0 when every
-    transition at the orbit is diagonal, since the images of diagonal edges
-    do not depend on the offset.  A choice is kept when every transition
-    between assigned orbits maps onto a transition of nonzero count (at
-    least as large for embeddings, equal for conjugacies).  Injective modes
-    never reuse a target; surjective modes stop reusing targets once the
-    uncovered targets are as many as the orbits left.  A complete
-    assignment is a witness; in factor mode it must also meet the counting
-    condition.
+    for each, the phase offsets ascending.  A component of the source is a
+    set of orbits joined by transitions between distinct orbits; the first
+    orbit of each component, in search order, tries only offset 0.
+    Shifting every image in one component by the same power of the shift
+    turns a witness into a witness in all four modes: counts are
+    shift-invariant, injectivity is kept, and the component's preimage
+    supply in factor mode is already invariant, since source transitions
+    come in whole shift classes.  So the first witness has offset 0 there.
+
+    A choice is kept when the orbit's own transitions map onto transitions
+    of nonzero count (at least as large for embeddings, equal for
+    conjugacies).  Forward checking then narrows the choices of every later
+    orbit that shares a transition with this one to those under which the
+    shared transitions map the same way, and a choice that empties one of
+    them is dropped; the narrowed domains are restored on backtracking.  So
+    the transitions between distinct orbits are checked once, when the
+    earlier of the two is mapped, and the search prunes only subtrees that
+    hold no witness.  Injective modes never reuse a target; surjective
+    modes stop reusing targets once the uncovered targets are as many as
+    the orbits left.  A complete assignment is a witness; in factor mode it
+    must also meet the counting condition.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
@@ -171,24 +243,13 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     if surjective and m > n:
         return None
     embed, conj = mode is Mode.EMBEDDING, mode is Mode.CONJUGACY
-    yper, ybase, ycount, bucket = yp.periods, yp.base, yp.count, xp.bucket
-    # the (target, offset) choices of a source orbit depend only on its
-    # period and on whether an off-diagonal edge touches it
-    choices = {}
-    options = []
-    for p, offdiag in zip(xp.periods, xp.offdiag):
-        opts = choices.get((p, offdiag))
-        if opts is None:
-            if injective:
-                js = yp.by_period.get(p, ())
-            else:
-                js = [j for q, group in yp.by_period.items() if p % q == 0
-                      for j in group]
-            opts = choices[(p, offdiag)] = [
-                (j, off) for j in js
-                for off in (range(yper[j]) if offdiag else (0,))]
-        options.append(opts)
-    targets, offsets, resume = [0] * n, [0] * n, [0] * n
+    own, later, count, size = xp.own, xp.later, yp.count, len(yp.pts)
+    # the first orbit of each component takes offset 0 only
+    domain = [_options(yp, p, not first, injective)
+              for p, first in zip(xp.periods, xp.first)]
+    targets, images, resume = [0] * n, [()] * n, [0] * n
+    # per level, the (orbit, domain) pairs that its current choice narrowed
+    trail = [[] for _ in range(n)]
     uses = [0] * m
     covered = 0
     # Invariant in the surjective modes: at level i, m - covered <= n - i;
@@ -196,27 +257,26 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     i = k = 0
     while i >= 0:
         if i == n:
-            if _counts_ok(mode, xp, yp, targets, offsets):
-                return _witness(xp, yp, targets, offsets)
+            if _counts_ok(mode, xp, yp, images):
+                return _witness(xp, yp, images)
             opts = ()
         else:
-            opts = options[i]
+            opts = domain[i]
             fresh_only = injective or (surjective and m - covered == n - i)
-            edges = bucket[i]
+            edges, saved = own[i], trail[i]
         while k < len(opts):
-            j, off = opts[k]
+            j, img = opts[k]
             k += 1
             if fresh_only and uses[j]:
                 continue
-            targets[i], offsets[i] = j, off
-            for (ia, pa, ib, pb, c) in edges:
-                ja, jb = targets[ia], targets[ib]
-                cy = ycount.get((ybase[ja] + (pa + offsets[ia]) % yper[ja],
-                                 ybase[jb] + (pb + offsets[ib]) % yper[jb]), 0)
+            for (pa, pb, c) in edges:
+                cy = count.get(img[pa] * size + img[pb], 0)
                 if cy == 0 or (embed and c > cy) or (conj and c != cy):
                     break
             else:
-                break
+                if _narrow(domain, later[i], saved, img, yp, embed, conj):
+                    break
+                _restore(domain, saved)
         else:
             # level i is exhausted: undo the choice of level i - 1 and
             # resume that level after it
@@ -227,13 +287,53 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
                 uses[j] -= 1
                 if not uses[j]:
                     covered -= 1
+                _restore(domain, trail[i])
             continue
+        targets[i], images[i] = j, img
         if not uses[j]:
             covered += 1
         uses[j] += 1
         resume[i] = k
         i, k = i + 1, 0
     return None
+
+
+def _narrow(domain, later, saved, img, yp, embed, conj):
+    """Forward checking once a source orbit is mapped with the phase
+    images `img`: narrow the domain of each later orbit in `later` to the
+    choices under which every shared transition maps onto a target
+    transition of nonzero count (at least as large for embeddings, equal
+    for conjugacies).  Each replaced domain is pushed onto `saved`.  False
+    as soon as a domain empties."""
+    count, size = yp.count, len(yp.pts)
+    for (l, group) in later:
+        # per shared edge: the key of its image is key + scale * (the image
+        # of its phase pl at l), and the image count must lie in [lo, hi]
+        ends = []
+        for (pi, pl, c, out) in group:
+            u = img[pi]
+            ends.append((u * size if out else u, 1 if out else size, pl,
+                         c if embed or conj else 1, c if conj else _UNBOUNDED))
+        kept = []
+        for opt in domain[l]:
+            imgl = opt[1]
+            for (key, scale, pl, lo, hi) in ends:
+                if not lo <= count.get(key + scale * imgl[pl], 0) <= hi:
+                    break
+            else:
+                kept.append(opt)
+        saved.append((l, domain[l]))
+        domain[l] = kept
+        if not kept:
+            return False
+    return True
+
+
+def _restore(domain, saved):
+    """Undo the narrowing recorded in `saved`, latest first."""
+    while saved:
+        l, d = saved.pop()
+        domain[l] = d
 
 
 def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
@@ -255,7 +355,8 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     if not rank1_decide(mode, x, y):
         return None
     xp, yp = _search_profile(x), _search_profile(y)
-    return _witness(xp, yp, _rank1_targets(mode, xp, yp), [0] * len(xp.periods))
+    return _witness(xp, yp, [_images(yp, j, 0, p) for j, p in
+                             zip(_rank1_targets(mode, xp, yp), xp.periods)])
 
 
 def _rank1_targets(mode, xp, yp):

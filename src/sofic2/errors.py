@@ -30,7 +30,8 @@ class RankTooHigh(SoficError):
 
 
 class BudgetExceeded(SoficError):
-    pass
+    """An enumeration needs more steps than its budget, or was given a
+    budget below 1."""
 
 
 class MalformedStructureGraph(SoficError):

@@ -147,7 +147,10 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     """Structure graph by definitional enumeration: every transitional path
     is expanded into its configuration, configurations are canonicalized and
     deduplicated per orbit, then counted.  Independent of build_structure's
-    subset-state frontier; exact whenever the path count fits the budget."""
+    subset-state frontier; exact whenever the path count fits the budget,
+    which must be at least 1."""
+    if path_budget < 1:
+        raise BudgetExceeded("path budget %d is below 1" % path_budget)
     g, point_of = admit(g)
     configs = set()
     for (labs, u, w) in _transitional_paths(g, point_of, path_budget):

@@ -1,5 +1,9 @@
 """Command-line interface: exit codes, outputs, witness files."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from sofic2 import formats
@@ -52,6 +56,27 @@ def test_oracle_structure_budget(tmp_path, capsys):
     assert main(["oracle-structure", str(gpath), "--budget", "2048"]) == 0
     assert "count=1024" in capsys.readouterr().out
     assert main(["oracle-structure", str(gpath), "--budget", "100"]) == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_oracle_structure_refuses_budget_below_one(tmp_path, capsys, budget):
+    # one fixed point: no transitional paths, so any budget would suffice
+    gpath = tmp_path / "point.graph"
+    gpath.write_text("vertex q\nedge q q 0\n")
+    assert main(["oracle-structure", str(gpath), "--budget", "1"]) == 0
+    capsys.readouterr()
+    assert main(["oracle-structure", str(gpath), "--budget=" + budget]) == 2
+    err = _one_error_line(capsys)
+    assert "BudgetExceeded" in err and "path budget %s is below 1" % budget in err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "sofic2", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: sofic2")
 
 
 def test_decide_conjugacy_with_witness(tmp_path, fig1_sg_file,

@@ -113,25 +113,25 @@ def test_verify_witness_examples(fig1_structure):
         Mode.BLOCK_MAP, fig1_structure, fig1_structure, SGHomomorphism.make(bad2))
 
 
-def _enumerate_all_witnesses(mode, x, y):
-    """Independent exhaustive oracle: every rotation-commuting orbit
-    assignment, validated by verify_witness only."""
+def _first_witness_by_enumeration(mode, x, y):
+    """Independent exhaustive oracle: the first rotation-commuting orbit
+    assignment that verify_witness accepts, in lexicographic order of the
+    (target orbit, phase offset) choices with source and target orbits by
+    period then root, or None when there is none.  An orbit of period p
+    commutes with the rotation only onto a target whose period divides p."""
     xs = sorted(x.orbits, key=lambda o: o.sort_key())
     ys = sorted(y.orbits, key=lambda o: o.sort_key())
-    if not xs:
-        return verify_witness(mode, x, y, SGHomomorphism.make({}))
-    choice_sets = []
-    for o in xs:
-        opts = [(t, off) for t in ys for off in range(t.period)]
-        choice_sets.append(opts)
+    choice_sets = [[(t, off) for t in ys if o.period % t.period == 0
+                    for off in range(t.period)] for o in xs]
     for combo in itertools.product(*choice_sets):
         vmap = {}
         for o, (t, off) in zip(xs, combo):
             for r in range(o.period):
                 vmap[o.point(r)] = t.point((r + off) % t.period)
-        if verify_witness(mode, x, y, SGHomomorphism.make(vmap)):
-            return True
-    return False
+        h = SGHomomorphism.make(vmap)
+        if verify_witness(mode, x, y, h):
+            return h
+    return None
 
 
 def test_decide_agrees_with_exhaustive_search():
@@ -141,10 +141,91 @@ def test_decide_agrees_with_exhaustive_search():
         y = random_structure_graph(rng, max_orbits=3, max_period=3, max_count=3)
         for mode in ALL_MODES:
             got = decide(mode, x, y)
-            want = _enumerate_all_witnesses(mode, x, y)
-            assert (got is not None) == want, (mode, x, y)
+            want = _first_witness_by_enumeration(mode, x, y)
+            assert (got is not None) == (want is not None), (mode, x, y)
             if got is not None:
                 assert verify_witness(mode, x, y, got)
+
+
+def _components(s):
+    """The components of a structure graph: sets of orbits joined by
+    transitions between distinct orbits."""
+    comp = {o: frozenset([o]) for o in s.orbits}
+    for ((a, b), _c) in s.transitions:
+        joined = comp[a.orbit] | comp[b.orbit]
+        for o in joined:
+            comp[o] = joined
+    return set(comp.values())
+
+
+def _seeded_pairs(seed, count):
+    """Seeded random pairs, each followed by the source against a renamed
+    twin; sources have up to 4 orbits of period at most 3, so sources of
+    two or more components occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = random_structure_graph(rng, max_orbits=4, max_period=3, max_count=3)
+        y = random_structure_graph(rng, max_orbits=4, max_period=3, max_count=3)
+        yield x, y
+        yield x, rename_structure(x, "p")
+
+
+def test_search_returns_first_enumerated_witness():
+    multi = 0
+    for (x, y) in _seeded_pairs(71, 300):
+        multi += len(_components(x)) > 1
+        for mode in ALL_MODES:
+            assert search(mode, x, y) == \
+                _first_witness_by_enumeration(mode, x, y), (mode, x, y)
+    assert multi >= 200
+
+
+def _rotate(h, orbits, t):
+    """The map h with the images of the points on `orbits` shifted t
+    times."""
+    return SGHomomorphism.make(
+        {a: (b.shift(t) if a.orbit in orbits else b) for (a, b) in h.pairs})
+
+
+def test_rotating_one_component_keeps_a_witness():
+    # the lemma behind trying offset 0 only at the first orbit of each
+    # component, in every mode, factor included
+    rotated = 0
+    for (x, y) in _seeded_pairs(72, 150):
+        comps = _components(x)
+        for mode in ALL_MODES:
+            w = search(mode, x, y)
+            if w is None:
+                continue
+            images = dict(w.pairs)
+            for comp in comps:
+                first = min(comp, key=lambda o: o.sort_key())
+                assert images[first.point(0)].phase == 0, (mode, x, y)
+                for t in range(1, 7):
+                    assert verify_witness(mode, x, y, _rotate(w, comp, t)), \
+                        (mode, t, x, y)
+                    rotated += 1
+    assert rotated >= 2000
+
+
+def test_factor_components_rotate_independently():
+    # two components of the source supply one count each to the target
+    # transitions z -> xy, whose count 2 neither covers alone; either
+    # component may be rotated against the other
+    x = make_structure([("c", 1), ("ab", 1), ("d", 1), ("ef", 1)],
+                       [(("c", 0), ("ab", 0), 1), (("d", 0), ("ef", 0), 1)])
+    y = make_structure([("z", 1), ("xy", 1)], [(("z", 0), ("xy", 0), 2)])
+    comps = _components(x)
+    assert len(comps) == 2
+    w = decide(Mode.FACTOR, x, y)
+    assert w is not None and verify_witness(Mode.FACTOR, x, y, w)
+    assert w == _first_witness_by_enumeration(Mode.FACTOR, x, y)
+    for comp in comps:
+        for t in range(1, 7):
+            assert verify_witness(Mode.FACTOR, x, y, _rotate(w, comp, t))
+    # one component alone falls short of the count
+    half = make_structure([("c", 1), ("ab", 1)], [(("c", 0), ("ab", 0), 1)])
+    assert decide(Mode.FACTOR, half, y) is None
 
 
 def test_conjugacy_is_an_equivalence():
