@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
 
@@ -70,6 +70,24 @@ def primitive_root(w: Word):
         raise EmptyWord("empty word has no primitive root")
     _, p = _rotation(w)
     return w[:p], len(w) // p
+
+
+def refine_colors(vertices, signature):
+    """Color refinement (Weisfeiler and Leman 1968): every vertex starts
+    with color 0 and is recolored by (its color, signature(color, v)) until
+    the number of colors stops growing; returns the colors.  Colors rank
+    the sorted signatures, so inputs that are equal up to renaming get
+    equal colorings.  Signatures must be comparable: ints (-1 for a missing
+    neighbour) and tuples of them."""
+    color = dict.fromkeys(vertices, 0)
+    ncolors = 1
+    while True:
+        sig = {v: (c, signature(color, v)) for v, c in color.items()}
+        palette = {x: i for i, x in enumerate(sorted(set(sig.values())))}
+        color = {v: palette[x] for v, x in sig.items()}
+        if len(palette) == ncolors:
+            return color
+        ncolors = len(palette)
 
 
 @dataclass(frozen=True)
@@ -299,6 +317,15 @@ class StructureGraph:
         return {pair: c for (pair, c) in self.transitions}
 
     @cached_property
+    def transition_classes(self):
+        """One transition per class under simultaneous shifts of both
+        endpoints, in canonical order: the one whose source has phase 0
+        and whose target has a phase below the gcd of the two periods.
+        Counts are constant on a class, so these fix every count."""
+        return tuple(((x, y), c) for ((x, y), c) in self.transitions
+                     if x.phase == 0 and y.phase < gcd(x.period, y.period))
+
+    @cached_property
     def _point_tuple(self):
         return tuple(o.point(r) for o in self.orbits for r in range(o.period))
 
@@ -311,24 +338,22 @@ class StructureGraph:
     def validate(self):
         """Raise MalformedStructureGraph unless well-formed.
 
-        Well-formedness: transition endpoints belong to listed orbits, all
-        counts are >= 1, every point carries its diagonal transition edge, and
-        counts are invariant under simultaneously shifting both endpoints
-        (true of the invariant of any shift space).  `make` runs it, so
-        every graph it returns is well-formed; the result is cached, and a
-        further call returns at once.
+        Well-formedness: all counts are >= 1, every point carries its
+        diagonal transition edge, and counts are invariant under
+        simultaneously shifting both endpoints (true of the invariant of
+        any shift space).  Endpoints need no check: `make` lists the orbit
+        of each.  `make` runs this on every transition, so every graph it
+        returns is well-formed; the result is cached, and a further call
+        returns at once.
         """
         if self.__dict__.get("_validated"):
             return self
-        pts = set(self.points())
         for ((x, y), c) in self.transitions:
-            if x not in pts or y not in pts:
-                raise MalformedStructureGraph("transition endpoint not a listed point")
             if c < 1:
                 raise MalformedStructureGraph("transition count < 1")
             if self.count(x.shift(1), y.shift(1)) != c:
                 raise MalformedStructureGraph("counts not shift equivariant")
-        for p in pts:
+        for p in self.points():
             if self.count(p, p) < 1:
                 raise MalformedStructureGraph("missing diagonal transition at %r" % (p,))
         self.__dict__["_validated"] = True

@@ -69,10 +69,6 @@ class SGHomomorphism:
 _UNBOUNDED = float("inf")
 
 
-def _aperiodic(count, src, dst):
-    return count - 1 if src == dst else count
-
-
 class _SearchProfile(NamedTuple):
     """Integer tables of one graph, for either side of a search.  Orbits
     are indexed in sorted order and the point of orbit i at phase r has the
@@ -82,10 +78,11 @@ class _SearchProfile(NamedTuple):
     periods: tuple    # per orbit, its period (ascending)
     base: tuple       # per orbit, the id of its phase-0 point
     edges: tuple      # transitions as (orbit, phase, orbit, phase, count)
-    own: tuple        # per orbit, its own edges as (phase, phase, count)
+    own: tuple        # per orbit, its own edges as (phase, phase, count),
+                      # one per shift class
     later: tuple      # per orbit i, (l, edges) per orbit l > i sharing
-                      # edges with i, each as (phase at i, phase at l,
-                      # count, whether it leaves i)
+                      # edges with i, one per shift class, each as (phase
+                      # at i, phase at l, count, whether it leaves i)
     first: tuple      # per orbit, whether it comes first in its component
     count: dict       # u * len(pts) + v -> count of the transition from
                       # the point with id u to the point with id v
@@ -106,17 +103,19 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
         total += p
     edges = tuple((idx[a.orbit], a.phase, idx[b.orbit], b.phase, c)
                   for ((a, b), c) in s.transitions)
+    count = {(base[ia] + pa) * total + base[ib] + pb: c
+             for (ia, pa, ib, pb, c) in edges}
+    by_period = {}
+    for i, p in enumerate(periods):
+        by_period.setdefault(p, []).append(i)
     own = [[] for _ in periods]
     shared = {}  # (i, l) with i < l -> the edges between orbits i and l
     # components: each orbit points at an earlier orbit of its component,
     # or at itself when it comes first
     comp = list(range(len(periods)))
-    count = {}
-    by_period = {}
-    for i, p in enumerate(periods):
-        by_period.setdefault(p, []).append(i)
-    for (ia, pa, ib, pb, c) in edges:
-        count[(base[ia] + pa) * total + base[ib] + pb] = c
+    # one transition per shift class: see `search` for why that suffices
+    for ((a, b), c) in s.transition_classes:
+        ia, pa, ib, pb = idx[a.orbit], a.phase, idx[b.orbit], b.phase
         if ia == ib:
             own[ia].append((pa, pb, c))
             continue
@@ -224,10 +223,14 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     them is dropped; the narrowed domains are restored on backtracking.  So
     the transitions between distinct orbits are checked once, when the
     earlier of the two is mapped, and the search prunes only subtrees that
-    hold no witness.  Injective modes never reuse a target; surjective
-    modes stop reusing targets once the uncovered targets are as many as
-    the orbits left.  A complete assignment is a witness; in factor mode it
-    must also meet the counting condition.
+    hold no witness.  Both checks read one transition per shift class, from
+    `StructureGraph.transition_classes`: counts on both sides are shift
+    equivariant and every choice commutes with the shift, so the other
+    members of a class map the same way.  Injective modes never reuse a
+    target; surjective modes stop reusing targets once the uncovered
+    targets are as many as the orbits left.  A complete assignment is a
+    witness; in factor mode it must also meet the counting condition, over
+    every transition.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
@@ -475,18 +478,14 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
         if len(set(edge_images)) != len(edge_images):
             return False
         return all(c <= y.count(vm[a], vm[b]) for ((a, b), c) in x.transitions)
-    supply = {}
-    for ((a, b), c) in x.transitions:
-        key = (vm[a], vm[b])
-        supply.setdefault(key, []).append((c, a == b))
     if mode is Mode.FACTOR:
-        for ((ta, tb), c) in y.transitions:
-            got = supply.get((ta, tb))
-            if got is None:
-                return False
-            if sum(k - (1 if d else 0) for (k, d) in got) < _aperiodic(c, ta, tb):
-                return False
-        return True
+        # every target transition needs a preimage whose aperiodic supply
+        # covers its aperiodic orbits
+        supply = {}
+        for (((a, b), c), key) in zip(x.transitions, edge_images):
+            supply[key] = supply.get(key, 0) + (c - 1 if a == b else c)
+        return all(supply.get(key, -1) >= (c - 1 if key[0] == key[1] else c)
+                   for (key, c) in y.transitions)
     if mode is Mode.CONJUGACY:
         if len(set(vm.values())) != len(pts_x) or len(pts_x) != len(pts_y):
             return False

@@ -54,6 +54,10 @@ class IsolatedVertex(SoficError):
     pass
 
 
+class ReservedSymbol(SoficError):
+    """A vertex name collides with a symbol that a gadget reserves."""
+
+
 class TooLarge(SoficError):
     """Instance exceeds the hard cap of a brute-force oracle."""
 

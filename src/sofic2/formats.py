@@ -6,7 +6,7 @@ All serializers emit canonical line ordering so outputs are byte-stable
 across runs; parsers strip '#' comments and blank lines.  Words are written
 as dot-joined symbol tokens; tokens in files therefore must not contain
 dots, whitespace or '#'.  The bare token '-' stands for the empty word
-where one is allowed.
+where one is allowed, so it is never a symbol token.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _vertex_lines(text, keyword, fields):
 
 
 def _file_symbol(tok, n=0):
-    if not tok or "." in tok or "#" in tok or any(c.isspace() for c in tok):
+    if tok in ("", "-") or "." in tok or "#" in tok or any(c.isspace() for c in tok):
         raise ParseError("line %d: bad symbol token %r" % (n, tok))
     return tok
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import LabeledGraph, CombRep, CombTerm, canonicalize_point, word, _check_symbol
+from .core import (LabeledGraph, CombRep, CombTerm, canonicalize_point, refine_colors,
+                   word, _check_symbol)
 from .errors import (
     EmptyRepresentation,
     NotCountableCertified,
@@ -126,22 +127,9 @@ def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
     g = trim_essential(g)
     verts = sorted(g.vertices)
     labels = sorted(g.alphabet)
-    succ = {}
-    for (a, b, s) in g.edges:
-        succ[(a, s)] = b
-    color = {v: 0 for v in verts}
-    ncolors = 1
-    while True:
-        sig = {}
-        for v in verts:
-            sig[v] = (color[v],) + tuple(
-                color.get(succ.get((v, s))) if (v, s) in succ else None
-                for s in labels)
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
-        new_color = {v: palette[sig[v]] for v in verts}
-        if len(palette) == ncolors:
-            break
-        color, ncolors = new_color, len(palette)
+    succ = {(a, s): b for (a, b, s) in g.edges}
+    color = refine_colors(verts, lambda color, v: tuple(
+        color[succ[(v, s)]] if (v, s) in succ else -1 for s in labels))
     rep = {}
     for v in verts:  # smallest vertex name represents its class
         rep.setdefault(color[v], v)

@@ -13,8 +13,9 @@ from .core import (
     StructureGraph,
     _check_symbol,
     comb_rep,
+    refine_colors,
 )
-from .errors import ImproperColoring, IsolatedVertex, TooLarge
+from .errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 from .presentation import from_comb_rep
 from .structure import build_structure
 
@@ -119,14 +120,14 @@ def hom_gadget(g: SimpleGraph) -> StructureGraph:
 
     Computed by presenting the union and running the structure builder, so
     the junction phases come from the real configurations rather than a
-    hand-derived pattern.
+    hand-derived pattern.  A vertex named MARKER raises ReservedSymbol.
     """
     _no_isolated(g)
     for v in sorted(g.vertices):
         _check_symbol(v)
         if v == MARKER:
-            raise ValueError("vertex name %r collides with the marker symbol"
-                             % (MARKER,))
+            raise ReservedSymbol("vertex name %r collides with the marker symbol"
+                                 % (MARKER,))
     raw = []
     for e in sorted(g.edges, key=sorted):
         for (u, v) in (tuple(sorted(e)), tuple(sorted(e))[::-1]):
@@ -224,25 +225,17 @@ def brute_graph_oracle(kind: str, g, h) -> bool:
 
 
 def _refine_colors(g: Digraph):
-    """Directed Weisfeiler-Leman color refinement with arc multiplicities."""
+    """Directed color refinement with arc multiplicities: the colors, and
+    the out- and in-neighbour lists."""
     outs = {}
     ins = {}
     for (a, b) in g.arcs:
         outs.setdefault(a, []).append(b)
         ins.setdefault(b, []).append(a)
-    color = {v: 0 for v in g.vertices}
-    ncolors = 1
-    while True:
-        sig = {}
-        for v in g.vertices:
-            sig[v] = (color[v],
-                      tuple(sorted(color[w] for w in outs.get(v, ()))),
-                      tuple(sorted(color[w] for w in ins.get(v, ()))))
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in g.vertices}
-        if len(palette) == ncolors:
-            return new, outs, ins
-        color, ncolors = new, len(palette)
+    color = refine_colors(g.vertices, lambda color, v: (
+        tuple(sorted(color[w] for w in outs.get(v, ()))),
+        tuple(sorted(color[w] for w in ins.get(v, ())))))
+    return color, outs, ins
 
 
 def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:

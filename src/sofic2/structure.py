@@ -165,44 +165,19 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     return _structure_graph(point_of, anchored)
 
 
-def _bits(n: int):
-    out = []
-    k = 0
-    while n:
-        if n & 1:
-            out.append(k)
-        n >>= 1
-        k += 1
-    return out
-
-
-def _edge_classes(s: StructureGraph):
-    """One representative per simultaneous-shift class of transition edges,
-    in canonical order."""
-    seen = set()
-    classes = []
-    for ((x, y), c) in s.transitions:
-        if (x, y) in seen:
-            continue
-        for t in range(lcm(x.period, y.period)):
-            seen.add((x.shift(t), y.shift(t)))
-        classes.append((x, y, c))
-    return classes
-
-
 def synthesize(s: StructureGraph) -> LabeledGraph:
     """Right-resolving essential presentation over a fresh alphabet whose
     structure graph equals s with each orbit root renamed.
 
     Per orbit i of period m there is an outgoing cycle on q{i}_* and, when
     needed, an incoming cycle on p{i}_* wearing the same fresh labels.  Each
-    transition-edge class with aperiodic count c' (the diagonal discounts
-    the periodic point itself) becomes, per set bit 2^k of c', one gadget
-    path q -> p with k doubled fresh-labeled edges, padded with single
-    fresh-labeled edges to the least positive multiple of lcm(m_i, m_j)
-    that is >= k + 2, so the gadget contributes exactly to its class.
-    Every vertex lies on a cycle or on a gadget path between two, so the
-    output is essential as built."""
+    shift class of transitions (its member in `s.transition_classes`) with
+    aperiodic count c' (the diagonal discounts the periodic point itself)
+    becomes, per set bit 2^k of c', one gadget path q -> p with k doubled
+    fresh-labeled edges, padded with single fresh-labeled edges to the least
+    positive multiple of lcm(m_i, m_j) that is >= k + 2, so the gadget
+    contributes exactly to its class.  Every vertex lies on a cycle or on a
+    gadget path between two, so the output is essential as built."""
     orbits = list(s.orbits)
     index = {o: i for i, o in enumerate(orbits)}
     edges = []
@@ -214,14 +189,14 @@ def synthesize(s: StructureGraph) -> LabeledGraph:
     needs_p = set()
     gadget_edges = []
     gid = 0
-    for (x, y, c) in _edge_classes(s):
+    for ((x, y), c) in s.transition_classes:
         cp = c - 1 if x == y else c
         if cp == 0:
             continue
         i, j = index[x.orbit], index[y.orbit]
         needs_p.add(j)
         base = lcm(x.period, y.period)
-        for k in _bits(cp):
+        for k in [k for k in range(cp.bit_length()) if cp >> k & 1]:
             length = base * ((k + 2 + base - 1) // base)
             nodes = (["q%d_%d" % (i, x.phase)]
                      + ["x%d_%d" % (gid, t) for t in range(1, length)]

@@ -104,6 +104,17 @@ def test_verify_rejects_phase_outside_period(tmp_path, capsys):
     assert "ParseError" in err and "phase 5 outside period 1" in err
 
 
+def test_verify_reports_an_invalid_witness(tmp_path, capsys):
+    a = tmp_path / "a.sg"
+    a.write_text(formats.format_structure(make_structure([("a", 1), ("b", 1)])))
+    w = tmp_path / "w.txt"
+    w.write_text("map a:0 b:0\nmap b:0 b:0\n")  # not injective
+    assert main(["verify", "--mode", "conj", str(a), str(a), str(w)]) == 1
+    assert capsys.readouterr().out == "INVALID\n"
+    assert main(["verify", "--mode", "hom", str(a), str(a), str(w)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
 def test_decide_no_case(tmp_path, capsys):
     a = tmp_path / "a.sg"
     b = tmp_path / "b.sg"
@@ -181,6 +192,35 @@ def test_reduce_gi_and_hom(tmp_path, capsys):
     assert main(["reduce", "--gadget", "hom", str(sg), "-o", str(out2)]) == 0
     s2 = formats.parse_structure(out2.read_text())
     assert all(o.period == 2 for o in s2.orbits)
+
+
+def test_reduce_hom_refuses_the_marker_vertex(tmp_path, capsys):
+    sg = tmp_path / "simple.g"
+    sg.write_text("edge % u\n")
+    assert main(["reduce", "--gadget", "hom", str(sg)]) == 2
+    err = _one_error_line(capsys)
+    assert "ReservedSymbol" in err and "marker" in err
+
+
+def test_dash_symbol_is_refused_with_its_line(tmp_path, capsys):
+    g = tmp_path / "dash.graph"
+    g.write_text("vertex a\nedge a a -\n")
+    assert main(["structure", str(g)]) == 2
+    err = _one_error_line(capsys)
+    assert "ParseError" in err and "line 2: bad symbol token '-'" in err
+
+
+def test_forbid_file_is_converted(tmp_path, capsys):
+    f = tmp_path / "ramp.forbid"
+    f.write_text("alphabet 0 1\nforbid 1.0\n")
+    out = tmp_path / "ramp.sg"
+    assert main(["structure", str(f), "-o", str(out)]) == 0
+    # no 1 before a 0: the fixed points and one orbit of 0-inf 1-inf
+    assert out.read_text() == ("orbit o0 word=0\norbit o1 word=1\n"
+                               "trans o0:0 o0:0 count=1\n"
+                               "trans o0:0 o1:0 count=1\n"
+                               "trans o1:0 o1:0 count=1\n")
+    capsys.readouterr()
 
 
 def test_reduce_digraph_with_shared_counts(tmp_path, fig1_sg_file, capsys):

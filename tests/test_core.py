@@ -1,6 +1,7 @@
 """Core value types: canonical forms and their invariants."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,10 @@ from sofic2 import (
     primitive_root,
     word,
 )
+from sofic2.core import refine_colors
 from sofic2.errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
+
+from conftest import random_structure_graph
 
 
 def test_primitive_root_examples():
@@ -178,3 +182,39 @@ def test_structure_graph_make_is_the_gate():
         StructureGraph.make([ab], {(y, y): 1, (y.shift(1), y.shift(1)): 2})
     s = StructureGraph.make([a], {(x, x): 1})
     assert s.validate() is s
+
+
+def _shift_class(x, y):
+    return {(x.shift(t), y.shift(t)) for t in range(lcm(x.period, y.period))}
+
+
+def test_transition_classes_hold_one_member_per_class():
+    rng = random.Random(83)
+    for _ in range(300):
+        s = random_structure_graph(rng, max_period=8)
+        classes = s.transition_classes
+        # in canonical order, and the first member of each class met there
+        seen, first = set(), []
+        for ((x, y), c) in s.transitions:
+            if (x, y) not in seen:
+                seen |= _shift_class(x, y)
+                first.append(((x, y), c))
+        assert classes == tuple(first)
+        # expanding each member over lcm(p, q) shifts gives back every
+        # transition, each once, with the member's count
+        expanded = {}
+        for ((x, y), c) in classes:
+            for pair in _shift_class(x, y):
+                assert pair not in expanded
+                expanded[pair] = c
+        assert expanded == s.transition_map
+
+
+def test_refine_colors_ranks_sorted_signatures():
+    # a path a -> b -> c: three colors, numbered by sorted signature
+    succ = {"a": "b", "b": "c"}
+    color = refine_colors("abc", lambda color, v: color[succ[v]] if v in succ else -1)
+    assert color == {"c": 0, "b": 1, "a": 2}
+    # a cycle stays one color
+    cyc = {"a": "b", "b": "c", "c": "a"}
+    assert set(refine_colors("abc", lambda color, v: color[cyc[v]]).values()) == {0}

@@ -162,6 +162,19 @@ def test_word_tokens_with_dots_rejected():
         formats.format_word(("a.b",))
 
 
+def test_dash_is_not_a_symbol_token():
+    # '-' spells the empty word, so a symbol '-' could not be read back
+    with pytest.raises(ParseError, match="^line 2: bad symbol token '-'$"):
+        formats.parse_graph("vertex a\nedge a a -\n")
+    with pytest.raises(ParseError, match="^line 1: bad symbol token '-'$"):
+        formats.parse_comb_rep("term a.-\n")
+    with pytest.raises(ParseError, match="^line 1: bad symbol token '-'$"):
+        formats.parse_forbidden("alphabet a -\n")
+    with pytest.raises(ParseError):
+        formats.format_word(("a", "-"))
+    assert formats.parse_word("-") == ()
+
+
 def test_big_counts_serialize_exactly():
     from sofic2 import build_structure
     s = build_structure(chain_graph(64))

@@ -22,7 +22,7 @@ from sofic2 import (
     hom_gadget,
     oracle_structure,
 )
-from sofic2.errors import ImproperColoring, IsolatedVertex, TooLarge
+from sofic2.errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 
 from conftest import random_colored_graph, random_simple_graph
 
@@ -202,3 +202,30 @@ def test_digraph_gadget_empty():
 def test_hom_gadget_refuses_isolated():
     with pytest.raises(IsolatedVertex):
         hom_gadget(SimpleGraph.make(["u", "v", "w"], [("u", "v")]))
+
+
+def test_hom_gadget_refuses_the_marker_as_a_vertex():
+    with pytest.raises(ReservedSymbol, match="marker"):
+        hom_gadget(SimpleGraph.make(["%", "u"], [("%", "u")]))
+
+
+def _directed_cycles(*lengths):
+    arcs = []
+    for c, n in enumerate(lengths):
+        arcs += [("c%d_%d" % (c, i), "c%d_%d" % (c, (i + 1) % n)) for i in range(n)]
+    return Digraph.make([], arcs)
+
+
+def test_digraph_isomorphic_backtracks_when_refinement_is_silent():
+    from sofic2.reductions import _refine_colors
+    six, threes = _directed_cycles(6), _directed_cycles(3, 3)
+    # every vertex has one arc in and one out: refinement keeps one color,
+    # so only backtracking tells the two apart
+    for g in (six, threes):
+        assert set(_refine_colors(g)[0].values()) == {0}
+    assert not digraph_isomorphic(six, threes)
+    assert not digraph_isomorphic(threes, six)
+    order = [0, 3, 1, 4, 2, 5]
+    relabelled = Digraph.make([], [("v%d" % order[i], "v%d" % order[(i + 1) % 6])
+                                   for i in range(6)])
+    assert digraph_isomorphic(six, relabelled)

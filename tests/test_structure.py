@@ -1,6 +1,8 @@
 """Structure graph computation, oracle agreement and synthesis."""
 
+import hashlib
 import random
+from math import lcm
 
 import pytest
 
@@ -10,6 +12,7 @@ from sofic2 import (
     build_structure,
     canonicalize_point,
     decide,
+    formats,
     oracle_structure,
     synthesize,
     verify_witness,
@@ -295,6 +298,29 @@ def test_synthesize_round_trip_random():
         w = decide(Mode.CONJUGACY, b, s)
         assert w is not None
         assert verify_witness(Mode.CONJUGACY, b, s, w)
+
+
+# sha256 of format_graph(synthesize(s)) over the 200 seed-73 graphs of
+# test_synthesize_output_is_pinned, as synthesize returned them when it
+# still walked every shift of each transition to find its class
+SYNTHESIZE_DIGEST = (
+    "2f89ae6a15c8ea0f6f102c42e8c2bc04ef75267eb783797a848aff141d867314")
+
+
+def test_synthesize_output_is_pinned():
+    rng = random.Random(73)
+    h = hashlib.sha256()
+    several = 0  # orbit pairs whose transitions fall into several classes
+    for _ in range(200):
+        s = random_structure_graph(rng, max_period=6)
+        per_pair = {}
+        for ((x, y), _c) in s.transitions:
+            per_pair[(x.orbit, y.orbit)] = per_pair.get((x.orbit, y.orbit), 0) + 1
+        several += sum(n > lcm(a.period, b.period)
+                       for ((a, b), n) in per_pair.items())
+        h.update(formats.format_graph(synthesize(s)).encode())
+    assert several >= 100
+    assert h.hexdigest() == SYNTHESIZE_DIGEST
 
 
 def test_synthesize_output_is_right_resolving_and_certified():
