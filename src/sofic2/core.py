@@ -294,36 +294,65 @@ class LabeledGraph:
 class StructureGraph:
     """Canonical invariant of a rank <= 2 countable sofic shift: its periodic
     points, with rotation edges implicit (every x steps to its shift), and
-    count-labeled transition edges between points."""
+    count-labeled transition edges between points.  Counts are constant on
+    each class of transitions under simultaneous shifts of both endpoints,
+    so the graph stores one count per class, at its representative."""
 
-    orbits: tuple       # PeriodicOrbit, sorted by (period, root)
-    transitions: tuple  # sorted ((src point, dst point), count) pairs
+    orbits: tuple              # PeriodicOrbit, sorted by (period, root)
+    transition_classes: tuple  # sorted ((src point, dst point), count)
+                               # pairs, one per class at its representative
+
+    @staticmethod
+    def shift_class(x: PeriodicPoint, y: PeriodicPoint):
+        """The class of (x, y) under simultaneous shifts of both endpoints,
+        which keep y.phase - x.phase modulo the gcd of the periods, as
+        (x's orbit, y's orbit, r): its representative has source phase 0
+        and target phase r.  It has lcm(p, q) members."""
+        return (x.orbit, y.orbit,
+                (y.phase - x.phase) % gcd(len(x.orbit.root), len(y.orbit.root)))
 
     @classmethod
     def make(cls, orbits, transitions) -> "StructureGraph":
         """The graph on the given orbits and the orbits of the transition
-        endpoints; raises MalformedStructureGraph unless well-formed."""
+        endpoints, from counts keyed by (src point, dst point); each class
+        takes the count of its given members.  Raises
+        MalformedStructureGraph unless well-formed."""
         orbs = set(orbits)
-        for (x, y) in transitions:
+        classes = {}
+        for ((x, y), c) in transitions.items():
+            key = cls.shift_class(x, y)
+            c = int(c)
+            if classes.setdefault(key, c) != c:
+                raise MalformedStructureGraph("counts not shift equivariant")
             orbs.add(x.orbit)
             orbs.add(y.orbit)
         items = tuple(sorted(
-            (((x, y), int(c)) for ((x, y), c) in transitions.items()),
+            (((xo.point(0), yo.point(r)), c) for ((xo, yo, r), c) in classes.items()),
             key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key())))
         return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items).validate()
 
     @cached_property
-    def transition_map(self):
-        return {pair: c for (pair, c) in self.transitions}
+    def _class_counts(self):
+        return {self.shift_class(x, y): c for ((x, y), c) in self.transition_classes}
 
     @cached_property
-    def transition_classes(self):
-        """One transition per class under simultaneous shifts of both
-        endpoints, in canonical order: the one whose source has phase 0
-        and whose target has a phase below the gcd of the two periods.
-        Counts are constant on a class, so these fix every count."""
-        return tuple(((x, y), c) for ((x, y), c) in self.transitions
-                     if x.phase == 0 and y.phase < gcd(x.period, y.period))
+    def transitions(self):
+        """Every transition, as sorted ((src point, dst point), count)
+        pairs: each class expanded over its lcm(p, q) members."""
+        targets = {}  # src orbit -> dst orbit -> {r: count}, in sorted order
+        for ((x, y), c) in self.transition_classes:
+            targets.setdefault(x.orbit, {}).setdefault(y.orbit, {})[y.phase] = c
+        pts = {o: [o.point(r) for r in range(o.period)] for o in self.orbits}
+        out = []
+        for xo, by_target in targets.items():
+            for a, x in enumerate(pts[xo]):
+                for yo, counts in by_target.items():
+                    # from x, class r holds the targets of phase a + r (mod g)
+                    g, ys = gcd(xo.period, yo.period), pts[yo]
+                    offs = sorted(((a + r) % g, c) for r, c in counts.items())
+                    out += [((x, ys[k + off]), c) for k in range(0, len(ys), g)
+                            for (off, c) in offs]
+        return tuple(out)
 
     @cached_property
     def _point_tuple(self):
@@ -333,30 +362,23 @@ class StructureGraph:
         return self._point_tuple
 
     def count(self, x: PeriodicPoint, y: PeriodicPoint) -> int:
-        return self.transition_map.get((x, y), 0)
+        return self._class_counts.get(self.shift_class(x, y), 0)
 
     def validate(self):
         """Raise MalformedStructureGraph unless well-formed.
 
-        Well-formedness: all counts are >= 1, every point carries its
-        diagonal transition edge, and counts are invariant under
-        simultaneously shifting both endpoints (true of the invariant of
-        any shift space).  Endpoints need no check: `make` lists the orbit
-        of each.  `make` runs this on every transition, so every graph it
-        returns is well-formed; the result is cached, and a further call
-        returns at once.
+        Well-formedness: all counts are >= 1 and every orbit carries its
+        diagonal class.  Counts are shift equivariant by construction, one
+        per class, and endpoints need no check: `make` lists the orbit of
+        each.  `make` runs this on every graph it returns.
         """
-        if self.__dict__.get("_validated"):
-            return self
-        for ((x, y), c) in self.transitions:
+        for (_pair, c) in self.transition_classes:
             if c < 1:
                 raise MalformedStructureGraph("transition count < 1")
-            if self.count(x.shift(1), y.shift(1)) != c:
-                raise MalformedStructureGraph("counts not shift equivariant")
-        for p in self.points():
-            if self.count(p, p) < 1:
-                raise MalformedStructureGraph("missing diagonal transition at %r" % (p,))
-        self.__dict__["_validated"] = True
+        for o in self.orbits:
+            if (o, o, 0) not in self._class_counts:
+                raise MalformedStructureGraph(
+                    "missing diagonal transition at %r" % (o.point(0),))
         return self
 
     def is_empty(self) -> bool:

@@ -6,15 +6,15 @@ an orbit of period q only when q divides p, and choosing a phase offset
 fixes every point of the orbit.
 
 `decide` is the entry point.  When both graphs have rank 1 (finite shifts,
-whose transition edges are exactly the count-1 diagonals) it answers from
-the period multisets, as `rank1_decide` does, and builds the witness
-directly from the period classes.  Otherwise it runs `search`, a
-backtracking search over orbit maps with the per-mode side conditions,
-kept on an explicit stack so that no input depends on the interpreter's
-recursion limit.  Both paths return the same witness: the first one in the
-search order (source orbits by period then root, their targets likewise,
-offsets ascending).  `search` stays public as the reference that the rank-1
-path is tested against.
+whose transition edges are exactly the count-1 diagonals) it builds the
+witness directly from the period classes, or finds there is none;
+`rank1_decide` asks the same routine whether a witness exists.  Otherwise
+it runs `search`, a backtracking search over orbit maps with the per-mode
+side conditions, kept on an explicit stack so that no input depends on the
+interpreter's recursion limit.  Both paths return the same witness: the
+first one in the search order (source orbits by period then root, their
+targets likewise, offsets ascending).  `search` stays public as the
+reference that the rank-1 path is tested against.
 
 `search` prunes only subtrees that hold no witness, so its first witness
 is the first in that order.  Forward checking (Haralick and Elliott 1980)
@@ -344,48 +344,63 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     (orbits by period then root, targets likewise, offsets ascending), or
     None when no witness exists.
 
-    When both graphs have rank 1, the answer comes from `rank1_decide` and
-    a YES builds the witness that `search` would find first, with no
-    search: block maps send each source orbit to the first target whose
-    period divides its own; embeddings and conjugacies send the k-th source
-    orbit of period p to the k-th target orbit of period p; factor maps send
-    each source orbit, in order, to the first divisor target that still
-    lets the remaining source orbits cover every uncovered target.  Other
-    inputs go to `search`.  Neither path recurses.
+    When both graphs have rank 1, `_rank1_targets` builds the witness that
+    `search` would find first, or shows there is none, with no search:
+    block maps send each source orbit to the first target whose period
+    divides its own; embeddings and conjugacies send the k-th source orbit
+    of period p to the k-th target orbit of period p; factor maps send each
+    source orbit, in order, to the first divisor target that still lets the
+    remaining source orbits cover every uncovered target.  Other inputs go
+    to `search`.  Neither path recurses.
     """
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y)
-    if not rank1_decide(mode, x, y):
+    targets = _rank1_targets(mode, x, y)
+    if targets is None:
         return None
     xp, yp = _search_profile(x), _search_profile(y)
-    return _witness(xp, yp, [_images(yp, j, 0, p) for j, p in
-                             zip(_rank1_targets(mode, xp, yp), xp.periods)])
+    return _witness(xp, yp, [_images(yp, j, 0, p)
+                             for j, p in zip(targets, xp.periods)])
 
 
-def _rank1_targets(mode, xp, yp):
+def _rank1_targets(mode, x, y):
     """Per source orbit, its target orbit in the first witness between two
-    rank-1 graphs that have one.  Phase offsets are all 0."""
-    classes = yp.by_period
+    rank-1 graphs, or None when there is none.  Phase offsets are all 0.
+    Raises NotRankOne unless both graphs have rank 1."""
+    ps, qs = _rank1_periods(x), _rank1_periods(y)
+    if mode is Mode.CONJUGACY and ps != qs:
+        return None
+    classes = _search_profile(y).by_period
     if mode in INJECTIVE_MODES:
-        nth = Counter()
         out = []
-        for p in xp.periods:
-            out.append(classes[p][nth[p]])
-            nth[p] += 1
+        for i, p in enumerate(ps):
+            # ps is sorted: this is the k-th source orbit of period p
+            k = k + 1 if i and ps[i - 1] == p else 0
+            js = classes.get(p, ())
+            if k == len(js):
+                return None
+            out.append(js[k])
         return out
-    divisors = {p: [q for q in classes if p % q == 0] for p in set(xp.periods)}
+    divisors = {p: [q for q in classes if p % q == 0] for p in set(ps)}
+    if not all(divisors.values()):
+        return None
     if mode is Mode.BLOCK_MAP:
-        return [classes[divisors[p][0]][0] for p in xp.periods]
+        return [classes[divisors[p][0]][0] for p in ps]
+    if mode is not Mode.FACTOR:
+        raise ValueError("unknown mode %r" % (mode,))
     # Factor: the targets of a class are covered in index order, so the
     # first filled[q] of them are covered.  Covering stays feasible or not
     # alike whichever covered target a source takes, and whichever
     # uncovered target of one class; so per class only the first covered
-    # and the first uncovered target are candidates.
-    supply = Counter(xp.periods)
+    # and the first uncovered target are candidates.  Each placed source
+    # leaves covering feasible, so a source without a candidate means no
+    # witness, and targets stay uncovered at the end only when there is
+    # no source at all.
+    supply = Counter(ps)
     uncovered = {q: len(js) for q, js in classes.items()}
     filled = dict.fromkeys(classes, 0)
     out = []
-    for p in xp.periods:
+    for p in ps:
         supply[p] -= 1
         reuse_ok = None
         for q in divisors[p]:
@@ -403,7 +418,9 @@ def _rank1_targets(mode, xp, yp):
                     out.append(js[c])
                     break
                 uncovered[q] += 1
-    return out
+        else:
+            return None
+    return None if any(uncovered.values()) else out
 
 
 def _covers(supply, demand) -> bool:
@@ -417,20 +434,28 @@ def _covers(supply, demand) -> bool:
     parent pointers and carries its bottleneck amount, so the cost grows
     with the number of distinct periods, not with the number of orbits."""
     need = sum(demand.values())
-    if need > sum(supply.values()):
-        return False
+    if not need or need > sum(supply.values()):
+        return not need
     ps = [p for p, c in supply.items() if c]
     qs = [q for q, c in demand.items() if c]
     # node 0 is the source, 1 the sink, then the classes of ps and of qs;
-    # cap[u][v] is the residual capacity of u -> v, reverse arcs included
+    # cap[u][v] is the residual capacity of u -> v, reverse arcs included.
+    # The flow starts greedy: each class of ps sends what it can to the
+    # classes of qs in turn, so most calls need few augmenting paths.
     cap = [{} for _ in range(2 + len(ps) + len(qs))]
+    rest = {b: demand[q] for b, q in enumerate(qs, 2 + len(ps))}
     for a, p in enumerate(ps, 2):
-        cap[0][a], cap[a][0] = supply[p], 0
+        left = supply[p]
         for b, q in enumerate(qs, 2 + len(ps)):
             if p % q == 0:
-                cap[a][b], cap[b][a] = need, 0
+                sent = min(left, rest[b])
+                cap[a][b], cap[b][a] = need - sent, sent
+                left -= sent
+                rest[b] -= sent
+        cap[0][a], cap[a][0] = left, supply[p] - left
     for b, q in enumerate(qs, 2 + len(ps)):
-        cap[b][1], cap[1][b] = demand[q], 0
+        cap[b][1], cap[1][b] = rest[b], demand[q] - rest[b]
+    need = sum(rest.values())
     while need:
         parent = {0: None}
         queue = [0]
@@ -498,9 +523,11 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
 
 
 def _rank1_periods(s: StructureGraph):
+    """The sorted orbit periods of a rank-1 graph, whose classes are the
+    count-1 diagonals, one per orbit; raises NotRankOne otherwise."""
     cached = s.__dict__.get("_rank1_periods")
     if cached is None:
-        for ((a, b), c) in s.transitions:
+        for ((a, b), c) in s.transition_classes:
             if a != b or c != 1:
                 raise NotRankOne("transition edge %r -> %r count %d" % (a, b, c))
         cached = sorted(o.period for o in s.orbits)
@@ -514,20 +541,9 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     period multisets, block maps need a divisor period for every source
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
-    periods (a flow over period classes)."""
-    ps = _rank1_periods(x)
-    qs = _rank1_periods(y)
-    if mode is Mode.CONJUGACY:
-        return ps == qs
-    if mode is Mode.EMBEDDING:
-        return all(ps.count(v) <= qs.count(v) for v in set(ps))
-    periods = set(qs)
-    divisible = all(any(p % q == 0 for q in periods) for p in set(ps))
-    if mode is Mode.BLOCK_MAP:
-        return divisible
-    if mode is Mode.FACTOR:
-        return divisible and _covers(Counter(ps), Counter(qs))
-    raise ValueError("unknown mode %r" % (mode,))
+    periods (a flow over period classes).  True when `_rank1_targets`
+    finds a witness."""
+    return _rank1_targets(mode, x, y) is not None
 
 
 def is_rank_one(s: StructureGraph) -> bool:

@@ -33,10 +33,10 @@ def _lines(text):
             yield n, line.split()
 
 
-def _vertex_lines(text, keyword, fields):
+def _vertex_lines(text, keyword, fields, check=None):
     """The names on the `vertex NAME` lines, and (line number, fields) for
     each line of `keyword` and `fields` tokens; any other line is an
-    error."""
+    error.  When given, check(token, line) vets every name and field."""
     vertices, rows = [], []
     for n, toks in _lines(text):
         if toks[0] == "vertex" and len(toks) == 2:
@@ -45,6 +45,9 @@ def _vertex_lines(text, keyword, fields):
             rows.append((n, tuple(toks[1:])))
         else:
             raise ParseError("line %d: expected 'vertex' or '%s'" % (n, keyword))
+        if check:
+            for tok in toks[1:]:
+                check(tok, n)
     return vertices, rows
 
 
@@ -121,13 +124,21 @@ def _parse_point(tok, orbit_of, n):
 
 
 def parse_structure(text: str) -> StructureGraph:
-    orbits = {}
-    counts = {}
+    """The structure graph a file lists.  Each transition is listed once,
+    with every member of its shift class and one count for the class."""
+    orbits, points = {}, {}
+    listed = set()
+    first = {}  # shift class -> (count, line, point tokens) of its first member
 
     def orbit_of(name, n):
         if name not in orbits:
             raise ParseError("line %d: unknown orbit %r" % (n, name))
         return orbits[name]
+
+    def point_of(tok, n):  # each distinct point token is resolved once per file
+        if tok not in points:
+            points[tok] = _parse_point(tok, orbit_of, n)
+        return points[tok]
 
     for n, toks in _lines(text):
         if toks[0] == "orbit" and len(toks) == 3 and toks[2].startswith("word="):
@@ -136,21 +147,36 @@ def parse_structure(text: str) -> StructureGraph:
                 raise ParseError("line %d: duplicate orbit id %r" % (n, toks[1]))
             orbits[toks[1]] = orbit
         elif toks[0] == "trans" and len(toks) == 4 and toks[3].startswith("count="):
-            a = _parse_point(toks[1], orbit_of, n)
-            b = _parse_point(toks[2], orbit_of, n)
+            a = point_of(toks[1], n)
+            b = point_of(toks[2], n)
             try:
                 c = int(toks[3][len("count="):])
             except ValueError:
                 raise ParseError("line %d: bad count" % n)
             if c < 1:
                 raise ParseError("line %d: count must be >= 1" % n)
-            counts[(a, b)] = c
+            if (a, b) in listed:
+                raise ParseError("line %d: duplicate transition %s %s"
+                                 % (n, toks[1], toks[2]))
+            listed.add((a, b))
+            key = StructureGraph.shift_class(a, b)
+            c0, n0, _toks = first.setdefault(key, (c, n, toks[1:3]))
+            if c0 != c:
+                raise ParseError("line %d: count %d differs from count %d on line %d,"
+                                 " in the same shift class" % (n, c, c0, n0))
         else:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
     try:
-        return StructureGraph.make(orbits.values(), counts)
+        s = StructureGraph.make(orbits.values(), {
+            (xo.point(0), yo.point(r)): c for ((xo, yo, r), (c, _n, _t)) in first.items()})
     except MalformedStructureGraph as e:
         raise ParseError("structure file invalid: %s" % e)
+    if len(listed) < len(s.transitions):
+        x, y = next(pair for (pair, _c) in s.transitions if pair not in listed)
+        _c, n, (ta, tb) = first[StructureGraph.shift_class(x, y)]
+        raise ParseError("line %d: its shift class lacks %s:%d %s:%d" % (
+            n, ta.rsplit(":", 1)[0], x.phase, tb.rsplit(":", 1)[0], y.phase))
+    return s
 
 
 # -- combinatorial representations ------------------------------------------
@@ -233,9 +259,9 @@ def parse_colored(text: str) -> ColoredGraph:
         if toks[0] == "color" and len(toks) == 3:
             if toks[2] not in ("0", "1"):
                 raise ParseError("line %d: color must be 0 or 1" % n)
-            colors[toks[1]] = int(toks[2])
+            colors[_file_symbol(toks[1], n)] = int(toks[2])
         elif toks[0] == "edge" and len(toks) == 3:
-            edges.append((toks[1], toks[2]))
+            edges.append((_file_symbol(toks[1], n), _file_symbol(toks[2], n)))
         else:
             raise ParseError("line %d: expected 'color' or 'edge'" % n)
     try:
@@ -251,7 +277,7 @@ def format_simple(g: SimpleGraph) -> str:
 
 
 def parse_simple(text: str) -> SimpleGraph:
-    vertices, rows = _vertex_lines(text, "edge", 2)
+    vertices, rows = _vertex_lines(text, "edge", 2, _file_symbol)
     try:
         return SimpleGraph.make(vertices, [e for _n, e in rows])
     except ValueError as e:

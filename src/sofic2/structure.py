@@ -14,9 +14,10 @@ so build_structure never minimizes its input:
   vertices that can emit the left tail, so transitional futures are counted
   by a frontier over subset states that sums the walks reaching each state
   and stops at the first state on a cycle;
-* the anchored counts are then smeared over simultaneous shifts of both
-  endpoints, one hit per distinct endpoint pair, and every periodic point
-  contributes one extra orbit to its own diagonal edge.
+* counts are constant on each class of transitions under simultaneous
+  shifts of both endpoints, and each anchored count adds to exactly one
+  class, so the anchored counts are summed per class; every periodic orbit
+  contributes one extra orbit to its own diagonal class.
 
 Admission names the periodic point read off its cycle from each cycle
 vertex.  The edge leaving a cycle vertex with its point's first symbol is
@@ -38,16 +39,6 @@ from .errors import BudgetExceeded
 from .presentation import admit
 
 DEFAULT_PATH_BUDGET = 10 ** 6
-
-
-def _smear(anchored):
-    """Expand anchored per-orbit counts over simultaneous endpoint shifts."""
-    final = {}
-    for ((x, y), n) in anchored.items():
-        for t in range(lcm(x.period, y.period)):
-            key = (x.shift(t), y.shift(t))
-            final[key] = final.get(key, 0) + n
-    return final
 
 
 def _anchored_counts(g: LabeledGraph, point_of):
@@ -97,13 +88,15 @@ def _anchored_counts(g: LabeledGraph, point_of):
 
 
 def _structure_graph(point_of, anchored):
-    """Smear the anchored counts, add one orbit on each periodic point's
-    own diagonal edge, then make the graph."""
-    counts = _smear(anchored)
-    points = set(point_of.values())
-    for pt in points:
-        counts[(pt, pt)] = counts.get((pt, pt), 0) + 1
-    return StructureGraph.make({pt.orbit for pt in points}, counts)
+    """Sum the anchored counts per shift class, add one orbit on each
+    periodic orbit's own diagonal class, then make the graph."""
+    orbits = {pt.orbit for pt in point_of.values()}
+    counts = dict.fromkeys(((o, o, 0) for o in orbits), 1)
+    for ((x, y), n) in anchored.items():
+        key = StructureGraph.shift_class(x, y)
+        counts[key] = counts.get(key, 0) + n
+    return StructureGraph.make(orbits, {(xo.point(0), yo.point(r)): c
+                                        for ((xo, yo, r), c) in counts.items()})
 
 
 def build_structure(g: LabeledGraph) -> StructureGraph:

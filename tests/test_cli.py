@@ -202,6 +202,14 @@ def test_reduce_hom_refuses_the_marker_vertex(tmp_path, capsys):
     assert "ReservedSymbol" in err and "marker" in err
 
 
+def test_reduce_gi_refuses_a_vertex_that_is_not_a_symbol(tmp_path, capsys):
+    cg = tmp_path / "dotted.cg"
+    cg.write_text("color a.b 1\ncolor c 0\nedge a.b c\n")
+    assert main(["reduce", "--gadget", "gi", str(cg)]) == 2
+    err = _one_error_line(capsys)
+    assert "ParseError" in err and "line 1: bad symbol token 'a.b'" in err
+
+
 def test_dash_symbol_is_refused_with_its_line(tmp_path, capsys):
     g = tmp_path / "dash.graph"
     g.write_text("vertex a\nedge a a -\n")

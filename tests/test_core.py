@@ -182,6 +182,9 @@ def test_structure_graph_make_is_the_gate():
         StructureGraph.make([ab], {(y, y): 1, (y.shift(1), y.shift(1)): 2})
     s = StructureGraph.make([a], {(x, x): 1})
     assert s.validate() is s
+    # a class takes the count of any member given
+    assert (StructureGraph.make([ab], {(y.shift(1), y.shift(1)): 1})
+            == StructureGraph.make([ab], {(y, y): 1, (y.shift(1), y.shift(1)): 1}))
 
 
 def _shift_class(x, y):
@@ -207,7 +210,17 @@ def test_transition_classes_hold_one_member_per_class():
             for pair in _shift_class(x, y):
                 assert pair not in expanded
                 expanded[pair] = c
-        assert expanded == s.transition_map
+        assert expanded == dict(s.transitions)
+
+
+def test_count_reads_the_listed_transitions():
+    rng = random.Random(97)
+    for _ in range(100):
+        s = random_structure_graph(rng, max_period=8)
+        listed = dict(s.transitions)
+        for x in s.points():
+            for y in s.points():
+                assert s.count(x, y) == listed.get((x, y), 0)
 
 
 def test_refine_colors_ranks_sorted_signatures():

@@ -1,6 +1,7 @@
 """File format round trips and canonical serialization."""
 
 import random
+import re
 
 import pytest
 
@@ -76,11 +77,22 @@ def test_structure_parse_errors():
     with pytest.raises(ParseError):
         # missing diagonal
         formats.parse_structure("orbit o0 word=0\n")
-    with pytest.raises(ParseError):
-        # equivariance violated
+    with pytest.raises(ParseError, match="^line 3: count 2 differs from count 1 on line 2,"):
+        # equivariance violated: one shift class, two counts
         formats.parse_structure(
             "orbit o0 word=a.b\n"
             "trans o0:0 o0:0 count=1\ntrans o0:1 o0:1 count=2\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate transition o0:0 o0:0$"):
+        formats.parse_structure("orbit o0 word=a\n"
+                                "trans o0:0 o0:0 count=1\ntrans o0:0 o0:0 count=5\n")
+    with pytest.raises(ParseError, match="^line 2: its shift class lacks o0:1 o0:1$"):
+        formats.parse_structure("orbit o0 word=a.b\ntrans o0:0 o0:0 count=1\n")
+    with pytest.raises(ParseError, match="^line 4: its shift class lacks o0:0 o1:0$"):
+        # the class of o0:0 -> o1:1 has lcm(1, 2) = 2 members
+        formats.parse_structure(
+            "orbit o0 word=a\norbit o1 word=b.c\n"
+            "trans o0:0 o0:0 count=1\ntrans o0:0 o1:1 count=3\n"
+            "trans o1:0 o1:0 count=1\ntrans o1:1 o1:1 count=1\n")
 
 
 def test_comb_rep_round_trip():
@@ -131,6 +143,19 @@ def test_colored_and_simple_round_trip():
 ])
 def test_vertex_line_parsers_name_the_bad_line(parse, text, line, expected):
     with pytest.raises(ParseError, match="^line %d: expected %s$" % (line, expected)):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse, text, line, token", [
+    (formats.parse_simple, "vertex a.b\nedge u v\n", 1, "a.b"),
+    (formats.parse_simple, "vertex u\n\nedge u -\n", 3, "-"),
+    (formats.parse_colored, "color a.b 1\ncolor c 0\nedge a.b c\n", 1, "a.b"),
+    (formats.parse_colored, "color u 1\ncolor v 0\nedge u v.w\n", 3, "v.w"),
+])
+def test_vertex_names_must_be_file_symbols(parse, text, line, token):
+    # gadget reductions spell vertex names as symbols of their output
+    with pytest.raises(ParseError, match="^line %d: bad symbol token %s$"
+                       % (line, re.escape(repr(token)))):
         parse(text)
 
 

@@ -46,7 +46,7 @@ def test_gi_gadget_single_edge():
     g = ColoredGraph.make({"u": 0, "v": 1}, [("u", "v")])
     s = gi_gadget(g)
     u, v = canonicalize_point("u"), canonicalize_point("v")
-    assert dict(s.transition_map) == {(u, u): 1, (v, v): 1, (u, v): 1}
+    assert dict(s.transitions) == {(u, u): 1, (v, v): 1, (u, v): 1}
 
 
 def test_gi_gadget_matches_presentation_pipeline():

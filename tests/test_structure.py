@@ -14,6 +14,7 @@ from sofic2 import (
     decide,
     formats,
     oracle_structure,
+    primitive_root,
     synthesize,
     verify_witness,
 )
@@ -52,12 +53,12 @@ def test_fig1_structure_exact(fig1_structure):
         (pt("12", 0), pt("13", 1)): 2,
         (pt("12", 1), pt("13", 0)): 2,
     }
-    assert dict(s.transition_map) == expected
+    assert dict(s.transitions) == expected
 
 
 def test_single_self_loop():
     s = build_structure(LabeledGraph.make([], [("v", "v", "a")]))
-    assert s.transition_map == {(pt("a"), pt("a")): 1}
+    assert dict(s.transitions) == {(pt("a"), pt("a")): 1}
 
 
 def test_chain_counts_are_exact_powers():
@@ -150,7 +151,7 @@ def test_build_ignores_minimization():
 def test_disjoint_cycles_only():
     g = LabeledGraph.make([], [("u", "u", "a"), ("v", "v", "b")])
     s = build_structure(g)
-    assert dict(s.transition_map) == {(pt("a"), pt("a")): 1, (pt("b"), pt("b")): 1}
+    assert dict(s.transitions) == {(pt("a"), pt("a")): 1, (pt("b"), pt("b")): 1}
 
 
 def test_duplicate_parse_counted_once():
@@ -374,6 +375,61 @@ def test_long_periods_match_oracle():
         s = build_structure(g)
         assert s == oracle_structure(g)
         assert max(o.period for o in s.orbits) >= 64
+
+
+def _two_cycle_graph(rng, p, q, departures):
+    """A cycle of period p over {a, b} with `departures` paths of zero to
+    two fresh-labeled middle vertices into a cycle of period q over {0, 1};
+    both cycle words are primitive."""
+    edges = []
+    for name, n, alphabet in (("c", p, "ab"), ("k", q, "01")):
+        while True:
+            w = tuple(rng.choice(alphabet) for _ in range(n))
+            if primitive_root(w)[1] == 1:
+                break
+        edges += [("%s%d" % (name, i), "%s%d" % (name, (i + 1) % n), w[i])
+                  for i in range(n)]
+    for d in range(departures):
+        path = (["c%d" % rng.randrange(p)]
+                + ["m%d_%d" % (d, i) for i in range(rng.randint(0, 2))]
+                + ["k%d" % rng.randrange(q)])
+        edges += [(a, b, "x%d_%d" % (d, i))
+                  for i, (a, b) in enumerate(zip(path, path[1:]))]
+    return LabeledGraph.make([], edges)
+
+
+# periods (p, q) and departures of the two-cycle graphs, coprime and not
+TWO_CYCLES = ((4, 6, 3), (5, 7, 3), (12, 18, 4), (6, 4, 2), (3, 9, 3))
+
+
+def _two_cycle_graphs():
+    rng = random.Random(409)
+    return [_two_cycle_graph(rng, p, q, d) for (p, q, d) in TWO_CYCLES]
+
+
+def test_two_cycle_builder_matches_oracle():
+    for g in _two_cycle_graphs():
+        assert build_structure(g) == oracle_structure(g)
+
+
+# sha256 of format_structure(build_structure(g)) over the graphs of
+# test_structure_output_is_pinned, as build_structure returned them when it
+# still stored every transition and smeared each anchored count over its
+# shift class
+STRUCTURE_DIGEST = (
+    "44d91b6448b198b91d269d8066d1667c3c003f3f9203b3caf3da80f1719a6b8e")
+
+
+def test_structure_output_is_pinned():
+    rng = random.Random(89)
+    graphs = [random_certified_graph(rng) for _ in range(100)]
+    rng = random.Random(401)
+    graphs += [_long_cycle_graph(rng) for _ in range(6)]
+    graphs += _two_cycle_graphs()
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(formats.format_structure(build_structure(g)).encode())
+    assert h.hexdigest() == STRUCTURE_DIGEST
 
 
 def _reach(adj, v):
