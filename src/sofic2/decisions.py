@@ -29,6 +29,10 @@ The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
 own transition count, and its image is forced to the target's periodic
 point, so that orbit can never cover an aperiodic target orbit.
+
+`verify_witness` re-checks a witness against these definitions and reads
+none of the search's tables: commutation orbit by orbit, then each count
+condition once per transition class, which suffices for a commuting map.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import StructureGraph
+from .core import PeriodicPoint, StructureGraph
 from .errors import NotRankOne, WitnessInvalid
 
 
@@ -69,14 +74,40 @@ class SGHomomorphism:
 _UNBOUNDED = float("inf")
 
 
-class _SearchProfile(NamedTuple):
-    """Integer tables of one graph, for either side of a search.  Orbits
-    are indexed in sorted order and the point of orbit i at phase r has the
-    id base[i] + r."""
+class _Orbits(NamedTuple):
+    """The orbits of one graph as integers.  Orbits are indexed in sorted
+    order and the point of orbit i at phase r has the id base[i] + r."""
 
     pts: tuple        # the points by id
     periods: tuple    # per orbit, its period (ascending)
     base: tuple       # per orbit, the id of its phase-0 point
+    by_period: dict   # period -> ascending orbit indices, periods ascending
+
+
+def _orbits(s: StructureGraph) -> _Orbits:
+    """The orbit tables of s, cached on it; building them lists no
+    transition, so the rank-1 path never expands `transitions`."""
+    tab = s.__dict__.get("_orbits")
+    if tab is None:
+        periods = tuple(o.period for o in s.orbits)
+        base, by_period, total = [], {}, 0
+        for i, p in enumerate(periods):
+            base.append(total)
+            total += p
+            by_period.setdefault(p, []).append(i)
+        tab = s.__dict__["_orbits"] = _Orbits(
+            s.points(), periods, tuple(base),
+            {p: tuple(js) for p, js in by_period.items()})
+    return tab
+
+
+class _SearchProfile(NamedTuple):
+    """Integer tables of one graph, for either side of a search, on the
+    ids of `_Orbits`."""
+
+    pts: tuple        # as in _Orbits
+    periods: tuple
+    base: tuple
     edges: tuple      # transitions as (orbit, phase, orbit, phase, count)
     own: tuple        # per orbit, its own edges as (phase, phase, count),
                       # one per shift class
@@ -86,7 +117,7 @@ class _SearchProfile(NamedTuple):
     first: tuple      # per orbit, whether it comes first in its component
     count: dict       # u * len(pts) + v -> count of the transition from
                       # the point with id u to the point with id v
-    by_period: dict   # period -> ascending orbit indices, periods ascending
+    by_period: dict   # as in _Orbits
     options: dict     # as a target: (period, all offsets, injective) -> the
                       # choices of a source orbit, filled by _options
 
@@ -96,18 +127,12 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
     if prof is not None:
         return prof
     idx = {o: i for i, o in enumerate(s.orbits)}
-    periods = tuple(o.period for o in s.orbits)
-    base, total = [], 0
-    for p in periods:
-        base.append(total)
-        total += p
+    pts, periods, base, by_period = _orbits(s)
+    total = len(pts)
     edges = tuple((idx[a.orbit], a.phase, idx[b.orbit], b.phase, c)
                   for ((a, b), c) in s.transitions)
     count = {(base[ia] + pa) * total + base[ib] + pb: c
              for (ia, pa, ib, pb, c) in edges}
-    by_period = {}
-    for i, p in enumerate(periods):
-        by_period.setdefault(p, []).append(i)
     own = [[] for _ in periods]
     shared = {}  # (i, l) with i < l -> the edges between orbits i and l
     # components: each orbit points at an earlier orbit of its component,
@@ -129,9 +154,9 @@ def _search_profile(s: StructureGraph) -> _SearchProfile:
     for (i, l), group in sorted(shared.items()):
         later[i] += ((l, tuple(group)),)
     prof = _SearchProfile(
-        s.points(), periods, tuple(base), edges, tuple(map(tuple, own)),
+        pts, periods, base, edges, tuple(map(tuple, own)),
         tuple(later), tuple([_root(comp, i) == i for i in range(len(periods))]),
-        count, {p: tuple(js) for p, js in by_period.items()}, {})
+        count, by_period, {})
     s.__dict__["_search_profile"] = prof
     return prof
 
@@ -238,8 +263,9 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph):
     """
     xp, yp = _search_profile(x), _search_profile(y)
     n, m = len(xp.periods), len(yp.periods)
-    if mode is Mode.CONJUGACY and (xp.periods != yp.periods
-                                   or len(x.transitions) != len(y.transitions)):
+    if mode is Mode.CONJUGACY and (
+            xp.periods != yp.periods
+            or len(x.transition_classes) != len(y.transition_classes)):
         return None
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
@@ -358,9 +384,9 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     targets = _rank1_targets(mode, x, y)
     if targets is None:
         return None
-    xp, yp = _search_profile(x), _search_profile(y)
-    return _witness(xp, yp, [_images(yp, j, 0, p)
-                             for j, p in zip(targets, xp.periods)])
+    xo, yo = _orbits(x), _orbits(y)
+    return _witness(xo, yo, [_images(yo, j, 0, p)
+                             for j, p in zip(targets, xo.periods)])
 
 
 def _rank1_targets(mode, x, y):
@@ -370,7 +396,7 @@ def _rank1_targets(mode, x, y):
     ps, qs = _rank1_periods(x), _rank1_periods(y)
     if mode is Mode.CONJUGACY and ps != qs:
         return None
-    classes = _search_profile(y).by_period
+    classes = _orbits(y).by_period
     if mode in INJECTIVE_MODES:
         out = []
         for i, p in enumerate(ps):
@@ -481,44 +507,79 @@ def _covers(supply, demand) -> bool:
 def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
                    h: SGHomomorphism) -> bool:
     """Independent validity check of a witness; never raises on malformed
-    maps, simply returns False.  Shares no search code with decide."""
-    vm = dict(h.pairs)
-    pts_x, pts_y = x.points(), set(y.points())
-    if set(vm) != set(pts_x):
-        return False
-    if not all(v in pts_y for v in vm.values()):
-        return False
-    for p in pts_x:
-        if vm[p.shift(1)] != vm[p].shift(1):
+    maps, simply returns False.  Reads none of the search's tables.
+
+    The map must name every point of x once and commute with the shift:
+    phase r of each source orbit goes to the image of its phase 0 moved on
+    r phases, on an orbit whose period divides the source period (else the
+    step from phase p - 1 back to phase 0 breaks).  Then the lcm(p, q)
+    members of a source class map onto the lcm(p', q') members of one
+    target class (p' | p, q' | q), which share one count, each hit
+    lcm(p, q) / lcm(p', q') times.  So each condition is checked once per
+    class of x, at the class of its image:
+
+    * the target count is nonzero, at least the source count for
+      embeddings and equal to it for conjugacies.  Every orbit has its
+      diagonal class, so this also puts every image on an orbit of y;
+    * embeddings and conjugacies are one to one on transitions: the two
+      lcms agree and distinct classes land in distinct classes;
+    * factors: each class adds its aperiodic supply (the count, less one on
+      a diagonal) that many times to its target class, and the total must
+      cover the target's aperiodic orbits;
+    * conjugacies: x and y have equally many classes, so the class map is
+      onto.  The orbit map is then a period-preserving bijection, since two
+      orbits on one target or a lost period would merge or shrink diagonal
+      classes, and a missed orbit would leave its diagonal without a
+      preimage.
+    """
+    periods = {o: o.period for o in x.orbits}
+    named = {}  # source orbit -> {phase: image}
+    for a, b in h.pairs:
+        if not (isinstance(a, PeriodicPoint) and isinstance(b, PeriodicPoint)):
             return False
-    edge_images = []
-    for ((a, b), c) in x.transitions:
-        key = (vm[a], vm[b])
-        if y.count(*key) == 0:
+        named.setdefault(a.orbit, {})[a.phase] = b
+    # with as many pairs as points, every point of x is named exactly once
+    # when every orbit of x has all its phases
+    if len(h.pairs) != sum(periods.values()) or len(named) != len(periods):
+        return False
+    # source orbit -> (period, image orbit, image phase of phase 0, its period)
+    moved = {}
+    for o, at in named.items():
+        p = periods.get(o)  # None for an orbit outside x
+        if len(at) != p:
             return False
-        edge_images.append(key)
-    if mode is Mode.BLOCK_MAP:
+        z = at[0]
+        q, root = z.period, z.orbit.root
+        if p % q:
+            return False
+        for r, b in at.items():
+            if b.orbit.root != root or b.phase != (z.phase + r) % q:
+                return False
+        moved[o] = (p, z.orbit, z.phase, q)
+    embed, conj = mode is Mode.EMBEDDING, mode is Mode.CONJUGACY
+    counts = y._class_counts
+    supply = {}  # target class -> aperiodic supply at each of its members
+    for ((a, b), c) in x.transition_classes:
+        # the representative (a, b) has a at phase 0: its image is the
+        # pair at phases u and v + b.phase of the image orbits
+        pa, ou, u, qu = moved[a.orbit]
+        pb, ov, v, qv = moved[b.orbit]
+        g = gcd(qu, qv)
+        key = (ou, ov, (v + b.phase - u) % g)
+        cy = counts.get(key, 0)
+        if not cy or (embed and c > cy) or (conj and c != cy):
+            return False
+        hits = lcm(pa, pb) * g // (qu * qv)
+        if (embed or conj) and (hits != 1 or key in supply):
+            return False
+        supply[key] = supply.get(key, 0) + hits * (c - 1 if a == b else c)
+    if mode is Mode.BLOCK_MAP or embed:
         return True
-    if mode is Mode.EMBEDDING:
-        if len(set(edge_images)) != len(edge_images):
-            return False
-        return all(c <= y.count(vm[a], vm[b]) for ((a, b), c) in x.transitions)
     if mode is Mode.FACTOR:
-        # every target transition needs a preimage whose aperiodic supply
-        # covers its aperiodic orbits
-        supply = {}
-        for (((a, b), c), key) in zip(x.transitions, edge_images):
-            supply[key] = supply.get(key, 0) + (c - 1 if a == b else c)
-        return all(supply.get(key, -1) >= (c - 1 if key[0] == key[1] else c)
-                   for (key, c) in y.transitions)
-    if mode is Mode.CONJUGACY:
-        if len(set(vm.values())) != len(pts_x) or len(pts_x) != len(pts_y):
-            return False
-        if len(edge_images) != len(set(edge_images)):
-            return False
-        if len(x.transitions) != len(y.transitions):
-            return False
-        return all(c == y.count(vm[a], vm[b]) for ((a, b), c) in x.transitions)
+        return all(supply.get((o, t, r), -1) >= (c - 1 if o == t and not r else c)
+                   for ((o, t, r), c) in counts.items())
+    if conj:
+        return len(x.transition_classes) == len(y.transition_classes)
     raise ValueError("unknown mode %r" % (mode,))
 
 
@@ -567,10 +628,12 @@ def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,
     if not verify_witness(mode, x, y, h):
         raise WitnessInvalid("witness fails verification for %s" % mode.value)
     vm = dict(h.pairs)
+    by_image = {}  # target transition -> its source transitions, in order
+    for ((a, b), k) in x.transitions:
+        by_image.setdefault((vm[a], vm[b]), []).append(((a, b), k))
     out = {}
     for ((ta, tb), c) in y.transitions:
-        sources = [((a, b), k) for ((a, b), k) in x.transitions
-                   if (vm[a], vm[b]) == (ta, tb)]
+        sources = by_image.get((ta, tb), ())
         diag_t = ta == tb
         free_slots = [j for j in range(c) if not (diag_t and j == 0)]
         assign = {}

@@ -11,6 +11,8 @@ where one is allowed, so it is never a symbol token.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .core import (
     LabeledGraph,
     PeriodicOrbit,
@@ -171,7 +173,9 @@ def parse_structure(text: str) -> StructureGraph:
             (xo.point(0), yo.point(r)): c for ((xo, yo, r), (c, _n, _t)) in first.items()})
     except MalformedStructureGraph as e:
         raise ParseError("structure file invalid: %s" % e)
-    if len(listed) < len(s.transitions):
+    # each listed pair is a member of its class; expand only to name a gap
+    if len(listed) < sum(lcm(u.period, v.period)
+                         for ((u, v), _c) in s.transition_classes):
         x, y = next(pair for (pair, _c) in s.transitions if pair not in listed)
         _c, n, (ta, tb) = first[StructureGraph.shift_class(x, y)]
         raise ParseError("line %d: its shift class lacks %s:%d %s:%d" % (

@@ -10,6 +10,7 @@ import pytest
 from sofic2 import (
     LabeledGraph,
     Mode,
+    PeriodicOrbit,
     SGHomomorphism,
     StructureGraph,
     build_structure,
@@ -34,6 +35,7 @@ from conftest import (
     random_structure_graph,
     rename_structure,
 )
+from test_structure import _two_cycle_graphs
 
 ALL_MODES = (Mode.BLOCK_MAP, Mode.EMBEDDING, Mode.FACTOR, Mode.CONJUGACY)
 
@@ -113,11 +115,56 @@ def test_verify_witness_examples(fig1_structure):
         Mode.BLOCK_MAP, fig1_structure, fig1_structure, SGHomomorphism.make(bad2))
 
 
+def reference_verify(mode, x, y, h):
+    """Definitional witness check, member by member: the map names every
+    point of x once, as a point of y, commutes with the shift at every
+    point, and meets the mode's condition at every transition."""
+    vm = dict(h.pairs)
+    pts_x, pts_y = x.points(), set(y.points())
+    if len(vm) != len(h.pairs) or set(vm) != set(pts_x):
+        return False
+    if not all(v in pts_y for v in vm.values()):
+        return False
+    for p in pts_x:
+        if vm[p.shift(1)] != vm[p].shift(1):
+            return False
+    ycount = dict(y.transitions)
+    edge_images = []
+    for ((a, b), c) in x.transitions:
+        key = (vm[a], vm[b])
+        if key not in ycount:
+            return False
+        edge_images.append(key)
+    if mode is Mode.BLOCK_MAP:
+        return True
+    if mode is Mode.EMBEDDING:
+        if len(set(edge_images)) != len(edge_images):
+            return False
+        return all(c <= ycount[vm[a], vm[b]] for ((a, b), c) in x.transitions)
+    if mode is Mode.FACTOR:
+        # every target transition needs a preimage whose aperiodic supply
+        # covers its aperiodic orbits
+        supply = {}
+        for (((a, b), c), key) in zip(x.transitions, edge_images):
+            supply[key] = supply.get(key, 0) + (c - 1 if a == b else c)
+        return all(supply.get(key, -1) >= (c - 1 if key[0] == key[1] else c)
+                   for (key, c) in y.transitions)
+    if mode is Mode.CONJUGACY:
+        if len(set(vm.values())) != len(pts_x) or len(pts_x) != len(pts_y):
+            return False
+        if len(edge_images) != len(set(edge_images)):
+            return False
+        if len(x.transitions) != len(y.transitions):
+            return False
+        return all(c == ycount[vm[a], vm[b]] for ((a, b), c) in x.transitions)
+    raise ValueError("unknown mode %r" % (mode,))
+
+
 def _first_witness_by_enumeration(mode, x, y):
     """Independent exhaustive oracle: the first rotation-commuting orbit
-    assignment that verify_witness accepts, in lexicographic order of the
-    (target orbit, phase offset) choices with source and target orbits by
-    period then root, or None when there is none.  An orbit of period p
+    assignment that `reference_verify` accepts, in lexicographic order of
+    the (target orbit, phase offset) choices with source and target orbits
+    by period then root, or None when there is none.  An orbit of period p
     commutes with the rotation only onto a target whose period divides p."""
     xs = sorted(x.orbits, key=lambda o: o.sort_key())
     ys = sorted(y.orbits, key=lambda o: o.sort_key())
@@ -129,9 +176,131 @@ def _first_witness_by_enumeration(mode, x, y):
             for r in range(o.period):
                 vmap[o.point(r)] = t.point((r + off) % t.period)
         h = SGHomomorphism.make(vmap)
-        if verify_witness(mode, x, y, h):
+        if reference_verify(mode, x, y, h):
             return h
     return None
+
+
+def test_verify_witness_refuses_a_source_named_twice(fig1_structure):
+    s = fig1_structure
+    ident = SGHomomorphism.make({p: p for p in s.points()})
+    a = next(a for (a, _b) in ident.pairs if a.period == 2)
+    # the identity is a witness in every mode; naming a twice, once with a
+    # wrong image, makes the pairs no map at all, whichever pair comes last
+    for pairs in (((a, a.shift(1)),) + ident.pairs,
+                  ident.pairs + ((a, a.shift(1)),)):
+        h = SGHomomorphism(pairs)
+        for mode in ALL_MODES:
+            assert verify_witness(mode, s, s, ident)
+            assert not verify_witness(mode, s, s, h), mode
+            assert not reference_verify(mode, s, s, h), mode
+
+
+def _orbit_map(rng, x, y, collapse):
+    """A random map sending each orbit of x onto one orbit of y at a random
+    phase offset: onto a target whose period divides its own (a smaller
+    one when `collapse` and there is one), or onto any target when none
+    divides, which breaks commutation."""
+    vm = {}
+    for o in x.orbits:
+        ts = [t for t in y.orbits if o.period % t.period == 0]
+        if collapse and any(t.period < o.period for t in ts):
+            ts = [t for t in ts if t.period < o.period]
+        t = rng.choice(ts or y.orbits)
+        off = rng.randrange(t.period)
+        for r in range(o.period):
+            vm[o.point(r)] = t.point(r + off)
+    return vm
+
+
+def _image_graph(rng, x, tag):
+    """A graph that x maps into by a block map that folds orbits: each orbit
+    of x goes to a fresh orbit whose period is a random divisor of its own,
+    or onto one made earlier, and each class of x to the class of its image,
+    with a count within one of its own.  Returns the graph and the map."""
+    made, vm = {}, {}
+    for i, o in enumerate(x.orbits):
+        d = rng.choice([d for d in range(1, o.period + 1) if o.period % d == 0])
+        if made.get(d) and rng.random() < 0.3:
+            t = rng.choice(made[d])
+        else:
+            t = PeriodicOrbit(tuple("%s%d_%d" % (tag, i, k) for k in range(d)))
+            made.setdefault(d, []).append(t)
+        off = rng.randrange(d)
+        for r in range(o.period):
+            vm[o.point(r)] = t.point(r + off)
+    chosen, counts = {}, {}
+    for ((a, b), c) in x.transitions:
+        u, v = vm[a], vm[b]
+        key = StructureGraph.shift_class(u, v)
+        counts[(u, v)] = chosen.setdefault(key, max(1, c + rng.randint(-1, 1)))
+    return StructureGraph.make([t for ts in made.values() for t in ts], counts), vm
+
+
+def _differential_pairs():
+    """(source, target, a map or None) triples: random structure graphs
+    with periods up to 4 (so classes between periods 2 and 4, of gcd 2)
+    against random graphs, their renamed twins and their folded images, and
+    with one class dropped against themselves; hom gadgets; and the
+    two-cycle graphs of the structure tests."""
+    rng = random.Random(4139)
+    pairs = []
+    for _ in range(110):
+        x = random_structure_graph(rng, max_orbits=4, max_period=4, max_count=3)
+        y = random_structure_graph(rng, max_orbits=4, max_period=4, max_count=4)
+        pairs += [(x, y, None), (x, rename_structure(x, "p"), None),
+                  (x,) + _image_graph(rng, x, "f")]
+        # x with one transition class fewer, into x: the identity embeds
+        # it but is no conjugacy
+        classes = [k for (k, _c) in x.transition_classes if k[0] != k[1]]
+        if classes:
+            gone = StructureGraph.shift_class(*rng.choice(classes))
+            less = StructureGraph.make(x.orbits, {
+                k: c for (k, c) in x.transitions
+                if StructureGraph.shift_class(*k) != gone})
+            pairs.append((less, x, {p: p for p in x.points()}))
+    pool = [hom_gadget(random_simple_graph(rng, max_vertices=4)) for _ in range(8)]
+    pairs += [(g, h, None) for g in pool for h in pool[:4]]
+    cycles = [build_structure(g) for g in _two_cycle_graphs()]
+    pairs += [(g, h, None) for g in cycles for h in cycles[:2]]
+    pairs += [(g, rename_structure(g, "p"), None) for g in cycles]
+    return rng, pairs
+
+
+def _mutants(rng, x, y, vm):
+    """Maps one change away from vm: one image moved to another point of y,
+    outside y or to no point at all, one source missing, or one source
+    replaced by a point outside x."""
+    a = rng.choice(sorted(vm, key=lambda p: p.sort_key()))
+    outside = canonicalize_point(("out", "side"), rng.randrange(2))
+    for image in (rng.choice(y.points()), rng.choice(y.points()),
+                  outside, "not a point", None):
+        yield {**vm, a: image}
+    rest = {p: b for p, b in vm.items() if p != a}
+    yield rest
+    yield {**rest, outside: vm[a]}
+
+
+def test_verify_witness_agrees_with_reference():
+    rng, pairs = _differential_pairs()
+    calls = accepted = 0
+    for (x, y, folding) in pairs:
+        maps = [folding] if folding else []
+        for mode in ALL_MODES:
+            w = decide(mode, x, y)
+            if w is not None:
+                maps.append(dict(w.pairs))
+        maps += [_orbit_map(rng, x, y, collapse) for collapse in (False, True, True)]
+        for vm in list(maps):
+            maps += _mutants(rng, x, y, vm)
+        for vm in maps:
+            h = SGHomomorphism(tuple(vm.items()))
+            for mode in ALL_MODES:
+                want = reference_verify(mode, x, y, h)
+                assert verify_witness(mode, x, y, h) == want, (mode, x, y, vm)
+                calls += 1
+                accepted += want
+    assert calls >= 20000 and accepted >= 2000, (calls, accepted)
 
 
 def test_decide_agrees_with_exhaustive_search():
@@ -408,6 +577,27 @@ def test_realize_orbit_map_examples(fig1_structure):
     assert out[(a, a)] == {((a, a), 0): 0, ((a, a), 1): 1, ((a, a), 2): 1}
 
 
+# sha256 of the realizations of decide's witnesses on the seed-4133 pairs
+# below, as realize_orbit_map returned them when it scanned every source
+# transition once per target transition: 784 witnesses
+REALIZATION_DIGEST = (
+    "52d5e984378554d9c77f4817a6711fe4fd6b3541e8074ef2984ddd76f5920278")
+
+
+def test_realize_orbit_map_output_is_pinned():
+    rng = random.Random(4133)
+    h = hashlib.sha256()
+    for _ in range(150):
+        x = random_structure_graph(rng, max_orbits=4, max_period=4, max_count=4)
+        y = random_structure_graph(rng, max_orbits=3, max_period=2, max_count=8)
+        for y in (y, rename_structure(x, "p")):
+            for mode in ALL_MODES:
+                w = decide(mode, x, y)
+                if w is not None:
+                    h.update(repr(realize_orbit_map(mode, x, y, w)).encode())
+    assert h.hexdigest() == REALIZATION_DIGEST
+
+
 def test_realize_orbit_map_modewise_properties():
     rng = random.Random(97)
     for _ in range(40):
@@ -433,6 +623,25 @@ def test_realize_orbit_map_rejects_bad_witness(fig1_structure):
     bad = SGHomomorphism.make({p: pt("0") for p in fig1_structure.points()})
     with pytest.raises(WitnessInvalid):
         realize_orbit_map(Mode.CONJUGACY, fig1_structure, fig1_structure, bad)
+
+
+def test_rank1_decide_and_verify_leave_transitions_unexpanded(fig1_structure):
+    # parse_structure counts the members of each class, decide on two
+    # rank-1 graphs reads their orbits, and verify_witness reads one member
+    # per class: none of them lists every transition
+    x = formats.parse_structure(formats.format_structure(
+        periods_structure([1, 2, 2, 4], tag=1)))
+    y = formats.parse_structure(formats.format_structure(
+        periods_structure([1, 2, 2, 4], tag=2)))
+    for mode in ALL_MODES:
+        w = decide(mode, x, y)
+        assert w is not None and verify_witness(mode, x, y, w), mode
+    s = formats.parse_structure(formats.format_structure(fig1_structure))
+    ident = SGHomomorphism.make({p: p for p in s.points()})
+    for mode in ALL_MODES:
+        assert verify_witness(mode, s, s, ident), mode
+    for g in (x, y, s):
+        assert "transitions" not in g.__dict__
 
 
 def test_decide_empty_graphs():

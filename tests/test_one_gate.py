@@ -1,6 +1,7 @@
 """Structure graphs are built and validated once, by `StructureGraph.make`:
 no library module other than core calls `.validate()` or the raw
-`StructureGraph(...)` constructor."""
+`StructureGraph(...)` constructor.  Witnesses are checked independently:
+`verify_witness` names none of the search's code or tables."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,35 @@ def test_constructor_calls_detects_raw_construction():
 
 def test_only_core_calls_the_constructor():
     assert _outside_core(constructor_calls) == []
+
+
+# the search, its tables and its helpers
+SEARCH_NAMES = {"search", "_search_profile", "_options", "_images", "_witness",
+                "_counts_ok"}
+
+
+def names_used(tree, function):
+    """The names and attribute names that the body of `function` mentions,
+    sorted; None when the tree defines no such function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                          | {n.attr for n in ast.walk(node)
+                             if isinstance(n, ast.Attribute)})
+    return None
+
+
+def test_names_used_sees_calls_and_attributes():
+    tree = ast.parse("def f(s):\n"
+                     "    return _options(s) + decisions._search_profile(s).x\n"
+                     "def search():\n"
+                     "    pass\n")
+    assert SEARCH_NAMES & set(names_used(tree, "f")) == {"_options", "_search_profile"}
+    assert names_used(tree, "g") is None
+
+
+def test_verify_witness_shares_no_search_code():
+    path = SRC / "decisions.py"
+    used = names_used(ast.parse(path.read_text(), str(path)), "verify_witness")
+    assert used is not None
+    assert SEARCH_NAMES.isdisjoint(used), sorted(SEARCH_NAMES.intersection(used))
