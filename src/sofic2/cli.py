@@ -2,8 +2,9 @@
 
 Subcommands: analyze, structure, oracle-structure, synthesize, decide, rank,
 derive, reduce, verify.  Decision commands exit 0 for YES, 1 for NO; every
-command exits 2 on malformed input or refused presentations.  All outputs
-use canonical orderings and are byte-stable across runs.
+command exits 2 on malformed input, refused presentations or an exceeded
+budget.  All outputs use canonical orderings and are byte-stable across
+runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from . import formats
-from .decisions import Mode, decide, search, verify_witness
+from .decisions import DEFAULT_NODE_BUDGET, Mode, decide, search, verify_witness
 from .errors import ParseError, SoficError
 from .presentation import (
     analyze,
@@ -97,7 +98,7 @@ def _cmd_decide(args):
     mode = MODES[args.mode]
     x = formats.parse_structure(_read(args.a))
     y = formats.parse_structure(_read(args.b))
-    witness = (search if args.no_fastpath else decide)(mode, x, y)
+    witness = (search if args.no_fastpath else decide)(mode, x, y, args.budget)
     if witness is None:
         print("NO")
         return 1
@@ -185,6 +186,9 @@ def build_parser():
     p.add_argument("-w", "--witness", help="write the witness here on YES")
     p.add_argument("--no-fastpath", action="store_true",
                    help="force the general search on rank-1 inputs")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="most search nodes to take before giving up "
+                        "(exit 2)")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("rank", help="rank of a combinatorial representation")

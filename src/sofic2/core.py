@@ -21,7 +21,7 @@ All types are immutable and hashable; all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
@@ -90,12 +90,13 @@ def refine_colors(vertices, signature):
         ncolors = len(palette)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicOrbit:
     """A periodic orbit, named by its canonical (primitive, least-rotation)
     root word."""
 
     root: Word
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.root:
@@ -121,12 +122,13 @@ class PeriodicOrbit:
         return (len(self.root), self.root)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicPoint:
     """The configuration x[t] = orbit.root[(t + phase) % period]."""
 
     orbit: PeriodicOrbit
     phase: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.phase < len(self.orbit.root):
@@ -326,8 +328,11 @@ class StructureGraph:
                 raise MalformedStructureGraph("counts not shift equivariant")
             orbs.add(x.orbit)
             orbs.add(y.orbit)
+        # one phase-0 point per orbit, shared by the classes that name it
+        zero = {o: o.point(0) for o in orbs}
         items = tuple(sorted(
-            (((xo.point(0), yo.point(r)), c) for ((xo, yo, r), c) in classes.items()),
+            (((zero[xo], yo.point(r) if r else zero[yo]), c)
+             for ((xo, yo, r), c) in classes.items()),
             key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key())))
         return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items).validate()
 

@@ -17,13 +17,15 @@ targets likewise, offsets ascending).  `search` stays public as the
 reference that the rank-1 path is tested against.
 
 `search` prunes only subtrees that hold no witness, so its first witness
-is the first in that order.  Forward checking (Haralick and Elliott 1980)
-narrows the choices of the later orbits that share transitions with each
-orbit it maps, and backtracks as soon as one has none left.  The first
-orbit of each source component takes phase offset 0 only: shifting all
-images of one component keeps every count, injectivity, and in factor
-mode the component's preimage supply, so some witness at least as early
-has offset 0 there.
+is the first in that order, and reads one transition per shift class.  At
+the root, orbit and class counts can answer NO.  Forward checking
+(Haralick and Elliott 1980) on bitset domains, with bitset supports
+(Lecoutre and Vion 2008), narrows the choices of the later orbits that
+share classes with each orbit it maps, and backtracks as soon as one has
+none left.  The first orbit of each source component takes phase offset 0
+only: shifting all images of one component keeps every count,
+injectivity, and in factor mode the component's preimage supply, so some
+witness at least as early has offset 0 there.
 
 The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
@@ -44,7 +46,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .core import PeriodicPoint, StructureGraph
-from .errors import NotRankOne, WitnessInvalid
+from .errors import BudgetExceeded, NotRankOne, WitnessInvalid
 
 
 class Mode(enum.Enum):
@@ -72,6 +74,10 @@ class SGHomomorphism:
 
 # the upper bound on a target count outside conjugacy mode
 _UNBOUNDED = float("inf")
+
+# the node budget of `sofic2 decide`: over 500 times the most that one
+# search takes in the tests, the demos or the decide-search benchmark (1,746)
+DEFAULT_NODE_BUDGET = 10 ** 6
 
 
 class _Orbits(NamedTuple):
@@ -101,63 +107,54 @@ def _orbits(s: StructureGraph) -> _Orbits:
     return tab
 
 
-class _SearchProfile(NamedTuple):
-    """Integer tables of one graph, for either side of a search, on the
-    ids of `_Orbits`."""
+class _Source(NamedTuple):
+    """The tables of a graph as the source of a search in one mode, on the
+    orbit indices of `_Orbits`.  A class of count c may land on target
+    counts in [lo, hi]: nonzero, at least c for embeddings, exactly c for
+    conjugacies."""
 
-    pts: tuple        # as in _Orbits
-    periods: tuple
-    base: tuple
-    edges: tuple      # transitions as (orbit, phase, orbit, phase, count)
-    own: tuple        # per orbit, its own edges as (phase, phase, count),
-                      # one per shift class
-    later: tuple      # per orbit i, (l, edges) per orbit l > i sharing
-                      # edges with i, one per shift class, each as (phase
-                      # at i, phase at l, count, whether it leaves i)
+    classes: tuple    # per shift class, (orbit, orbit, phase of the target
+                      # end, count) at its representative, whose source end
+                      # has phase 0
+    own: tuple        # per orbit, its own classes as (phase, lo, hi)
+    later: tuple      # per orbit i, (l, group) per orbit l > i sharing
+                      # classes with i, each entry of a group as (phase at
+                      # i, phase at l, whether it leaves i, lo, hi)
     first: tuple      # per orbit, whether it comes first in its component
-    count: dict       # u * len(pts) + v -> count of the transition from
-                      # the point with id u to the point with id v
-    by_period: dict   # as in _Orbits
-    options: dict     # as a target: (period, all offsets, injective) -> the
-                      # choices of a source orbit, filled by _options
 
 
-def _search_profile(s: StructureGraph) -> _SearchProfile:
-    prof = s.__dict__.get("_search_profile")
+def _search_profile(s: StructureGraph, mode: Mode) -> _Source:
+    """The source tables of s in `mode`, cached on it."""
+    cache = s.__dict__.setdefault("_search_profile", {})
+    prof = cache.get(mode)
     if prof is not None:
         return prof
     idx = {o: i for i, o in enumerate(s.orbits)}
-    pts, periods, base, by_period = _orbits(s)
-    total = len(pts)
-    edges = tuple((idx[a.orbit], a.phase, idx[b.orbit], b.phase, c)
-                  for ((a, b), c) in s.transitions)
-    count = {(base[ia] + pa) * total + base[ib] + pb: c
-             for (ia, pa, ib, pb, c) in edges}
-    own = [[] for _ in periods]
-    shared = {}  # (i, l) with i < l -> the edges between orbits i and l
+    n = len(idx)
+    classes, own, shared = [], [[] for _ in range(n)], {}
     # components: each orbit points at an earlier orbit of its component,
     # or at itself when it comes first
-    comp = list(range(len(periods)))
-    # one transition per shift class: see `search` for why that suffices
+    comp = list(range(n))
     for ((a, b), c) in s.transition_classes:
-        ia, pa, ib, pb = idx[a.orbit], a.phase, idx[b.orbit], b.phase
+        ia, ib, pb = idx[a.orbit], idx[b.orbit], b.phase
+        classes.append((ia, ib, pb, c))
+        lo = 1 if mode in (Mode.BLOCK_MAP, Mode.FACTOR) else c
+        hi = c if mode is Mode.CONJUGACY else _UNBOUNDED
         if ia == ib:
-            own[ia].append((pa, pb, c))
+            own[ia].append((pb, lo, hi))
             continue
         if ia < ib:
-            shared.setdefault((ia, ib), []).append((pa, pb, c, True))
+            shared.setdefault((ia, ib), []).append((0, pb, True, lo, hi))
         else:
-            shared.setdefault((ib, ia), []).append((pb, pa, c, False))
+            shared.setdefault((ib, ia), []).append((pb, 0, False, lo, hi))
         ra, rb = _root(comp, ia), _root(comp, ib)
         comp[max(ra, rb)] = min(ra, rb)
-    later = [()] * len(periods)
+    later = [()] * n
     for (i, l), group in sorted(shared.items()):
         later[i] += ((l, tuple(group)),)
-    prof = _SearchProfile(
-        pts, periods, base, edges, tuple(map(tuple, own)),
-        tuple(later), tuple([_root(comp, i) == i for i in range(len(periods))]),
-        count, by_period, {})
-    s.__dict__["_search_profile"] = prof
+    prof = cache[mode] = _Source(
+        tuple(classes), tuple(map(tuple, own)), tuple(later),
+        tuple(_root(comp, i) == i for i in range(n)))
     return prof
 
 
@@ -168,207 +165,285 @@ def _root(comp, i):
     return i
 
 
-def _images(yp, j, off, p):
-    """Per phase r of a source orbit of period p, the id of its image in
-    target orbit j at phase offset `off`."""
-    yb, q = yp.base[j], yp.periods[j]
-    # yb + (r + off) % q for r in range(p), where q divides p
-    return (tuple(range(yb + off, yb + q)) + tuple(range(yb, yb + off))) * (p // q)
+class _Target(NamedTuple):
+    """The tables of a graph as the target of a search.  The shift class
+    (orbit j, orbit j', r) has the key (j * m + j') * span + r, for m
+    orbits and a span no less than any period."""
+
+    span: int
+    count: dict       # class key -> count
+    demand: tuple     # per class, (key, aperiodic orbits at each member)
+    options: dict     # (period, all offsets, injective) -> the choices of
+                      # a source orbit and their masks per target orbit,
+                      # filled by _options
 
 
-def _options(yp, p, shifts, injective):
-    """The choices of a source orbit of period p in target graph yp, in
-    search order: each a target orbit with the image ids of the source
-    phases.  Every phase offset when `shifts`, else only offset 0.  Cached
-    on yp, and never edited: forward checking narrows a copy."""
+def _target_profile(s: StructureGraph) -> _Target:
+    """The target tables of s, cached on it."""
+    prof = s.__dict__.get("_target_profile")
+    if prof is None:
+        idx = {o: i for i, o in enumerate(s.orbits)}
+        m, span = len(idx), max((o.period for o in s.orbits), default=1)
+        count, demand = {}, []
+        for ((a, b), c) in s.transition_classes:
+            key = (idx[a.orbit] * m + idx[b.orbit]) * span + b.phase
+            count[key] = c
+            demand.append((key, c - 1 if a == b else c))
+        prof = s.__dict__["_target_profile"] = _Target(
+            span, count, tuple(demand), {})
+    return prof
+
+
+def _options(yo, yt, p, shifts, injective):
+    """The choices of a source orbit of period p in the target graph, in
+    search order: (target orbit, phase offset) pairs, phase r going to
+    phase r + offset.  Every offset when `shifts`, else only offset 0.
+    Also, per target orbit, the mask of its choices.  Cached on the
+    target's tables."""
     key = (p, shifts, injective)
-    opts = yp.options.get(key)
-    if opts is None:
+    found = yt.options.get(key)
+    if found is None:
         if injective:
-            js = yp.by_period.get(p, ())
+            js = yo.by_period.get(p, ())
         else:
-            js = [j for q, group in yp.by_period.items() if p % q == 0
+            js = [j for q, group in yo.by_period.items() if p % q == 0
                   for j in group]
-        opts = yp.options[key] = [
-            (j, _images(yp, j, off, p)) for j in js
-            for off in (range(yp.periods[j]) if shifts else (0,))]
-    return opts
+        opts, masks = [], {}
+        for j in js:
+            offs = range(yo.periods[j]) if shifts else (0,)
+            masks[j] = ((1 << len(offs)) - 1) << len(opts)
+            opts += [(j, off) for off in offs]
+        found = yt.options[key] = (tuple(opts), masks)
+    return found
 
 
-def _witness(xp, yp, images):
-    """The vertex map sending phase r of source orbit i to the point with
-    id images[i][r]."""
-    xpts, ypts = xp.pts, yp.pts
+def _witness(xo, yo, choices):
+    """The vertex map sending phase r of source orbit i, mapped by
+    choices[i] = (j, off), to phase r + off of target orbit j."""
+    xpts, ypts, ybase, yper = xo.pts, yo.pts, yo.base, yo.periods
     return SGHomomorphism.make(
-        {xpts[b + r]: ypts[v] for b, img in zip(xp.base, images)
-         for r, v in enumerate(img)})
+        {xpts[b + r]: ypts[ybase[j] + (r + off) % yper[j]]
+         for b, p, (j, off) in zip(xo.base, xo.periods, choices)
+         for r in range(p)})
 
 
-def _counts_ok(mode, xp, yp, images):
-    """The factor-mode counting condition of a complete assignment: every
-    target transition receives a preimage with enough aperiodic supply to
-    cover its aperiodic orbits.  Other modes have none; a complete
-    conjugacy assignment already maps the transitions one to one onto
-    equally many target transitions of equal count."""
-    if mode is not Mode.FACTOR:
-        return True
-    size = len(yp.pts)
-    preim = {}
-    for (ia, pa, ib, pb, c) in xp.edges:
-        key = images[ia][pa] * size + images[ib][pb]
-        preim[key] = preim.get(key, 0) + (c - 1 if (ia, pa) == (ib, pb) else c)
-    for (key, c) in yp.count.items():
-        got = preim.get(key)
-        u, v = divmod(key, size)
-        if got is None or got < (c - 1 if u == v else c):
-            return False
-    return True
+def _refuted(mode, x, y):
+    """Whether orbit and class counts alone show there is no witness.
+    Every commuting map sends each class of x onto one class of y.  A
+    surjective map needs as many source orbits as target orbits, and a
+    factor as many source classes as target classes, since each target
+    class needs a preimage class; an injective map lands distinct classes
+    in distinct classes, so x has at most as many; a conjugacy keeps the
+    periods."""
+    nx, ny = len(x.transition_classes), len(y.transition_classes)
+    if mode is Mode.CONJUGACY:
+        return nx != ny or _orbits(x).periods != _orbits(y).periods
+    if mode is Mode.FACTOR:
+        return nx < ny or len(x.orbits) < len(y.orbits)
+    return mode is Mode.EMBEDDING and nx > ny
 
 
-def search(mode: Mode, x: StructureGraph, y: StructureGraph):
+def _support(yo, yt, opts, later, choice):
+    """Forward checking once a source orbit takes `choice` = (j, off): per
+    orbit l in `later`, its row of `_Source.later`, the mask of the options
+    of l under which every class shared with l maps onto a target class
+    whose count lies in [lo, hi]."""
+    j, off = choice
+    yper, count, span, m = yo.periods, yt.count, yt.span, len(yo.periods)
+    q = yper[j]
+    out = []
+    for (l, group) in later:
+        mask, bit, last = 0, 1, None
+        for (jl, offl) in opts[l]:
+            if jl != last:
+                # per shared class, under option (jl, offl) of l: its image
+                # key is base + (d + sign * offl) % g
+                last, g = jl, gcd(q, yper[jl])
+                leave, enter = (j * m + jl) * span, (jl * m + j) * span
+                ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
+                        else (enter, pi + off - pl, -1, lo, hi)
+                        for (pi, pl, leaves, lo, hi) in group]
+            for (base, d, sign, lo, hi) in ends:
+                if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
+                    break
+            else:
+                mask |= bit
+            bit <<= 1
+        out.append((l, mask))
+    return out
+
+
+def _covers_demand(xo, xs, yo, yt, choices):
+    """The factor-mode counting condition of a complete assignment, once
+    per class: a source class of count c whose ends have periods p, p'
+    lands on a target class whose ends have periods q, q', g = gcd(q, q'),
+    hitting each member lcm(p, p') * g / (q * q') times with its aperiodic
+    supply (the count, less one on a diagonal).  Every target class must
+    receive a preimage whose supply covers its aperiodic orbits."""
+    xper, yper, span, m = xo.periods, yo.periods, yt.span, len(yo.periods)
+    supply = {}
+    for (ia, ib, pb, c) in xs.classes:
+        (ja, offa), (jb, offb) = choices[ia], choices[ib]
+        qa, qb = yper[ja], yper[jb]
+        g = gcd(qa, qb)
+        key = (ja * m + jb) * span + (pb + offb - offa) % g
+        hits = lcm(xper[ia], xper[ib]) * g // (qa * qb)
+        supply[key] = supply.get(key, 0) + hits * (
+            c - 1 if ia == ib and not pb else c)
+    return all(supply.get(key, -1) >= need for (key, need) in yt.demand)
+
+
+def _node_limit(budget):
+    """The node limit of a budget (None: no bound); refuses one below 1."""
+    if budget is None:
+        return _UNBOUNDED
+    if budget < 1:
+        raise BudgetExceeded("node budget %d is below 1" % budget)
+    return budget
+
+
+def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     """First witness homomorphism under the deterministic search order, or
-    None when no witness exists.  Works on graphs of any rank.
+    None when no witness exists.  Works on graphs of any rank.  Raises
+    BudgetExceeded once it would take more than `budget` nodes (accepted
+    choices); None means no bound.
 
-    A depth-first search with one level per source orbit, taken by period
-    then root.  Each level tries the target orbits by period then root and,
-    for each, the phase offsets ascending.  A component of the source is a
-    set of orbits joined by transitions between distinct orbits; the first
-    orbit of each component, in search order, tries only offset 0.
-    Shifting every image in one component by the same power of the shift
-    turns a witness into a witness in all four modes: counts are
-    shift-invariant, injectivity is kept, and the component's preimage
-    supply in factor mode is already invariant, since source transitions
-    come in whole shift classes.  So the first witness has offset 0 there.
+    After `_refuted`, a depth-first search with one level per source orbit,
+    taken by period then root.  Each level tries the target orbits by
+    period then root and, for each, the phase offsets ascending.  A
+    component of the source is a set of orbits joined by transitions
+    between distinct orbits; the first orbit of each component, in search
+    order, tries only offset 0.  Shifting every image in one component by
+    the same power of the shift turns a witness into a witness in all four
+    modes: counts are shift-invariant, injectivity is kept, and the
+    component's preimage supply in factor mode is already invariant, since
+    source transitions come in whole shift classes.
 
-    A choice is kept when the orbit's own transitions map onto transitions
-    of nonzero count (at least as large for embeddings, equal for
-    conjugacies).  Forward checking then narrows the choices of every later
-    orbit that shares a transition with this one to those under which the
-    shared transitions map the same way, and a choice that empties one of
-    them is dropped; the narrowed domains are restored on backtracking.  So
-    the transitions between distinct orbits are checked once, when the
-    earlier of the two is mapped, and the search prunes only subtrees that
-    hold no witness.  Both checks read one transition per shift class, from
-    `StructureGraph.transition_classes`: counts on both sides are shift
-    equivariant and every choice commutes with the shift, so the other
-    members of a class map the same way.  Injective modes never reuse a
-    target; surjective modes stop reusing targets once the uncovered
-    targets are as many as the orbits left.  A complete assignment is a
-    witness; in factor mode it must also meet the counting condition, over
-    every transition.
+    Every check reads one transition per shift class: counts on both sides
+    are shift equivariant and every choice commutes with the shift, so the
+    rest of a class maps the same way.  A domain is a bitset over an
+    orbit's options.  An orbit's own classes map by its target orbit alone,
+    so they filter its domain once, before the search.  Forward checking
+    then ands the domain of each later orbit sharing classes with the orbit
+    just mapped with the `_support` mask of its choice, built on first use
+    and kept for this call; a choice that empties a domain is dropped, and
+    a trail of replaced masks undoes the narrowing on backtracking.  So the
+    search prunes only subtrees that hold no witness.  Injective modes
+    mask out the options on targets in use; surjective modes do so once
+    the uncovered targets are as many as the orbits left.  A complete
+    assignment is a witness; in factor mode it must also pass
+    `_covers_demand`.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
     case: the paper shows these decisions NP-hard.
     """
-    xp, yp = _search_profile(x), _search_profile(y)
-    n, m = len(xp.periods), len(yp.periods)
-    if mode is Mode.CONJUGACY and (
-            xp.periods != yp.periods
-            or len(x.transition_classes) != len(y.transition_classes)):
+    limit = _node_limit(budget)
+    if _refuted(mode, x, y):
         return None
+    xo, yo = _orbits(x), _orbits(y)
+    xs, yt = _search_profile(x, mode), _target_profile(y)
+    n, m = len(xo.periods), len(yo.periods)
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
-    if surjective and m > n:
-        return None
-    embed, conj = mode is Mode.EMBEDDING, mode is Mode.CONJUGACY
-    own, later, count, size = xp.own, xp.later, yp.count, len(yp.pts)
+    count, span, yper = yt.count, yt.span, yo.periods
     # the first orbit of each component takes offset 0 only
-    domain = [_options(yp, p, not first, injective)
-              for p, first in zip(xp.periods, xp.first)]
-    targets, images, resume = [0] * n, [()] * n, [0] * n
-    # per level, the (orbit, domain) pairs that its current choice narrowed
+    found = [_options(yo, yt, p, not first, injective)
+             for p, first in zip(xo.periods, xs.first)]
+    opts = [f[0] for f in found]
+    # per options list of this search, its masks per target orbit and the
+    # mask of its choices whose target is in use
+    lists = {id(f[0]): f[1] for f in found}
+    used = dict.fromkeys(lists, 0)
+    domain, own_masks = [], {}
+    for bounds, (choices, masks) in zip(xs.own, found):
+        key = (id(choices), bounds)
+        if key not in own_masks:
+            own_masks[key] = sum(
+                jmask for j, jmask in masks.items()
+                if all(lo <= count.get((j * m + j) * span + pb % yper[j], 0) <= hi
+                       for (pb, lo, hi) in bounds))
+        if not own_masks[key]:
+            return None
+        domain.append(own_masks[key])
+    choice, resume = [None] * n, [0] * n
+    # per level, the (orbit, mask) pairs that its current choice replaced
     trail = [[] for _ in range(n)]
+    supports = {}  # (level, option index + 1) -> its _support, on first use
     uses = [0] * m
-    covered = 0
+    covered = nodes = 0
     # Invariant in the surjective modes: at level i, m - covered <= n - i;
     # so a complete assignment covers every target.
     i = k = 0
     while i >= 0:
         if i == n:
-            if _counts_ok(mode, xp, yp, images):
-                return _witness(xp, yp, images)
-            opts = ()
+            if mode is not Mode.FACTOR or _covers_demand(xo, xs, yo, yt, choice):
+                return _witness(xo, yo, choice)
+            rest = 0
         else:
-            opts = domain[i]
-            fresh_only = injective or (surjective and m - covered == n - i)
-            edges, saved = own[i], trail[i]
-        while k < len(opts):
-            j, img = opts[k]
-            k += 1
-            if fresh_only and uses[j]:
-                continue
-            for (pa, pb, c) in edges:
-                cy = count.get(img[pa] * size + img[pb], 0)
-                if cy == 0 or (embed and c > cy) or (conj and c != cy):
-                    break
+            options, saved = opts[i], trail[i]
+            rest = domain[i]
+            if injective or (surjective and m - covered == n - i):
+                rest &= ~used[id(options)]
+            # bit b of rest is option k + b of level i
+            rest >>= k
+        while rest:
+            step = (rest & -rest).bit_length()
+            rest >>= step
+            k += step
+            sup = supports.get((i, k))
+            if sup is None:
+                sup = supports[(i, k)] = _support(
+                    yo, yt, opts, xs.later[i], options[k - 1])
+            for (l, mask) in sup:
+                old = domain[l]
+                new = old & mask
+                if new != old:
+                    saved.append((l, old))
+                    domain[l] = new
+                    if not new:
+                        break
             else:
-                if _narrow(domain, later[i], saved, img, yp, embed, conj):
-                    break
-                _restore(domain, saved)
+                break
+            while saved:
+                l, old = saved.pop()
+                domain[l] = old
         else:
             # level i is exhausted: undo the choice of level i - 1 and
             # resume that level after it
             i -= 1
             if i >= 0:
                 k = resume[i]
-                j = targets[i]
+                j = choice[i][0]
                 uses[j] -= 1
                 if not uses[j]:
                     covered -= 1
-                _restore(domain, trail[i])
+                    for key, masks in lists.items():
+                        used[key] &= ~masks.get(j, 0)
+                saved = trail[i]
+                while saved:
+                    l, old = saved.pop()
+                    domain[l] = old
             continue
-        targets[i], images[i] = j, img
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded("search needs more than %d nodes" % budget)
+        choice[i] = options[k - 1]
+        j = choice[i][0]
         if not uses[j]:
             covered += 1
+            for key, masks in lists.items():
+                used[key] |= masks.get(j, 0)
         uses[j] += 1
         resume[i] = k
         i, k = i + 1, 0
     return None
 
 
-def _narrow(domain, later, saved, img, yp, embed, conj):
-    """Forward checking once a source orbit is mapped with the phase
-    images `img`: narrow the domain of each later orbit in `later` to the
-    choices under which every shared transition maps onto a target
-    transition of nonzero count (at least as large for embeddings, equal
-    for conjugacies).  Each replaced domain is pushed onto `saved`.  False
-    as soon as a domain empties."""
-    count, size = yp.count, len(yp.pts)
-    for (l, group) in later:
-        # per shared edge: the key of its image is key + scale * (the image
-        # of its phase pl at l), and the image count must lie in [lo, hi]
-        ends = []
-        for (pi, pl, c, out) in group:
-            u = img[pi]
-            ends.append((u * size if out else u, 1 if out else size, pl,
-                         c if embed or conj else 1, c if conj else _UNBOUNDED))
-        kept = []
-        for opt in domain[l]:
-            imgl = opt[1]
-            for (key, scale, pl, lo, hi) in ends:
-                if not lo <= count.get(key + scale * imgl[pl], 0) <= hi:
-                    break
-            else:
-                kept.append(opt)
-        saved.append((l, domain[l]))
-        domain[l] = kept
-        if not kept:
-            return False
-    return True
-
-
-def _restore(domain, saved):
-    """Undo the narrowing recorded in `saved`, latest first."""
-    while saved:
-        l, d = saved.pop()
-        domain[l] = d
-
-
-def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
+def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     """First witness homomorphism under the deterministic search order
     (orbits by period then root, targets likewise, offsets ascending), or
-    None when no witness exists.
+    None when no witness exists.  `budget` bounds the nodes of `search`.
 
     When both graphs have rank 1, `_rank1_targets` builds the witness that
     `search` would find first, or shows there is none, with no search:
@@ -379,14 +454,13 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph):
     remaining source orbits cover every uncovered target.  Other inputs go
     to `search`.  Neither path recurses.
     """
+    _node_limit(budget)
     if not (is_rank_one(x) and is_rank_one(y)):
-        return search(mode, x, y)
+        return search(mode, x, y, budget)
     targets = _rank1_targets(mode, x, y)
     if targets is None:
         return None
-    xo, yo = _orbits(x), _orbits(y)
-    return _witness(xo, yo, [_images(yo, j, 0, p)
-                             for j, p in zip(targets, xo.periods)])
+    return _witness(_orbits(x), _orbits(y), [(j, 0) for j in targets])
 
 
 def _rank1_targets(mode, x, y):
@@ -534,7 +608,11 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
     """
     periods = {o: o.period for o in x.orbits}
     named = {}  # source orbit -> {phase: image}
-    for a, b in h.pairs:
+    for pair in h.pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            return False
         if not (isinstance(a, PeriodicPoint) and isinstance(b, PeriodicPoint)):
             return False
         named.setdefault(a.orbit, {})[a.phase] = b
@@ -586,13 +664,13 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
 def _rank1_periods(s: StructureGraph):
     """The sorted orbit periods of a rank-1 graph, whose classes are the
     count-1 diagonals, one per orbit; raises NotRankOne otherwise."""
-    cached = s.__dict__.get("_rank1_periods")
-    if cached is None:
+    if not is_rank_one(s):
         for ((a, b), c) in s.transition_classes:
             if a != b or c != 1:
                 raise NotRankOne("transition edge %r -> %r count %d" % (a, b, c))
-        cached = sorted(o.period for o in s.orbits)
-        s.__dict__["_rank1_periods"] = cached
+    cached = s.__dict__.get("_rank1_periods")
+    if cached is None:
+        cached = s.__dict__["_rank1_periods"] = sorted(o.period for o in s.orbits)
     return cached
 
 
@@ -608,11 +686,12 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
 
 
 def is_rank_one(s: StructureGraph) -> bool:
-    try:
-        _rank1_periods(s)
-        return True
-    except NotRankOne:
-        return False
+    """Whether every class of s is a count-1 diagonal, cached on s."""
+    one = s.__dict__.get("_rank_one")
+    if one is None:
+        one = s.__dict__["_rank_one"] = all(
+            a == b and c == 1 for ((a, b), c) in s.transition_classes)
+    return one
 
 
 def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,

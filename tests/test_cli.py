@@ -125,6 +125,24 @@ def test_decide_no_case(tmp_path, capsys):
     assert main(["decide", "--mode", "factor", str(a), str(b)]) == 0
 
 
+def test_decide_budget(tmp_path, fig1_sg_file, fig1_structure, capsys):
+    # conjugacy with a renamed twin takes one node per orbit
+    rpath = tmp_path / "renamed.sg"
+    rpath.write_text(formats.format_structure(rename_structure(fig1_structure, "x")))
+    args = ["decide", "--mode", "conj", fig1_sg_file, str(rpath)]
+    n = len(fig1_structure.orbits)
+    assert main(args + ["--budget", str(n)]) == 0
+    capsys.readouterr()
+    for flags in (["--budget", str(n - 1)], ["--budget", str(n - 1), "--no-fastpath"]):
+        assert main(args + flags) == 2
+        err = _one_error_line(capsys)
+        assert "BudgetExceeded" in err and "more than %d nodes" % (n - 1) in err
+    # a budget below 1 is refused before the rank-1 path too
+    assert main(["decide", "--mode", "conj", "--budget", "0", str(rpath),
+                 str(rpath)]) == 2
+    assert "node budget 0 is below 1" in _one_error_line(capsys)
+
+
 def test_decide_fastpath_consistency(tmp_path, capsys):
     a = tmp_path / "a.sg"
     b = tmp_path / "b.sg"

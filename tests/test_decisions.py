@@ -4,6 +4,7 @@ rank-1 fast paths and witness realization."""
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,8 @@ from sofic2 import (
     search,
     verify_witness,
 )
-from sofic2.errors import NotRankOne, WitnessInvalid
+from sofic2.decisions import _refuted
+from sofic2.errors import BudgetExceeded, NotRankOne, WitnessInvalid
 from sofic2.reductions import Digraph
 
 from conftest import (
@@ -179,6 +181,15 @@ def _first_witness_by_enumeration(mode, x, y):
         if reference_verify(mode, x, y, h):
             return h
     return None
+
+
+def test_verify_witness_refuses_pairs_that_are_not_pairs(fig1_structure):
+    s = fig1_structure
+    a = s.points()[0]
+    for pairs in (((1, 2, 3),), ((5,),), (5,), ((a, a, a),), ((a,),)):
+        h = SGHomomorphism(pairs)
+        for mode in ALL_MODES:
+            assert not verify_witness(mode, s, s, h), (mode, pairs)
 
 
 def test_verify_witness_refuses_a_source_named_twice(fig1_structure):
@@ -558,6 +569,77 @@ def test_search_first_witnesses_are_pinned():
     assert h.hexdigest() == PINNED_WITNESS_DIGEST
 
 
+def _gadget_stream_pairs():
+    """The hom gadgets of the first 60 pairs of the seed-2027 stream over
+    a 40-graph pool: the gadget pairs of the decide-search benchmark."""
+    rng = random.Random(2027)
+    pool = [random_simple_graph(rng, max_vertices=6) for _ in range(40)]
+    pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(60)]
+    gadgets = [hom_gadget(g) for g in pool]
+    return [(gadgets[i], gadgets[j]) for (i, j) in pairs]
+
+
+# sha256 of the witnesses (or NO) of `search` on _gadget_stream_pairs in
+# ALL_MODES order, as the search that read member-level counts and narrowed
+# domain lists returned them: 94 YES of 240
+GADGET_STREAM_DIGEST = (
+    "8ca0b3a3f8be5360129b7d74cf4f7f30e9cebe8002b8aa4fdc9c5fb03bab4b4e")
+
+
+def test_search_first_witnesses_on_the_gadget_stream_are_pinned():
+    h = hashlib.sha256()
+    for (x, y) in _gadget_stream_pairs():
+        for mode in ALL_MODES:
+            w = search(mode, x, y)
+            h.update((formats.format_witness(w) if w is not None else "NO\n").encode())
+    assert h.hexdigest() == GADGET_STREAM_DIGEST
+
+
+def test_counting_refutations_hold_no_witness():
+    # whenever orbit or class counts alone refute a pair, exhaustive
+    # enumeration finds no witness either; the class counts refute factors
+    # whose orbit counts would allow one, and every refuted embedding
+    fired = Counter()
+    for (x, y) in _seeded_pairs(74, 200):
+        for (a, b) in ((x, y), (y, x)):
+            for mode in ALL_MODES:
+                if not _refuted(mode, a, b):
+                    continue
+                assert _first_witness_by_enumeration(mode, a, b) is None, \
+                    (mode, a, b)
+                fired[mode, len(a.orbits) >= len(b.orbits)] += 1
+    assert fired[Mode.FACTOR, True] >= 20, fired
+    assert fired[Mode.EMBEDDING, True] + fired[Mode.EMBEDDING, False] >= 20, fired
+    assert fired[Mode.CONJUGACY, True] >= 20, fired
+    assert not fired[Mode.BLOCK_MAP, True] + fired[Mode.BLOCK_MAP, False]
+
+
+def test_search_counts_one_node_per_accepted_choice(fig1_structure):
+    # conjugacy of a graph with a renamed twin: the first choice of every
+    # orbit is kept, so the search takes one node per orbit
+    y = rename_structure(fig1_structure, "r")
+    n = len(fig1_structure.orbits)
+    assert search(Mode.CONJUGACY, fig1_structure, y, budget=n) is not None
+    with pytest.raises(BudgetExceeded):
+        search(Mode.CONJUGACY, fig1_structure, y, budget=n - 1)
+    with pytest.raises(BudgetExceeded):
+        decide(Mode.CONJUGACY, fig1_structure, y, budget=n - 1)
+    for budget in (0, -1):
+        with pytest.raises(BudgetExceeded):
+            decide(Mode.BLOCK_MAP, periods_structure([1]), periods_structure([1]),
+                   budget=budget)
+
+
+def test_a_budget_leaves_the_first_witness_unchanged():
+    for (x, y) in _gadget_stream_pairs()[:12]:
+        for mode in ALL_MODES:
+            try:
+                w = search(mode, x, y, budget=50)
+            except BudgetExceeded:
+                continue
+            assert w == search(mode, x, y), mode
+
+
 def test_realize_orbit_map_examples(fig1_structure):
     # identity on Figure 1
     ident = SGHomomorphism.make({p: p for p in fig1_structure.points()})
@@ -627,8 +709,9 @@ def test_realize_orbit_map_rejects_bad_witness(fig1_structure):
 
 def test_rank1_decide_and_verify_leave_transitions_unexpanded(fig1_structure):
     # parse_structure counts the members of each class, decide on two
-    # rank-1 graphs reads their orbits, and verify_witness reads one member
-    # per class: none of them lists every transition
+    # rank-1 graphs reads their orbits, search on graphs of rank 2 and
+    # verify_witness read one member per class: none of them lists every
+    # transition
     x = formats.parse_structure(formats.format_structure(
         periods_structure([1, 2, 2, 4], tag=1)))
     y = formats.parse_structure(formats.format_structure(
@@ -640,7 +723,18 @@ def test_rank1_decide_and_verify_leave_transitions_unexpanded(fig1_structure):
     ident = SGHomomorphism.make({p: p for p in s.points()})
     for mode in ALL_MODES:
         assert verify_witness(mode, s, s, ident), mode
-    for g in (x, y, s):
+    t = formats.parse_structure(formats.format_structure(
+        rename_structure(fig1_structure, "r")))
+    u, v = (formats.parse_structure(formats.format_structure(z))
+            for z in _gadget_stream_pairs()[0])
+    yes = 0
+    for (a, b) in ((s, t), (t, s), (u, v), (v, u), (s, u)):
+        for mode in ALL_MODES:
+            w = search(mode, a, b)
+            yes += w is not None
+            assert w is None or verify_witness(mode, a, b, w), mode
+    assert yes >= 8
+    for g in (x, y, s, t, u, v):
         assert "transitions" not in g.__dict__
 
 

@@ -1,7 +1,9 @@
 """Structure graphs are built and validated once, by `StructureGraph.make`:
 no library module other than core calls `.validate()` or the raw
 `StructureGraph(...)` constructor.  Witnesses are checked independently:
-`verify_witness` names none of the search's code or tables."""
+`verify_witness` names none of the search's code or tables.  The search
+reads one transition per shift class: none of its code names
+`transitions`."""
 
 import ast
 from pathlib import Path
@@ -61,8 +63,8 @@ def test_only_core_calls_the_constructor():
 
 
 # the search, its tables and its helpers
-SEARCH_NAMES = {"search", "_search_profile", "_options", "_images", "_witness",
-                "_counts_ok"}
+SEARCH_NAMES = {"search", "_search_profile", "_target_profile", "_options",
+                "_support", "_witness", "_covers_demand", "_refuted"}
 
 
 def names_used(tree, function):
@@ -90,3 +92,12 @@ def test_verify_witness_shares_no_search_code():
     used = names_used(ast.parse(path.read_text(), str(path)), "verify_witness")
     assert used is not None
     assert SEARCH_NAMES.isdisjoint(used), sorted(SEARCH_NAMES.intersection(used))
+
+
+def test_search_never_names_transitions():
+    path = SRC / "decisions.py"
+    tree = ast.parse(path.read_text(), str(path))
+    for function in sorted(SEARCH_NAMES):
+        used = names_used(tree, function)
+        assert used is not None, function
+        assert "transitions" not in used, function
