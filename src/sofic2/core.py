@@ -33,7 +33,9 @@ Word = tuple
 
 
 def _check_symbol(s) -> str:
-    if not isinstance(s, str) or not s or any(c.isspace() for c in s):
+    # str.split() with no separator splits at exactly the characters for
+    # which str.isspace() holds, and gives [] for the empty string
+    if not isinstance(s, str) or s.split() != [s]:
         raise ValueError("bad symbol token: %r" % (s,))
     return s
 
@@ -251,10 +253,16 @@ class LabeledGraph:
 
     @classmethod
     def make(cls, vertices, edges) -> "LabeledGraph":
+        """The graph on the given vertices and the edge endpoints; checks
+        each distinct label once, in edge order, so a ValueError names the
+        first bad label."""
         vs = set(vertices)
         es = []
+        checked = set()
         for (a, b, s) in edges:
-            _check_symbol(s)
+            # a non-str label is refused before it is hashed
+            if type(s) is not str or s not in checked:
+                checked.add(_check_symbol(s))
             vs.add(a)
             vs.add(b)
             es.append((a, b, s))

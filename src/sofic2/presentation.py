@@ -38,7 +38,8 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
 
     Removes vertices lacking an incoming or outgoing edge, one at a time
     from a queue while updating the degrees of their neighbours; the
-    presented shift is unchanged.  May return the empty graph.
+    presented shift is unchanged.  Returns g itself when it is already
+    essential.  May return the empty graph.
     """
     indeg = dict.fromkeys(g.vertices, 0)
     outdeg = dict.fromkeys(g.vertices, 0)
@@ -55,13 +56,18 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
                 if not deg[w] and w not in gone:
                     gone.add(w)
                     queue.append(w)
-    return LabeledGraph.make(g.vertices - gone, [(a, b, s) for (a, b, s) in g.edges
-                                                 if a not in gone and b not in gone])
+    if not gone:
+        return g
+    # a filtered sorted tuple stays sorted, and its labels are already checked
+    return LabeledGraph(g.vertices - gone, tuple(e for e in g.edges
+                                                 if e[0] not in gone and e[1] not in gone))
 
 
 def check_right_resolving(g: LabeledGraph):
     """(vertex, label) pairs with two or more outgoing edges sharing the
     label; empty list iff the presentation is right-resolving."""
+    if len({(a, s) for (a, _b, s) in g.edges}) == len(g.edges):
+        return []
     bad = []
     for v in sorted(g.vertices):
         seen = {}
@@ -215,7 +221,8 @@ def _cycle_certificate(g: LabeledGraph):
     vertex lies on the first cycle whose paths visit three or more (None
     when rank <= 2).
     """
-    succ = {v: sorted({b for (b, s) in g.out_map[v]}) for v in g.vertices}
+    # out_map lists each vertex's successors in sorted order
+    succ = {v: dict.fromkeys(b for (b, _s) in out) for v, out in g.out_map.items()}
     sccs = _tarjan_sccs(g.vertices, succ)  # reverse topological order
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     best = []
@@ -296,7 +303,7 @@ def analyze(g: LabeledGraph) -> AnalysisReport:
     """
     rr = is_right_resolving(g)
     trimmed = trim_essential(g)
-    essential = (trimmed.vertices == g.vertices and trimmed.edges == g.edges)
+    essential = trimmed is g
     cycles, _label, rank, _vertex = _cycle_certificate(trimmed)
     if not rr or cycles is None:
         return AnalysisReport(rr, essential, cycles or (), False, RANK_UNCERTIFIED)
@@ -364,6 +371,8 @@ def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:
     forbidden word); edges extend by one symbol when the N-window stays
     allowed.  The result is trimmed essential but not necessarily
     right-resolving when symbol_map collapses symbols; see determinize.
+    Raises SizeLimitExceeded as soon as a length has more than
+    MAX_DETERMINIZE_STATES allowed words.
     """
     alphabet = [_check_symbol(a) for a in alphabet]
     forbidden = [word(w) for w in forbidden]
@@ -374,13 +383,17 @@ def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:
     def allowed(w):
         return not any(_contains(w, f) for f in forbidden)
 
-    def grow(words, upto):
-        for _ in range(upto):
-            words = [w + (a,) for w in words for a in alphabet
-                     if allowed(w + (a,))]
-        return words
-
-    verts = grow([()], n - 1)
+    verts = [()]
+    for length in range(1, n):
+        longer = []
+        for w in verts:
+            for a in alphabet:
+                if allowed(w + (a,)):
+                    if len(longer) == MAX_DETERMINIZE_STATES:
+                        raise SizeLimitExceeded("more than %d allowed words of length %d"
+                                                % (MAX_DETERMINIZE_STATES, length))
+                    longer.append(w + (a,))
+        verts = longer
     vname = {w: ".".join(w) if w else "@" for w in verts}
     edges = []
     for w in verts:

@@ -249,6 +249,15 @@ def test_forbid_file_is_converted(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_forbid_file_with_too_many_words_is_refused(tmp_path, capsys):
+    # 10**8 allowed words of length 8; the cap stops the growth at length 6
+    f = tmp_path / "wide.forbid"
+    f.write_text("alphabet 0 1 2 3 4 5 6 7 8 9\nforbid 0.1.2.3.4.5.6.7.8\n")
+    assert main(["structure", str(f)]) == 2
+    err = _one_error_line(capsys)
+    assert "SizeLimitExceeded" in err and "length 6" in err
+
+
 def test_reduce_digraph_with_shared_counts(tmp_path, fig1_sg_file, capsys):
     out = tmp_path / "d.digraph"
     assert main(["reduce", "--gadget", "digraph", fig1_sg_file,

@@ -18,7 +18,8 @@ from sofic2 import (
     trim_essential,
     word,
 )
-from sofic2.errors import EmptyRepresentation, NotRightResolving
+from sofic2 import presentation
+from sofic2.errors import EmptyRepresentation, NotRightResolving, SizeLimitExceeded
 from sofic2.presentation import RANK_HIGH, RANK_UNCERTIFIED
 
 from conftest import FIG1_TERMS, random_comb_rep, words_of_length
@@ -205,6 +206,16 @@ def test_from_forbidden_words_collapsing_map_needs_determinize():
     assert check_right_resolving(d) == []
     for n in range(1, 6):
         assert words_of_length(d, n) == words_of_length(g, n)
+
+
+def test_from_forbidden_words_caps_the_words_of_each_length(monkeypatch):
+    # all 8 binary words of length 3 are allowed
+    assert len(from_forbidden_words("01", ["0000"]).vertices) == 8
+    monkeypatch.setattr(presentation, "MAX_DETERMINIZE_STATES", 8)
+    assert len(from_forbidden_words("01", ["0000"]).vertices) == 8
+    monkeypatch.setattr(presentation, "MAX_DETERMINIZE_STATES", 7)
+    with pytest.raises(SizeLimitExceeded, match="more than 7 allowed words of length 3"):
+        from_forbidden_words("01", ["0000"])
 
 
 def test_rank_of_comb_rep():
