@@ -131,10 +131,9 @@ def _cmd_reduce(args):
         _emit(formats.format_structure(hom_gadget(g)), args.output)
     else:
         s = formats.parse_structure(_read(args.input))
-        table = digraph_count_table(s)
-        if args.with_counts_from:
-            other = formats.parse_structure(_read(args.with_counts_from))
-            table = digraph_count_table(s, other)
+        others = ([formats.parse_structure(_read(args.with_counts_from))]
+                  if args.with_counts_from else [])
+        table = digraph_count_table(s, *others)
         _emit(formats.format_digraph(digraph_gadget(s, table)), args.output)
     return 0
 

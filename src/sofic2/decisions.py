@@ -14,7 +14,8 @@ side conditions, kept on an explicit stack so that no input depends on the
 interpreter's recursion limit.  Both paths return the same witness: the
 first one in the search order (source orbits by period then root, their
 targets likewise, offsets ascending).  `search` stays public as the
-reference that the rank-1 path is tested against.
+reference that the rank-1 path is tested against; it also decides
+`reductions.digraph_isomorphic`.
 
 `search` prunes only subtrees that hold no witness, so its first witness
 is the first in that order, and reads one transition per shift class.  At
@@ -22,10 +23,11 @@ the root, orbit and class counts can answer NO.  Forward checking
 (Haralick and Elliott 1980) on bitset domains, with bitset supports
 (Lecoutre and Vion 2008), narrows the choices of the later orbits that
 share classes with each orbit it maps, and backtracks as soon as one has
-none left.  The first orbit of each source component takes phase offset 0
-only: shifting all images of one component keeps every count,
-injectivity, and in factor mode the component's preimage supply, so some
-witness at least as early has offset 0 there.
+none left; a support walks only the targets next to the chosen one.  The
+first orbit of each source component takes phase offset 0 only: shifting
+all images of one component keeps every count, injectivity, and in factor
+mode the component's preimage supply, so some witness at least as early
+has offset 0 there.
 
 The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
@@ -173,6 +175,7 @@ class _Target(NamedTuple):
     span: int
     count: dict       # class key -> count
     demand: tuple     # per class, (key, aperiodic orbits at each member)
+    near: tuple       # per orbit, the orbits sharing a class with it
     options: dict     # (period, all offsets, injective) -> the choices of
                       # a source orbit and their masks per target orbit,
                       # filled by _options
@@ -184,13 +187,15 @@ def _target_profile(s: StructureGraph) -> _Target:
     if prof is None:
         idx = {o: i for i, o in enumerate(s.orbits)}
         m, span = len(idx), max((o.period for o in s.orbits), default=1)
-        count, demand = {}, []
+        count, demand, near = {}, [], [{} for _ in range(m)]
         for ((a, b), c) in s.transition_classes:
-            key = (idx[a.orbit] * m + idx[b.orbit]) * span + b.phase
+            ia, ib = idx[a.orbit], idx[b.orbit]
+            key = (ia * m + ib) * span + b.phase
             count[key] = c
             demand.append((key, c - 1 if a == b else c))
+            near[ia][ib] = near[ib][ia] = None
         prof = s.__dict__["_target_profile"] = _Target(
-            span, count, tuple(demand), {})
+            span, count, tuple(demand), tuple(map(tuple, near)), {})
     return prof
 
 
@@ -243,32 +248,37 @@ def _refuted(mode, x, y):
     return mode is Mode.EMBEDDING and nx > ny
 
 
-def _support(yo, yt, opts, later, choice):
+def _support(yo, yt, blocks, later, choice):
     """Forward checking once a source orbit takes `choice` = (j, off): per
     orbit l in `later`, its row of `_Source.later`, the mask of the options
     of l under which every class shared with l maps onto a target class
-    whose count lies in [lo, hi]."""
+    whose count lies in [lo, hi], from `blocks[l]`, l's option masks per
+    target orbit.  As every lo is at least 1, only the targets sharing a
+    class with j, j itself included by its diagonal, are walked."""
     j, off = choice
     yper, count, span, m = yo.periods, yt.count, yt.span, len(yo.periods)
     q = yper[j]
     out = []
     for (l, group) in later:
-        mask, bit, last = 0, 1, None
-        for (jl, offl) in opts[l]:
-            if jl != last:
-                # per shared class, under option (jl, offl) of l: its image
-                # key is base + (d + sign * offl) % g
-                last, g = jl, gcd(q, yper[jl])
-                leave, enter = (j * m + jl) * span, (jl * m + j) * span
-                ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
-                        else (enter, pi + off - pl, -1, lo, hi)
-                        for (pi, pl, leaves, lo, hi) in group]
-            for (base, d, sign, lo, hi) in ends:
-                if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
-                    break
-            else:
-                mask |= bit
-            bit <<= 1
+        mask, of_l = 0, blocks[l]
+        for jl in of_l.keys() & yt.near[j]:
+            # per shared class, under option (jl, offl) of l: its image key
+            # is base + (d + sign * offl) % g
+            g = gcd(q, yper[jl])
+            leave, enter = (j * m + jl) * span, (jl * m + j) * span
+            ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
+                    else (enter, pi + off - pl, -1, lo, hi)
+                    for (pi, pl, leaves, lo, hi) in group]
+            # the block of jl holds its offsets 0, 1, ... from its low bit
+            block = of_l[jl]
+            bit = block & -block
+            for offl in range(block.bit_length() - bit.bit_length() + 1):
+                for (base, d, sign, lo, hi) in ends:
+                    if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
+                        break
+                else:
+                    mask |= bit
+                bit <<= 1
         out.append((l, mask))
     return out
 
@@ -351,6 +361,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     found = [_options(yo, yt, p, not first, injective)
              for p, first in zip(xo.periods, xs.first)]
     opts = [f[0] for f in found]
+    blocks = [f[1] for f in found]
     # per options list of this search, its masks per target orbit and the
     # mask of its choices whose target is in use
     lists = {id(f[0]): f[1] for f in found}
@@ -394,7 +405,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
             sup = supports.get((i, k))
             if sup is None:
                 sup = supports[(i, k)] = _support(
-                    yo, yt, opts, xs.later[i], options[k - 1])
+                    yo, yt, blocks, xs.later[i], options[k - 1])
             for (l, mask) in sup:
                 old = domain[l]
                 new = old & mask

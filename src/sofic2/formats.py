@@ -54,7 +54,7 @@ def _vertex_lines(text, keyword, fields, check=None):
 
 
 def _file_symbol(tok, n=0):
-    if tok in ("", "-") or "." in tok or "#" in tok or any(c.isspace() for c in tok):
+    if tok == "-" or "." in tok or "#" in tok or tok.split() != [tok]:
         raise ParseError("line %d: bad symbol token %r" % (n, tok))
     return tok
 

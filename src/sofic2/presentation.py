@@ -379,9 +379,15 @@ def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:
     if symbol_map is None:
         symbol_map = {a: a for a in alphabet}
     n = max([2] + [len(w) for w in forbidden])
+    # each word below is an allowed word extended by one symbol, so only its
+    # suffixes can be new forbidden windows; the empty word ends every word
+    ends = {}
+    for f in forbidden:
+        ends.setdefault(len(f), set()).add(f)
 
     def allowed(w):
-        return not any(_contains(w, f) for f in forbidden)
+        return not any(w[len(w) - k:] in fs for k, fs in ends.items()
+                       if k <= len(w))
 
     verts = [()]
     for length in range(1, n):
@@ -402,13 +408,6 @@ def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:
             if allowed(full):
                 edges.append((vname[w], vname[full[1:]], symbol_map[a]))
     return trim_essential(LabeledGraph.make(vname.values(), edges))
-
-
-def _contains(w, factor):
-    if not factor:
-        return True
-    k = len(factor)
-    return any(w[i:i + k] == factor for i in range(len(w) - k + 1))
 
 
 def rank_of_comb_rep(r: CombRep) -> int:

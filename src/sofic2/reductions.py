@@ -1,5 +1,6 @@
 """Hardness gadget generators and the brute-force graph oracles used to
-validate the decision procedures against classical graph problems."""
+validate the decision procedures against classical graph problems.
+`digraph_isomorphic` has no search of its own: `decide` answers it."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from .core import (
     StructureGraph,
     _check_symbol,
     comb_rep,
-    refine_colors,
 )
+from .decisions import Mode, decide
 from .errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 from .presentation import from_comb_rep
 from .structure import build_structure
@@ -139,8 +140,9 @@ def hom_gadget(g: SimpleGraph) -> StructureGraph:
 def digraph_count_table(*graphs):
     """Shared count -> path-length table (ascending counts mapped to
     4, 5, ...); rotation edges reserve length 3.  Both gadgets of a
-    comparison must use one table."""
-    counts = sorted({c for s in graphs for (_e, c) in s.transitions})
+    comparison must use one table.  Reads one count per shift class, as all
+    members of a class share it."""
+    counts = sorted({c for s in graphs for (_e, c) in s.transition_classes})
     return {c: 4 + i for i, c in enumerate(counts)}
 
 
@@ -205,6 +207,8 @@ def brute_graph_oracle(kind: str, g, h) -> bool:
             if {frozenset((m[a], m[b])) for (a, b) in map(tuple, gs.edges)} == hs.edges:
                 return True
         return False
+    if kind not in ("hom", "edge_injective_hom", "compaction"):
+        raise ValueError("unknown oracle kind %r" % (kind,))
     gv = sorted(gs.vertices)
     hv = sorted(hs.vertices)
     g_edges = [tuple(sorted(e)) for e in sorted(gs.edges, key=sorted)]
@@ -219,64 +223,50 @@ def brute_graph_oracle(kind: str, g, h) -> bool:
             return True
         if kind == "compaction" and set(images) == set(hs.edges):
             return True
-    if kind not in ("hom", "edge_injective_hom", "compaction"):
-        raise ValueError("unknown oracle kind %r" % (kind,))
     return False
 
 
-def _refine_colors(g: Digraph):
-    """Directed color refinement with arc multiplicities: the colors, and
-    the out- and in-neighbour lists."""
-    outs = {}
-    ins = {}
-    for (a, b) in g.arcs:
-        outs.setdefault(a, []).append(b)
-        ins.setdefault(b, []).append(a)
-    color = refine_colors(g.vertices, lambda color, v: (
-        tuple(sorted(color[w] for w in outs.get(v, ()))),
-        tuple(sorted(color[w] for w in ins.get(v, ())))))
-    return color, outs, ins
+def _fixed_point_graph(d: Digraph) -> StructureGraph:
+    """The structure graph with one fixed point per vertex of d: the
+    diagonal class of a vertex has its number of loops plus one as its
+    count (every orbit needs its diagonal), and each other vertex pair its
+    number of arcs.  Vertices are indexed depth first along out-arcs, from
+    roots by degree descending, then `str`, and named "v" plus the padded
+    index, so `search` takes them in index order, most right after a
+    neighbour whose image has already narrowed their choices."""
+    degree, succ = Counter(), {}
+    for (a, b) in d.arcs:
+        degree[a] += 1
+        degree[b] += 1
+        succ.setdefault(a, []).append(b)
+    index = {}
+    # the roots wait at the bottom of the stack, the first on top
+    stack = sorted(d.vertices, key=lambda v: (-degree[v], str(v)), reverse=True)
+    while stack:
+        v = stack.pop()
+        if v not in index:
+            index[v] = len(index)
+            stack += reversed(succ.get(v, ()))
+    width = len(str(len(index)))
+    pts = {v: PeriodicOrbit(("v%0*d" % (width, i),)).point(0)
+           for v, i in index.items()}
+    counts = Counter((pts[a], pts[b]) for (a, b) in d.arcs)
+    counts.update((p, p) for p in pts.values())
+    return StructureGraph.make((), counts)
 
 
 def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
-    """Backtracking digraph isomorphism with color-refinement pruning, on
-    an explicit stack; handles parallel arcs by multiplicity."""
+    """Isomorphism of directed multigraphs, parallel arcs counted, decided
+    as conjugacy of their fixed-point graphs (`_fixed_point_graph`) by
+    `decide`, with no node budget.
+
+    This is exact.  Each shift class between fixed points is one vertex
+    pair, so a conjugacy is a vertex bijection under which every pair keeps
+    its count: loops and arc multiplicities are kept.  It maps classes one
+    to one and both graphs have equally many, so every class of h has a
+    preimage, and non-arcs go to non-arcs.
+    """
     if len(g.vertices) != len(h.vertices) or len(g.arcs) != len(h.arcs):
         return False
-    gc, gout, gin = _refine_colors(g)
-    hc, hout, hin = _refine_colors(h)
-    if Counter(gc.values()) != Counter(hc.values()):
-        return False
-    g_mult = Counter(g.arcs)
-    h_mult = Counter(h.arcs)
-    gv = sorted(g.vertices, key=lambda v: (-(len(gout.get(v, ())) + len(gin.get(v, ()))), str(v)))
-    cands = {v: sorted((w for w in h.vertices if hc[w] == gc[v]), key=str) for v in gv}
-    mapping = {}
-    used = set()
-
-    def consistent(v, w):
-        for u in mapping:
-            if g_mult.get((v, u), 0) != h_mult.get((w, mapping[u]), 0):
-                return False
-            if g_mult.get((u, v), 0) != h_mult.get((mapping[u], w), 0):
-                return False
-        return g_mult.get((v, v), 0) == h_mult.get((w, w), 0)
-
-    # one candidate iterator per vertex of gv being tried, in gv order
-    pending = [iter(cands[gv[0]])] if gv else []
-    while pending:
-        v = gv[len(pending) - 1]
-        for w in pending[-1]:
-            if w not in used and consistent(v, w):
-                mapping[v] = w
-                used.add(w)
-                break
-        else:
-            pending.pop()
-            if pending:
-                used.discard(mapping.pop(gv[len(pending) - 1]))
-            continue
-        if len(pending) == len(gv):
-            return True
-        pending.append(iter(cands[gv[len(pending)]]))
-    return not gv
+    return decide(Mode.CONJUGACY, _fixed_point_graph(g),
+                  _fixed_point_graph(h)) is not None

@@ -218,6 +218,53 @@ def test_from_forbidden_words_caps_the_words_of_each_length(monkeypatch):
         from_forbidden_words("01", ["0000"])
 
 
+def _forbidden_words_reference(alphabet, forbidden, symbol_map=None):
+    """from_forbidden_words as it was defined first: every window of each
+    extended word is checked against every forbidden word."""
+    alphabet = list(alphabet)
+    forbidden = [word(w) for w in forbidden]
+    if symbol_map is None:
+        symbol_map = {a: a for a in alphabet}
+    n = max([2] + [len(w) for w in forbidden])
+
+    def contains(w, factor):
+        k = len(factor)
+        return any(w[i:i + k] == factor for i in range(len(w) - k + 1))
+
+    def allowed(w):
+        return not any(contains(w, f) for f in forbidden)
+
+    verts = [()]
+    for _ in range(1, n):
+        verts = [w + (a,) for w in verts for a in alphabet if allowed(w + (a,))]
+    vname = {w: ".".join(w) if w else "@" for w in verts}
+    edges = [(vname[w], vname[w[1:] + (a,)], symbol_map[a])
+             for w in verts for a in alphabet if allowed(w + (a,))]
+    return trim_essential(LabeledGraph.make(vname.values(), edges))
+
+
+def test_from_forbidden_words_agrees_with_all_windows_reference():
+    rng = random.Random(113)
+    kinds = set()
+    for _ in range(400):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(0, 4))]
+        if forbidden and rng.random() < 0.3:
+            forbidden.append(rng.choice(forbidden))  # a duplicate
+        if rng.random() < 0.05:
+            forbidden.append("")  # forbids everything
+        symbol_map = None
+        if rng.random() < 0.3:
+            symbol_map = {a: rng.choice("xy") for a in alphabet}
+        got = from_forbidden_words(alphabet, forbidden, symbol_map)
+        assert got == _forbidden_words_reference(alphabet, forbidden, symbol_map), \
+            (alphabet, forbidden, symbol_map)
+        kinds.add("empty" if got.is_empty() else "nonempty")
+    assert kinds == {"empty", "nonempty"}
+    assert from_forbidden_words("ab", [""]).is_empty()
+
+
 def test_rank_of_comb_rep():
     assert rank_of_comb_rep(comb_rep([("0",)])) == 1
     assert rank_of_comb_rep(comb_rep([("0", "1", "0")])) == 2

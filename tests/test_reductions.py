@@ -22,9 +22,15 @@ from sofic2 import (
     hom_gadget,
     oracle_structure,
 )
+from sofic2.core import refine_colors
 from sofic2.errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 
-from conftest import random_colored_graph, random_simple_graph
+from conftest import (
+    random_colored_graph,
+    random_simple_graph,
+    random_structure_graph,
+    rename_structure,
+)
 
 
 def path_graph(names):
@@ -216,16 +222,111 @@ def _directed_cycles(*lengths):
     return Digraph.make([], arcs)
 
 
+def _digraph_colors(g):
+    """Color refinement of a digraph by the multisets of out- and
+    in-neighbour colors, arcs counted with multiplicity."""
+    outs, ins = {}, {}
+    for (a, b) in g.arcs:
+        outs.setdefault(a, []).append(b)
+        ins.setdefault(b, []).append(a)
+    return refine_colors(g.vertices, lambda color, v: (
+        tuple(sorted(color[w] for w in outs.get(v, ()))),
+        tuple(sorted(color[w] for w in ins.get(v, ())))))
+
+
 def test_digraph_isomorphic_backtracks_when_refinement_is_silent():
-    from sofic2.reductions import _refine_colors
     six, threes = _directed_cycles(6), _directed_cycles(3, 3)
     # every vertex has one arc in and one out: refinement keeps one color,
     # so only backtracking tells the two apart
     for g in (six, threes):
-        assert set(_refine_colors(g)[0].values()) == {0}
+        assert set(_digraph_colors(g).values()) == {0}
     assert not digraph_isomorphic(six, threes)
     assert not digraph_isomorphic(threes, six)
     order = [0, 3, 1, 4, 2, 5]
     relabelled = Digraph.make([], [("v%d" % order[i], "v%d" % order[(i + 1) % 6])
                                    for i in range(6)])
     assert digraph_isomorphic(six, relabelled)
+
+
+def _random_digraph(rng, n, max_arcs):
+    # loops and parallel arcs allowed
+    names = ["u%d" % i for i in range(n)]
+    arcs = [(rng.choice(names), rng.choice(names))
+            for _ in range(rng.randint(0, max_arcs))]
+    return Digraph.make(names, arcs)
+
+
+def _relabelled(rng, g):
+    vs = sorted(g.vertices, key=str)
+    new = ["w%d" % i for i in range(len(vs))]
+    rng.shuffle(new)
+    name = dict(zip(vs, new))
+    return Digraph.make(new, [(name[a], name[b]) for (a, b) in g.arcs])
+
+
+def _one_arc_moved(rng, g):
+    arcs = list(g.arcs)
+    i = rng.randrange(len(arcs))
+    a, b = arcs[i]
+    vs = sorted(g.vertices, key=str)
+    arcs[i] = (a, rng.choice(vs)) if rng.random() < 0.5 else (rng.choice(vs), b)
+    return Digraph.make(g.vertices, arcs)
+
+
+def test_digraph_isomorphic_agrees_with_networkx():
+    import networkx as nx
+
+    def nx_graph(d, nodes):
+        m = nx.MultiDiGraph()
+        m.add_nodes_from(nodes)
+        m.add_edges_from(d.arcs)
+        return m
+
+    def nx_isomorphic(g, h):
+        gs = []
+        for d in (g, h):
+            m = nx_graph(d, d.vertices)
+            # VF2 extends a match in node order; depth first from the
+            # highest degrees keeps it along the gadgets' paths, which it
+            # otherwise takes minutes on
+            roots = sorted(m, key=lambda v: (-m.degree(v), str(v)))
+            gs.append(nx_graph(d, nx.dfs_preorder_nodes(nx_graph(d, roots))))
+        return nx.is_isomorphic(*gs)
+
+    rng = random.Random(127)
+    pairs = {"random": [], "twins": [], "moved": [], "gadgets": []}
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        g = _random_digraph(rng, n, 2 * n)
+        pairs["random"].append((g, _random_digraph(rng, n, 2 * n)))
+        twin = _relabelled(rng, g)
+        pairs["twins"].append((g, twin))
+        if g.arcs:
+            pairs["moved"].append((g, _one_arc_moved(rng, twin)))
+    for i in range(30):
+        s = random_structure_graph(rng, max_orbits=3, max_period=2, max_count=2)
+        t = rename_structure(s, "z") if i % 2 else random_structure_graph(
+            rng, max_orbits=3, max_period=2, max_count=2)
+        table = digraph_count_table(s, t)
+        pairs["gadgets"].append((digraph_gadget(s, table),
+                                 _relabelled(rng, digraph_gadget(t, table))))
+    for kind, group in pairs.items():
+        answers = set()
+        for g, h in group:
+            want = nx_isomorphic(g, h)
+            assert digraph_isomorphic(g, h) == want, (kind, g, h)
+            answers.add(want)
+        # every family has isomorphic and non-isomorphic pairs, except the
+        # relabelled twins, which are all isomorphic
+        assert answers == ({True} if kind == "twins" else {True, False}), kind
+
+
+def test_brute_oracle_refuses_an_unknown_kind_before_enumerating(monkeypatch):
+    import itertools
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("maps enumerated before the kind was checked")
+
+    monkeypatch.setattr(itertools, "product", enumerated)
+    with pytest.raises(ValueError, match="unknown oracle kind 'homm'"):
+        brute_graph_oracle("homm", cycle_graph("abcdefg"), cycle_graph("tuvwxyz"))
