@@ -348,24 +348,23 @@ class StructureGraph:
     def _class_counts(self):
         return {self.shift_class(x, y): c for ((x, y), c) in self.transition_classes}
 
-    @cached_property
+    @property
     def transitions(self):
         """Every transition, as sorted ((src point, dst point), count)
-        pairs: each class expanded over its lcm(p, q) members."""
+        pairs: each class expanded over its lcm(p, q) members, generated
+        afresh on each access and never stored."""
         targets = {}  # src orbit -> dst orbit -> {r: count}, in sorted order
         for ((x, y), c) in self.transition_classes:
             targets.setdefault(x.orbit, {}).setdefault(y.orbit, {})[y.phase] = c
         pts = {o: [o.point(r) for r in range(o.period)] for o in self.orbits}
-        out = []
         for xo, by_target in targets.items():
             for a, x in enumerate(pts[xo]):
                 for yo, counts in by_target.items():
                     # from x, class r holds the targets of phase a + r (mod g)
                     g, ys = gcd(xo.period, yo.period), pts[yo]
                     offs = sorted(((a + r) % g, c) for r, c in counts.items())
-                    out += [((x, ys[k + off]), c) for k in range(0, len(ys), g)
-                            for (off, c) in offs]
-        return tuple(out)
+                    yield from (((x, ys[k + off]), c) for k in range(0, len(ys), g)
+                                for (off, c) in offs)
 
     @cached_property
     def _point_tuple(self):

@@ -37,6 +37,7 @@ point, so that orbit can never cover an aperiodic target orbit.
 `verify_witness` re-checks a witness against these definitions and reads
 none of the search's tables: commutation orbit by orbit, then each count
 condition once per transition class, which suffices for a commuting map.
+Each public entry refuses a mode that is not a `Mode` with ValueError.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class SGHomomorphism:
     """A vertex map between structure graphs; the edge map is implicit
     (transition edges map by endpoints, rotation edges by commutation)."""
 
-    pairs: tuple  # sorted (source point, image point) pairs
+    pairs: tuple  # (source point, image point) pairs, sources in sort_key order
 
     @classmethod
     def make(cls, mapping) -> "SGHomomorphism":
@@ -86,7 +87,7 @@ class _Orbits(NamedTuple):
     """The orbits of one graph as integers.  Orbits are indexed in sorted
     order and the point of orbit i at phase r has the id base[i] + r."""
 
-    pts: tuple        # the points by id
+    pts: tuple        # the points by id, in sort_key order
     periods: tuple    # per orbit, its period (ascending)
     base: tuple       # per orbit, the id of its phase-0 point
     by_period: dict   # period -> ascending orbit indices, periods ascending
@@ -176,9 +177,8 @@ class _Target(NamedTuple):
     count: dict       # class key -> count
     demand: tuple     # per class, (key, aperiodic orbits at each member)
     near: tuple       # per orbit, the orbits sharing a class with it
-    options: dict     # (period, all offsets, injective) -> the choices of
-                      # a source orbit and their masks per target orbit,
-                      # filled by _options
+    options: dict     # (period, all offsets, injective, own classes) ->
+                      # the choices, masks and own-class mask of _options
 
 
 def _target_profile(s: StructureGraph) -> _Target:
@@ -199,13 +199,14 @@ def _target_profile(s: StructureGraph) -> _Target:
     return prof
 
 
-def _options(yo, yt, p, shifts, injective):
+def _options(yo, yt, p, shifts, injective, own):
     """The choices of a source orbit of period p in the target graph, in
     search order: (target orbit, phase offset) pairs, phase r going to
     phase r + offset.  Every offset when `shifts`, else only offset 0.
-    Also, per target orbit, the mask of its choices.  Cached on the
-    target's tables."""
-    key = (p, shifts, injective)
+    Also, per target orbit, the mask of its choices, and the mask of those
+    whose target orbit takes each own class (phase, lo, hi) in `own` to a
+    count in [lo, hi].  Cached on the target's tables."""
+    key = (p, shifts, injective, own)
     found = yt.options.get(key)
     if found is None:
         if injective:
@@ -213,23 +214,29 @@ def _options(yo, yt, p, shifts, injective):
         else:
             js = [j for q, group in yo.by_period.items() if p % q == 0
                   for j in group]
-        opts, masks = [], {}
+        count, span, m = yt.count, yt.span, len(yo.periods)
+        opts, masks, allowed = [], {}, 0
         for j in js:
-            offs = range(yo.periods[j]) if shifts else (0,)
+            q = yo.periods[j]
+            offs = range(q) if shifts else (0,)
             masks[j] = ((1 << len(offs)) - 1) << len(opts)
             opts += [(j, off) for off in offs]
-        found = yt.options[key] = (tuple(opts), masks)
+            if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
+                   for (pb, lo, hi) in own):
+                allowed |= masks[j]
+        found = yt.options[key] = (tuple(opts), masks, allowed)
     return found
 
 
 def _witness(xo, yo, choices):
     """The vertex map sending phase r of source orbit i, mapped by
-    choices[i] = (j, off), to phase r + off of target orbit j."""
+    choices[i] = (j, off), to phase r + off of target orbit j.  Its pairs
+    come in the order of `xo.pts`, which is sort_key order."""
     xpts, ypts, ybase, yper = xo.pts, yo.pts, yo.base, yo.periods
-    return SGHomomorphism.make(
-        {xpts[b + r]: ypts[ybase[j] + (r + off) % yper[j]]
-         for b, p, (j, off) in zip(xo.base, xo.periods, choices)
-         for r in range(p)})
+    return SGHomomorphism(tuple(
+        (xpts[b + r], ypts[ybase[j] + (r + off) % yper[j]])
+        for b, p, (j, off) in zip(xo.base, xo.periods, choices)
+        for r in range(p)))
 
 
 def _refuted(mode, x, y):
@@ -303,6 +310,11 @@ def _covers_demand(xo, xs, yo, yt, choices):
     return all(supply.get(key, -1) >= need for (key, need) in yt.demand)
 
 
+def _check_mode(mode):
+    if not isinstance(mode, Mode):
+        raise ValueError("unknown mode %r" % (mode,))
+
+
 def _node_limit(budget):
     """The node limit of a budget (None: no bound); refuses one below 1."""
     if budget is None:
@@ -333,21 +345,23 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     are shift equivariant and every choice commutes with the shift, so the
     rest of a class maps the same way.  A domain is a bitset over an
     orbit's options.  An orbit's own classes map by its target orbit alone,
-    so they filter its domain once, before the search.  Forward checking
-    then ands the domain of each later orbit sharing classes with the orbit
-    just mapped with the `_support` mask of its choice, built on first use
-    and kept for this call; a choice that empties a domain is dropped, and
-    a trail of replaced masks undoes the narrowing on backtracking.  So the
-    search prunes only subtrees that hold no witness.  Injective modes
+    so its domain starts as the mask that `_options` caches for them on
+    the target.  Forward checking then ands the domain of each later orbit
+    sharing classes with the orbit just mapped with the `_support` mask of
+    its choice, built on first use and kept for this call; a choice that
+    empties a domain is dropped, and a trail of replaced masks undoes the
+    narrowing on backtracking.  So the search prunes only subtrees that
+    hold no witness.  Injective modes
     mask out the options on targets in use; surjective modes do so once
-    the uncovered targets are as many as the orbits left.  A complete
-    assignment is a witness; in factor mode it must also pass
-    `_covers_demand`.
+    the uncovered targets are as many as the orbits left; block maps keep
+    no such masks.  A complete assignment is a witness, built in search
+    order with no sort; in factor mode it must also pass `_covers_demand`.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
     case: the paper shows these decisions NP-hard.
     """
+    _check_mode(mode)
     limit = _node_limit(budget)
     if _refuted(mode, x, y):
         return None
@@ -356,27 +370,18 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     n, m = len(xo.periods), len(yo.periods)
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
-    count, span, yper = yt.count, yt.span, yo.periods
     # the first orbit of each component takes offset 0 only
-    found = [_options(yo, yt, p, not first, injective)
-             for p, first in zip(xo.periods, xs.first)]
+    found = [_options(yo, yt, p, not first, injective, own)
+             for p, first, own in zip(xo.periods, xs.first, xs.own)]
     opts = [f[0] for f in found]
     blocks = [f[1] for f in found]
-    # per options list of this search, its masks per target orbit and the
-    # mask of its choices whose target is in use
-    lists = {id(f[0]): f[1] for f in found}
+    domain = [f[2] for f in found]
+    if not all(domain):
+        return None
+    # per masks table of this search, the mask of its choices whose target
+    # is in use; block maps never read it
+    lists = {} if mode is Mode.BLOCK_MAP else {id(b): b for b in blocks}
     used = dict.fromkeys(lists, 0)
-    domain, own_masks = [], {}
-    for bounds, (choices, masks) in zip(xs.own, found):
-        key = (id(choices), bounds)
-        if key not in own_masks:
-            own_masks[key] = sum(
-                jmask for j, jmask in masks.items()
-                if all(lo <= count.get((j * m + j) * span + pb % yper[j], 0) <= hi
-                       for (pb, lo, hi) in bounds))
-        if not own_masks[key]:
-            return None
-        domain.append(own_masks[key])
     choice, resume = [None] * n, [0] * n
     # per level, the (orbit, mask) pairs that its current choice replaced
     trail = [[] for _ in range(n)]
@@ -395,7 +400,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
             options, saved = opts[i], trail[i]
             rest = domain[i]
             if injective or (surjective and m - covered == n - i):
-                rest &= ~used[id(options)]
+                rest &= ~used[id(blocks[i])]
             # bit b of rest is option k + b of level i
             rest >>= k
         while rest:
@@ -465,6 +470,7 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     remaining source orbits cover every uncovered target.  Other inputs go
     to `search`.  Neither path recurses.
     """
+    _check_mode(mode)
     _node_limit(budget)
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y, budget)
@@ -477,8 +483,15 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
 def _rank1_targets(mode, x, y):
     """Per source orbit, its target orbit in the first witness between two
     rank-1 graphs, or None when there is none.  Phase offsets are all 0.
-    Raises NotRankOne unless both graphs have rank 1."""
-    ps, qs = _rank1_periods(x), _rank1_periods(y)
+    Raises NotRankOne unless both graphs have rank 1, naming the first
+    class that is not a count-1 diagonal."""
+    for s in (x, y):
+        if not is_rank_one(s):
+            for ((a, b), c) in s.transition_classes:
+                if a != b or c != 1:
+                    raise NotRankOne("transition edge %r -> %r count %d" % (a, b, c))
+    # orbits are sorted by period, so these are the sorted periods
+    ps, qs = _orbits(x).periods, _orbits(y).periods
     if mode is Mode.CONJUGACY and ps != qs:
         return None
     classes = _orbits(y).by_period
@@ -497,8 +510,6 @@ def _rank1_targets(mode, x, y):
         return None
     if mode is Mode.BLOCK_MAP:
         return [classes[divisors[p][0]][0] for p in ps]
-    if mode is not Mode.FACTOR:
-        raise ValueError("unknown mode %r" % (mode,))
     # Factor: the targets of a class are covered in index order, so the
     # first filled[q] of them are covered.  Covering stays feasible or not
     # alike whichever covered target a source takes, and whichever
@@ -617,6 +628,7 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
       classes, and a missed orbit would leave its diagonal without a
       preimage.
     """
+    _check_mode(mode)
     periods = {o: o.period for o in x.orbits}
     named = {}  # source orbit -> {phase: image}
     for pair in h.pairs:
@@ -667,22 +679,7 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
     if mode is Mode.FACTOR:
         return all(supply.get((o, t, r), -1) >= (c - 1 if o == t and not r else c)
                    for ((o, t, r), c) in counts.items())
-    if conj:
-        return len(x.transition_classes) == len(y.transition_classes)
-    raise ValueError("unknown mode %r" % (mode,))
-
-
-def _rank1_periods(s: StructureGraph):
-    """The sorted orbit periods of a rank-1 graph, whose classes are the
-    count-1 diagonals, one per orbit; raises NotRankOne otherwise."""
-    if not is_rank_one(s):
-        for ((a, b), c) in s.transition_classes:
-            if a != b or c != 1:
-                raise NotRankOne("transition edge %r -> %r count %d" % (a, b, c))
-    cached = s.__dict__.get("_rank1_periods")
-    if cached is None:
-        cached = s.__dict__["_rank1_periods"] = sorted(o.period for o in s.orbits)
-    return cached
+    return len(x.transition_classes) == len(y.transition_classes)
 
 
 def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
@@ -693,6 +690,7 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     additionally a cover of the target orbits by source orbits of multiple
     periods (a flow over period classes).  True when `_rank1_targets`
     finds a witness."""
+    _check_mode(mode)
     return _rank1_targets(mode, x, y) is not None
 
 

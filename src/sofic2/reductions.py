@@ -153,8 +153,8 @@ def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
     m of k."""
     if count_table is None:
         count_table = digraph_count_table(s)
-    pts = s.points()
-    name = {p: "v%d" % i for i, p in enumerate(sorted(pts, key=lambda p: p.sort_key()))}
+    pts = s.points()  # in sort_key order
+    name = {p: "v%d" % i for i, p in enumerate(pts)}
     arcs = []
     fresh = itertools.count()
 
@@ -167,7 +167,7 @@ def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
                 prev = mid
             arcs.append((prev, dst))
 
-    for p in sorted(pts, key=lambda q: q.sort_key()):
+    for p in pts:
         add_paths(name[p], name[p.shift(1)], 3, 3)
     for ((a, b), c) in s.transitions:
         m = count_table[c]

@@ -156,7 +156,7 @@ def reference_verify(mode, x, y, h):
             return False
         if len(edge_images) != len(set(edge_images)):
             return False
-        if len(x.transitions) != len(y.transitions):
+        if len(tuple(x.transitions)) != len(tuple(y.transitions)):
             return False
         return all(c == ycount[vm[a], vm[b]] for ((a, b), c) in x.transitions)
     raise ValueError("unknown mode %r" % (mode,))
@@ -707,26 +707,32 @@ def test_realize_orbit_map_rejects_bad_witness(fig1_structure):
         realize_orbit_map(Mode.CONJUGACY, fig1_structure, fig1_structure, bad)
 
 
-def test_rank1_decide_and_verify_leave_transitions_unexpanded(fig1_structure):
+def test_rank1_decide_and_verify_leave_transitions_unexpanded(
+        fig1_structure, monkeypatch):
     # parse_structure counts the members of each class, decide on two
     # rank-1 graphs reads their orbits, search on graphs of rank 2 and
     # verify_witness read one member per class: none of them lists every
-    # transition
-    x = formats.parse_structure(formats.format_structure(
-        periods_structure([1, 2, 2, 4], tag=1)))
-    y = formats.parse_structure(formats.format_structure(
-        periods_structure([1, 2, 2, 4], tag=2)))
+    # transition, which a counter on `transitions` shows
+    texts = [formats.format_structure(z) for z in (
+        periods_structure([1, 2, 2, 4], tag=1),
+        periods_structure([1, 2, 2, 4], tag=2),
+        fig1_structure, rename_structure(fig1_structure, "r"),
+        *_gadget_stream_pairs()[0])]
+    reads = []
+    expand = StructureGraph.transitions.fget
+
+    def counted(self):
+        reads.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(StructureGraph, "transitions", property(counted))
+    x, y, s, t, u, v = map(formats.parse_structure, texts)
     for mode in ALL_MODES:
         w = decide(mode, x, y)
         assert w is not None and verify_witness(mode, x, y, w), mode
-    s = formats.parse_structure(formats.format_structure(fig1_structure))
     ident = SGHomomorphism.make({p: p for p in s.points()})
     for mode in ALL_MODES:
         assert verify_witness(mode, s, s, ident), mode
-    t = formats.parse_structure(formats.format_structure(
-        rename_structure(fig1_structure, "r")))
-    u, v = (formats.parse_structure(formats.format_structure(z))
-            for z in _gadget_stream_pairs()[0])
     yes = 0
     for (a, b) in ((s, t), (t, s), (u, v), (v, u), (s, u)):
         for mode in ALL_MODES:
@@ -734,8 +740,33 @@ def test_rank1_decide_and_verify_leave_transitions_unexpanded(fig1_structure):
             yes += w is not None
             assert w is None or verify_witness(mode, a, b, w), mode
     assert yes >= 8
-    for g in (x, y, s, t, u, v):
-        assert "transitions" not in g.__dict__
+    assert reads == []
+    # the counter sees the one expansion that format_structure makes
+    assert formats.format_structure(s) == texts[2]
+    assert reads == [s]
+
+
+@pytest.mark.parametrize("mode", ["conj", None])
+def test_unknown_mode_is_refused_before_any_table(mode):
+    # a mode that is not a Mode is refused before any table is built; let
+    # through, "conj" reached a search that mixed the rules of the modes
+    # and found conjugacies that do not exist
+    rng = random.Random(3)
+    pairs = [(periods_structure([1, 2, 2]), periods_structure([1, 2, 2], tag=1))]
+    pairs += [(random_structure_graph(rng, max_orbits=3, max_period=3, max_count=4),
+               random_structure_graph(rng, max_orbits=3, max_period=3, max_count=4))
+              for _ in range(20)]
+    tables = {"_orbits", "_search_profile", "_target_profile", "_rank_one"}
+    for (x, y) in pairs:
+        ident = SGHomomorphism.make({p: p for p in x.points()})
+        for call in (decide, search, rank1_decide):
+            with pytest.raises(ValueError, match="^unknown mode %r$" % (mode,)):
+                call(mode, x, y)
+        with pytest.raises(ValueError, match="^unknown mode %r$" % (mode,)):
+            verify_witness(mode, x, x, ident)
+        assert not tables & (set(x.__dict__) | set(y.__dict__))
+    ranks = {is_rank_one(x) and is_rank_one(y) for (x, y) in pairs}
+    assert ranks == {True, False}
 
 
 def test_decide_empty_graphs():

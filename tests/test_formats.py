@@ -2,10 +2,12 @@
 
 import random
 import re
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sofic2 import Digraph, formats
+from sofic2 import Digraph, Mode, decide, formats, verify_witness
 from sofic2.errors import ParseError
 
 from conftest import (
@@ -225,3 +227,26 @@ def test_long_period_witness_round_trip():
         formats.format_word(root), rotated)
     with pytest.raises(ParseError, match="line 401: .* not a canonical"):
         formats.parse_witness(text)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+def test_structure_files_and_transitions_property(rng, rng2):
+    s = random_structure_graph(rng, max_orbits=4, max_period=5, max_count=5)
+    y = random_structure_graph(rng2, max_orbits=3, max_period=4, max_count=5)
+    assert formats.parse_structure(formats.format_structure(s)) == s
+    # the expansion lists every member of every class once, in sorted order,
+    # with the count of its class, and the same way on every access
+    members = list(s.transitions)
+    pairs = [pair for (pair, _c) in members]
+    assert len(set(pairs)) == len(pairs) == sum(
+        lcm(a.period, b.period) for ((a, b), _c) in s.transition_classes)
+    assert pairs == sorted(pairs, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+    assert all(c == s.count(a, b) for ((a, b), c) in members)
+    assert list(s.transitions) == members
+    for (a, b) in ((s, s), (s, y), (y, s)):
+        for mode in Mode:
+            w = decide(mode, a, b, budget=10 ** 4)
+            if w is not None:
+                back = formats.parse_witness(formats.format_witness(w))
+                assert back == w and verify_witness(mode, a, b, back)

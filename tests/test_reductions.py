@@ -1,5 +1,6 @@
 """Hardness gadgets and brute-force graph oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from sofic2 import (
     digraph_count_table,
     digraph_gadget,
     digraph_isomorphic,
+    formats,
     from_comb_rep,
     gi_gadget,
     hom_gadget,
@@ -26,6 +28,7 @@ from sofic2.core import refine_colors
 from sofic2.errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 
 from conftest import (
+    periods_structure,
     random_colored_graph,
     random_simple_graph,
     random_structure_graph,
@@ -187,6 +190,26 @@ def test_digraph_gadget_faithful(fig1_structure):
         same = digraph_isomorphic(digraph_gadget(s, table),
                                   digraph_gadget(t, table))
         assert same == (decide(Mode.CONJUGACY, s, t) is not None)
+
+
+# sha256 of the gadget files below, recorded before `digraph_gadget` read
+# the points in `s.points()` order instead of sorting them
+DIGRAPH_GADGET_DIGEST = (
+    "1f0cbf891dfbea0203eaa2210801dc8544b91ad56371f84474cb4a487f527677")
+
+
+def test_digraph_gadget_output_is_pinned():
+    h = hashlib.sha256()
+    rng = random.Random(127)
+    for _ in range(60):
+        s = random_structure_graph(rng, max_orbits=4, max_period=4, max_count=5)
+        t = random_structure_graph(rng, max_orbits=3, max_period=3, max_count=5)
+        h.update(formats.format_digraph(digraph_gadget(s)).encode())
+        h.update(formats.format_digraph(
+            digraph_gadget(s, digraph_count_table(s, t))).encode())
+    h.update(formats.format_digraph(
+        digraph_gadget(periods_structure([1, 2, 3, 3]))).encode())
+    assert h.hexdigest() == DIGRAPH_GADGET_DIGEST
 
 
 def test_digraph_isomorphic_needs_no_recursion():
