@@ -363,8 +363,9 @@ class StructureGraph:
                     # from x, class r holds the targets of phase a + r (mod g)
                     g, ys = gcd(xo.period, yo.period), pts[yo]
                     offs = sorted(((a + r) % g, c) for r, c in counts.items())
-                    yield from (((x, ys[k + off]), c) for k in range(0, len(ys), g)
-                                for (off, c) in offs)
+                    for k in range(0, len(ys), g):
+                        for (off, c) in offs:
+                            yield (x, ys[k + off]), c
 
     @cached_property
     def _point_tuple(self):
