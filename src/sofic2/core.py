@@ -286,15 +286,18 @@ class LabeledGraph:
     def alphabet(self):
         return frozenset(s for (_, _, s) in self.edges)
 
-    def subset_step(self, state):
-        """(label, successor set) pairs of a set of vertices, in ascending
-        label order: one step of the subset construction.  Successor sets
-        are frozensets and never empty."""
-        succ = {}
-        for v in state:
-            for (b, s) in self.out_map[v]:
-                succ.setdefault(s, set()).add(b)
-        return [(s, frozenset(succ[s])) for s in sorted(succ)]
+    @cached_property
+    def index(self):
+        """(vertices, position, out): the vertices in sorted order, each
+        vertex's position in that order, and per position its out edges as
+        (position, label) pairs in edge order, so ascending by target.  The
+        passes that walk the graph many times run on these integers."""
+        verts = sorted(self.vertices)
+        position = {v: i for i, v in enumerate(verts)}
+        out = [[] for _ in verts]
+        for (a, b, s) in self.edges:
+            out[position[a]].append((position[b], s))
+        return verts, position, out
 
     def is_empty(self) -> bool:
         return not self.vertices

@@ -11,7 +11,7 @@ where one is allowed, so it is never a symbol token.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .core import (
     LabeledGraph,
@@ -125,12 +125,23 @@ def _parse_point(tok, orbit_of, n):
     return o.point(ph)
 
 
+def _member_bit(x, y):
+    """(byte, mask) of the bit of (x, y) in its shift class's member
+    bitmap, which has lcm(p, q) bits: from each source phase the class
+    holds q / gcd(p, q) targets, one in each run of gcd(p, q) phases."""
+    g = gcd(x.period, y.period)
+    i = x.phase * (y.period // g) + y.phase // g
+    return i >> 3, 1 << (i & 7)
+
+
 def parse_structure(text: str) -> StructureGraph:
     """The structure graph a file lists.  Each transition is listed once,
-    with every member of its shift class and one count for the class."""
+    with every member of its shift class and one count for the class.  A
+    bitmap per class records its listed members, to refuse a repeat and to
+    name a gap."""
     orbits, points = {}, {}
-    listed = set()
-    first = {}  # shift class -> (count, line, point tokens) of its first member
+    first = {}  # shift class -> (count, line, point tokens, member bitmap)
+    n_listed = 0
 
     def orbit_of(name, n):
         if name not in orbits:
@@ -157,29 +168,35 @@ def parse_structure(text: str) -> StructureGraph:
                 raise ParseError("line %d: bad count" % n)
             if c < 1:
                 raise ParseError("line %d: count must be >= 1" % n)
-            if (a, b) in listed:
+            key = StructureGraph.shift_class(a, b)
+            entry = first.get(key)
+            if entry is None:
+                entry = first[key] = (c, n, toks[1:3],
+                                      bytearray((lcm(a.period, b.period) + 7) // 8))
+            byte, mask = _member_bit(a, b)
+            if entry[3][byte] & mask:
                 raise ParseError("line %d: duplicate transition %s %s"
                                  % (n, toks[1], toks[2]))
-            listed.add((a, b))
-            key = StructureGraph.shift_class(a, b)
-            c0, n0, _toks = first.setdefault(key, (c, n, toks[1:3]))
-            if c0 != c:
+            entry[3][byte] |= mask
+            n_listed += 1
+            if entry[0] != c:
                 raise ParseError("line %d: count %d differs from count %d on line %d,"
-                                 " in the same shift class" % (n, c, c0, n0))
+                                 " in the same shift class" % (n, c, entry[0], entry[1]))
         else:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
     try:
         s = StructureGraph.make(orbits.values(), {
-            (xo.point(0), yo.point(r)): c for ((xo, yo, r), (c, _n, _t)) in first.items()})
+            (xo.point(0), yo.point(r)): c for ((xo, yo, r), (c, _n, _t, _b)) in first.items()})
     except MalformedStructureGraph as e:
         raise ParseError("structure file invalid: %s" % e)
     # each listed pair is a member of its class; expand only to name a gap
-    if len(listed) < sum(lcm(u.period, v.period)
-                         for ((u, v), _c) in s.transition_classes):
-        x, y = next(pair for (pair, _c) in s.transitions if pair not in listed)
-        _c, n, (ta, tb) = first[StructureGraph.shift_class(x, y)]
-        raise ParseError("line %d: its shift class lacks %s:%d %s:%d" % (
-            n, ta.rsplit(":", 1)[0], x.phase, tb.rsplit(":", 1)[0], y.phase))
+    if n_listed < sum(lcm(u.period, v.period) for ((u, v), _c) in s.transition_classes):
+        for ((x, y), _c) in s.transitions:
+            _c, n, (ta, tb), bits = first[StructureGraph.shift_class(x, y)]
+            byte, mask = _member_bit(x, y)
+            if not bits[byte] & mask:
+                raise ParseError("line %d: its shift class lacks %s:%d %s:%d" % (
+                    n, ta.rsplit(":", 1)[0], x.phase, tb.rsplit(":", 1)[0], y.phase))
     return s
 
 

@@ -89,18 +89,26 @@ def _require_rr(g: LabeledGraph):
 
 def determinize(g: LabeledGraph) -> LabeledGraph:
     """Right-resolving presentation of the same shift via the subset
-    construction seeded with the full vertex set.  Already-deterministic
-    graphs pass through unchanged."""
+    construction seeded with the full vertex set, on sets of positions in
+    `g.index`.  States are named d0, d1, ... in the order they are found:
+    breadth first, each state's successors in ascending label order.
+    Already-deterministic graphs pass through unchanged."""
     if is_right_resolving(g):
         return g
-    full = frozenset(g.vertices)
+    _verts, _position, out = g.index
+    full = frozenset(range(len(out)))
     names = {full: "d0"}
     edges = []
     frontier = [full]
     while frontier:
         nxt = []
         for state in frontier:
-            for s, succ in g.subset_step(state):
+            step = {}
+            for v in state:
+                for (b, s) in out[v]:
+                    step.setdefault(s, set()).add(b)
+            for s in sorted(step):
+                succ = frozenset(step[s])
                 if succ not in names:
                     if len(names) >= MAX_DETERMINIZE_STATES:
                         raise SizeLimitExceeded("determinization exceeded %d states"
@@ -161,54 +169,6 @@ class AnalysisReport:
     rank: object
 
 
-def _tarjan_sccs(vertices, succ):
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in sorted(vertices):
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(comp))
-    return sccs
-
-
 def _cycle_certificate(g: LabeledGraph):
     """One SCC pass for the countability certificate and the rank:
     (cycles, label, rank, vertex).
@@ -219,42 +179,81 @@ def _cycle_certificate(g: LabeledGraph):
     sorted by length then vertices, label maps each cycle vertex to the
     label of its cycle edge, rank is the most cycles any path visits, and
     vertex lies on the first cycle whose paths visit three or more (None
-    when rank <= 2).
+    when rank <= 2).  "First" is in the order Tarjan's algorithm (1972)
+    closes the components, which is reverse topological.  It runs
+    iteratively on the positions of `g.index`, with its marks in lists and
+    roots taken in ascending position; a visited vertex is on its stack
+    until its component closes.  Each component is certified as it closes,
+    when every component it reaches is already done.
     """
-    # out_map lists each vertex's successors in sorted order
-    succ = {v: dict.fromkeys(b for (b, _s) in out) for v, out in g.out_map.items()}
-    sccs = _tarjan_sccs(g.vertices, succ)  # reverse topological order
-    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-    best = []
+    verts, _position, out = g.index
+    n = len(verts)
+    index = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    stack = []
+    best = []  # per closed component, the most cycles a path from it visits
     cycles = []
     label = {}
     deep = None
-    for i, comp in enumerate(sccs):
-        nxt = {}
-        n_internal = 0
-        succ_best = 0
-        for v in comp:
-            for (b, s) in g.out_map[v]:
-                j = comp_of[b]
-                if j == i:
-                    n_internal += 1
-                    nxt[v] = b
-                    label[v] = s
-                else:
-                    succ_best = max(succ_best, best[j])
-        start = min(comp, key=str)
-        if n_internal:
-            # strongly connected with one internal edge per vertex: exactly
-            # one simple cycle covering the component
-            if n_internal != len(comp):
-                return None, None, None, start
-            order = [start]
-            while nxt[order[-1]] != start:
-                order.append(nxt[order[-1]])
-            cycles.append(tuple(order))
-        best.append(succ_best + (n_internal > 0))
-        if best[-1] >= 3 and deep is None:
-            deep = start
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, edges = work[-1]
+            for (w, _s) in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                i = len(best)
+                comp = []
+                while True:
+                    w = stack.pop()
+                    comp_of[w] = i
+                    comp.append(w)
+                    if w == v:
+                        break
+                nxt = {}
+                n_internal = 0
+                succ_best = 0
+                for u in comp:
+                    for (w, s) in out[u]:
+                        j = comp_of[w]
+                        if j == i:
+                            n_internal += 1
+                            nxt[u] = w
+                            label[verts[u]] = s
+                        elif best[j] > succ_best:
+                            succ_best = best[j]
+                start = comp[0] if len(comp) == 1 else min(comp, key=lambda u: str(verts[u]))
+                if n_internal:
+                    # strongly connected with one internal edge per vertex:
+                    # exactly one simple cycle covering the component
+                    if n_internal != len(comp):
+                        return None, None, None, verts[start]
+                    order = [start]
+                    while nxt[order[-1]] != start:
+                        order.append(nxt[order[-1]])
+                    cycles.append(tuple(verts[u] for u in order))
+                best.append(succ_best + (n_internal > 0))
+                if best[-1] >= 3 and deep is None:
+                    deep = verts[start]
     cycles.sort(key=lambda c: (len(c), c))
     return tuple(cycles), label, max(best, default=0), deep
 

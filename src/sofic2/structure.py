@@ -13,7 +13,9 @@ so build_structure never minimizes its input:
   walks in the determinized future graph seeded with the set of all cycle
   vertices that can emit the left tail, so transitional futures are counted
   by a frontier over subset states that sums the walks reaching each state
-  and stops at the first state on a cycle;
+  and stops at the first state on a cycle; the states are sets of vertex
+  positions, interned as small int ids shared by every seed's frontier,
+  each stepped and tested for a stream once per build;
 * counts are constant on each class of transitions under simultaneous
   shifts of both endpoints, and each anchored count adds to exactly one
   class, so the anchored counts are summed per class; every periodic orbit
@@ -47,40 +49,67 @@ def _anchored_counts(g: LabeledGraph, point_of):
     For each periodic point x, a frontier of subset states of g starts at
     the set of cycle vertices emitting x, leaves it by every edge but its
     cycle edge, and stops at the first state that lies on a cycle of the
-    future graph; counts are summed per state.
+    future graph; counts are summed per state.  States are frozensets of
+    positions in `g.index`, numbered the first time they are met (the
+    numbered states of the subset construction, Rabin and Scott 1959).
+    Per state id this keeps its members, its stream and, once stepped, its
+    (label, successor id) pairs, so every frontier sums counts in dicts
+    keyed by small ints and no state is stepped or tested twice.
+
+    g is right-resolving with disjoint cycles, so stepping along a cycle
+    word maps a set of vertices that all emit one point y bijectively onto
+    itself: exactly such states lie on a cycle of the future graph, and y
+    is their stream (None for every other state).
     """
+    verts, position, out = g.index
+    emits = [point_of.get(v) for v in verts]
+    ids = {}      # subset state -> its id
+    members = []  # id -> subset state
+    stream = []   # id -> the point all its members emit, or None
+    steps = []    # id -> its (label, successor id) pairs, None until stepped
+
+    def state_id(state):
+        sid = ids.get(state)
+        if sid is None:
+            sid = ids[state] = len(members)
+            members.append(state)
+            it = iter(state)
+            y = emits[next(it)]
+            stream.append(y if y is not None and all(emits[v] == y for v in it) else None)
+            steps.append(None)
+        return sid
+
     seeds = {}
     for v, pt in point_of.items():
-        seeds.setdefault(pt, set()).add(v)
+        seeds.setdefault(pt, set()).add(position[v])
     anchored = {}
-    steps = {}  # subset state -> its (label, successor set) pairs
     for x_hat, start in seeds.items():
-        vec = {frozenset(start): 1}
+        cycle_label = x_hat.at(0)
+        vec = {state_id(frozenset(start)): 1}
         ell = 0
         while vec:
-            # a transitional path is simple, so its length is at most the
-            # number of distinct states stepped so far plus 1
-            if ell > len(steps) + 1:
+            # a transitional path is simple, so the ell + 1 states along it
+            # are distinct, and each has been numbered
+            if ell >= len(members):
                 raise AssertionError("transitional frontier failed to terminate")
             nxt = {}
-            for state, cnt in vec.items():
-                if ell:  # the start lies on x's cycle; the walk departs from it
-                    # g is right-resolving with disjoint cycles, so stepping
-                    # along a cycle word maps a set of vertices that all
-                    # emit one point y bijectively onto itself: exactly
-                    # such states lie on a cycle of the future graph, and
-                    # y is their stream
-                    y = point_of.get(next(iter(state)))
-                    if y is not None and all(point_of.get(v) == y for v in state):
-                        key = (x_hat, y.shift(-ell))
-                        anchored[key] = anchored.get(key, 0) + cnt
-                        continue
-                out = steps.get(state)
-                if out is None:
-                    out = steps[state] = g.subset_step(state)
-                for (s, b) in out:
+            for sid, cnt in vec.items():
+                # the start lies on x's cycle; the walk departs from it
+                if ell and stream[sid] is not None:
+                    key = (x_hat, stream[sid].shift(-ell))
+                    anchored[key] = anchored.get(key, 0) + cnt
+                    continue
+                pairs = steps[sid]
+                if pairs is None:
+                    succ = {}
+                    for v in members[sid]:
+                        for (b, s) in out[v]:
+                            succ.setdefault(s, []).append(b)
+                    pairs = steps[sid] = [(s, state_id(frozenset(b)))
+                                          for s, b in succ.items()]
+                for (s, b) in pairs:
                     # the start's edge labelled x_hat.at(0) is its cycle edge
-                    if ell or s != x_hat.at(0):
+                    if ell or s != cycle_label:
                         nxt[b] = nxt.get(b, 0) + cnt
             vec = nxt
             ell += 1

@@ -3,9 +3,11 @@
 `reference_make`, `reference_trim`, `reference_check_right_resolving` and
 `reference_cycle_certificate` are the definitional versions: every label is
 checked character by character, trimming always rebuilds the graph,
-right-resolving is checked vertex by vertex, and the certificate sorts each
-vertex's successor set.  On seeded random graphs the library must give the
-same results, or raise the same exception class with the same message."""
+right-resolving is checked vertex by vertex, and the certificate runs
+Tarjan's algorithm on vertex names, with dicts and sets for its marks, over
+each vertex's sorted successor set, then certifies the components in a
+second pass.  On seeded random graphs the library must give the same
+results, or raise the same exception class with the same message."""
 
 import random
 
@@ -16,7 +18,7 @@ from sofic2 import (LabeledGraph, analyze, build_structure, check_right_resolvin
 from sofic2 import core
 from sofic2.core import _check_symbol, canonicalize_point
 from sofic2.errors import NotCountableCertified, NotRightResolving, RankTooHigh
-from sofic2.presentation import _cycle_certificate, _tarjan_sccs, admit
+from sofic2.presentation import _cycle_certificate, admit
 
 from conftest import chain_graph, random_certified_graph, random_structure_graph
 
@@ -66,6 +68,55 @@ def reference_check_right_resolving(g):
             seen[s] = seen.get(s, 0) + 1
         bad.extend((v, s) for (s, n) in sorted(seen.items()) if n >= 2)
     return bad
+
+
+def _tarjan_sccs(vertices, succ):
+    """Iterative Tarjan on vertex names; returns SCCs in reverse
+    topological order."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = [0]
+    for root in sorted(vertices):
+        if root in index:
+            continue
+        work = [(root, iter(succ.get(root, ())))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    advanced = True
+                    break
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(tuple(comp))
+    return sccs
 
 
 def reference_cycle_certificate(g):

@@ -97,6 +97,37 @@ def test_structure_parse_errors():
             "trans o1:0 o1:0 count=1\ntrans o1:1 o1:1 count=1\n")
 
 
+def test_structure_file_repeats_and_gaps_are_named():
+    # one repeated member is refused where it recurs; one missing member of
+    # a class that keeps others is named, at the first line of its class
+    from sofic2 import StructureGraph
+    rng = random.Random(31)
+    gaps = 0
+    for _ in range(300):
+        s = random_structure_graph(rng, max_orbits=4, max_period=6, max_count=3)
+        lines = formats.format_structure(s).splitlines()
+        head = len(s.orbits)
+        members = [pair for (pair, _c) in s.transitions]
+        k = rng.randrange(len(members))
+        _t, a, b, _c = lines[head + k].split()
+        j = rng.randint(head + k + 1, len(lines))
+        with pytest.raises(ParseError, match="^line %d: duplicate transition %s %s$"
+                           % (j + 1, a, b)):
+            formats.parse_structure("\n".join(lines[:j] + [lines[head + k]] + lines[j:]))
+        x, y = members[k]
+        if lcm(x.period, y.period) == 1:
+            continue
+        key = StructureGraph.shift_class(x, y)
+        first = min(i for i, (u, v) in enumerate(members)
+                    if i != k and StructureGraph.shift_class(u, v) == key)
+        line = head + first + (first < k)  # 1-based, after the deletion
+        with pytest.raises(ParseError, match="^line %d: its shift class lacks %s %s$"
+                           % (line, a, b)):
+            formats.parse_structure("\n".join(lines[:head + k] + lines[head + k + 1:]))
+        gaps += 1
+    assert gaps >= 100
+
+
 def test_comb_rep_round_trip():
     from conftest import FIG1_TERMS, random_comb_rep
     from sofic2 import comb_rep

@@ -1,5 +1,6 @@
 """Presentation hygiene, minimization, analysis and conversions."""
 
+import hashlib
 import random
 
 import pytest
@@ -206,6 +207,38 @@ def test_from_forbidden_words_collapsing_map_needs_determinize():
     assert check_right_resolving(d) == []
     for n in range(1, 6):
         assert words_of_length(d, n) == words_of_length(g, n)
+
+
+# sha256 of format_graph(from_comb_rep(r)) over the 150 seed-97 comb-reps
+# and of format_graph(determinize(g)) over the 150 seed-101 graphs of
+# test_determinize_output_is_pinned, as they were when the subset
+# construction still stepped sets of vertex names
+DETERMINIZE_DIGEST = (
+    "01ecee1d95a03164e0b2d740fe367e4f8149490d5540777e4f06cf1f3c82cb64")
+
+
+def _random_labeled_graph(rng):
+    """2-6 vertices and n to 3n random edges over {a, b}; most are not
+    right-resolving."""
+    n = rng.randint(2, 6)
+    vs = ["v%d" % i for i in range(n)]
+    edges = [(rng.choice(vs), rng.choice(vs), rng.choice("ab"))
+             for _ in range(rng.randint(n, 3 * n))]
+    return LabeledGraph.make([], edges)
+
+
+def test_determinize_output_is_pinned():
+    from sofic2 import formats
+    h = hashlib.sha256()
+    rng = random.Random(97)
+    for _ in range(150):
+        h.update(formats.format_graph(from_comb_rep(random_comb_rep(rng))).encode())
+    rng = random.Random(101)
+    graphs = [_random_labeled_graph(rng) for _ in range(150)]
+    assert sum(bool(check_right_resolving(g)) for g in graphs) >= 100
+    for g in graphs:
+        h.update(formats.format_graph(determinize(g)).encode())
+    assert h.hexdigest() == DETERMINIZE_DIGEST
 
 
 def test_from_forbidden_words_caps_the_words_of_each_length(monkeypatch):

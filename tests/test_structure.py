@@ -2,9 +2,10 @@
 
 import hashlib
 import random
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sofic2 import (
     LabeledGraph,
@@ -475,3 +476,134 @@ def test_admit_names_each_cycle_vertex_point():
             for k, v in enumerate(order):
                 x = adm.points[v]
                 assert all(x.at(t) == word[(k + t) % m] for t in range(x.period))
+
+
+def _reference_subset_step(g, state):
+    """(label, successor set) pairs of a set of vertex names, in ascending
+    label order."""
+    succ = {}
+    for v in state:
+        for (b, s) in g.out_map[v]:
+            succ.setdefault(s, set()).add(b)
+    return [(s, frozenset(succ[s])) for s in sorted(succ)]
+
+
+def reference_anchored_counts(g, point_of):
+    """The frontier on sets of vertex names: each state visit looks its
+    members' points up again, and steps are cached per frozenset."""
+    seeds = {}
+    for v, pt in point_of.items():
+        seeds.setdefault(pt, set()).add(v)
+    anchored = {}
+    steps = {}  # subset state -> its (label, successor set) pairs
+    for x_hat, start in seeds.items():
+        vec = {frozenset(start): 1}
+        ell = 0
+        while vec:
+            if ell > len(steps) + 1:
+                raise AssertionError("transitional frontier failed to terminate")
+            nxt = {}
+            for state, cnt in vec.items():
+                if ell:
+                    y = point_of.get(next(iter(state)))
+                    if y is not None and all(point_of.get(v) == y for v in state):
+                        key = (x_hat, y.shift(-ell))
+                        anchored[key] = anchored.get(key, 0) + cnt
+                        continue
+                out = steps.get(state)
+                if out is None:
+                    out = steps[state] = _reference_subset_step(g, state)
+                for (s, b) in out:
+                    if ell or s != x_hat.at(0):
+                        nxt[b] = nxt.get(b, 0) + cnt
+            vec = nxt
+            ell += 1
+    return anchored
+
+
+# chain lengths of test_anchored_counts_match_reference, up to 1024
+CHAIN_KS = tuple(range(1, 33)) + (63, 64, 100, 127, 128, 255, 256, 511, 512, 1000, 1024)
+
+
+def test_anchored_counts_match_reference():
+    from sofic2.presentation import admit
+    from sofic2.structure import _anchored_counts
+    rng = random.Random(1709)
+    graphs = [random_certified_graph(rng) for _ in range(1000)]
+    rng = random.Random(1723)
+    graphs += [synthesize(random_structure_graph(rng)) for _ in range(100)]
+    graphs += [chain_graph(k) for k in CHAIN_KS]
+    transitional = 0
+    for g in graphs:
+        h, point_of = admit(g)
+        got = _anchored_counts(h, point_of)
+        assert got == reference_anchored_counts(h, point_of)
+        transitional += bool(got)
+    assert transitional >= 600
+
+
+def _departure(edges, tag, src, dst, hops, label):
+    """A path src -> dst through `hops` fresh middle vertices, its first
+    edge labelled `label` and the rest fresh."""
+    path = [src] + ["%s_m%d" % (tag, i) for i in range(hops)] + [dst]
+    edges += [(a, b, label if i == 0 else "%s_%d" % (tag, i))
+              for i, (a, b) in enumerate(zip(path, path[1:]))]
+
+
+@st.composite
+def long_cycles(draw):
+    """One cycle of period p up to 64 (its root word holds x once, so it is
+    primitive; the cycle word is sometimes a power of it) with zero to two
+    departures, sometimes doubled, into a fixed point."""
+    p = draw(st.integers(1, 64))
+    root = ["x"] + draw(st.lists(st.sampled_from("ab"), min_size=p - 1, max_size=p - 1))
+    w = root * draw(st.integers(1, 64 // p))
+    n = len(w)
+    edges = [("c%d" % i, "c%d" % ((i + 1) % n), w[i]) for i in range(n)]
+    edges.append(("k", "k", "z"))
+    for d in range(draw(st.integers(0, 2))):
+        src = "c%d" % draw(st.integers(0, n - 1))
+        _departure(edges, "d%d" % d, src, "k", draw(st.integers(0, 2)), "x%d" % d)
+        if draw(st.booleans()):
+            _departure(edges, "e%d" % d, src, "k", 0, "y%d" % d)
+    return LabeledGraph.make([], edges)
+
+
+@st.composite
+def coprime_cycles(draw):
+    """Cycles of coprime periods p and q, each word primitive (its first
+    symbol occurs once), and one departure from the first to the second."""
+    p = draw(st.integers(1, 31))
+    q = draw(st.integers(1, 31).filter(lambda q: gcd(p, q) == 1))
+    edges = []
+    for name, n, first, alphabet in (("c", p, "x", "ab"), ("k", q, "y", "01")):
+        w = [first] + draw(st.lists(st.sampled_from(alphabet), min_size=n - 1,
+                                    max_size=n - 1))
+        edges += [("%s%d" % (name, i), "%s%d" % (name, (i + 1) % n), w[i])
+                  for i in range(n)]
+    _departure(edges, "d", "c%d" % draw(st.integers(0, p - 1)),
+               "k%d" % draw(st.integers(0, q - 1)), draw(st.integers(0, 2)), "t")
+    return LabeledGraph.make([], edges)
+
+
+@st.composite
+def fans(draw):
+    """n one-symbol loops, each departing into one shared path of length L
+    that ends in a loop.  Loops with the same symbol emit the same point, so
+    their seed is one subset state of several vertices."""
+    n = draw(st.integers(1, 6))
+    length = draw(st.integers(0, 20))
+    path = ["h%d" % i for i in range(length)] + ["end"]
+    labels = draw(st.lists(st.sampled_from("01"), min_size=length, max_size=length))
+    edges = [(a, b, s) for (a, b, s) in zip(path, path[1:], labels)]
+    edges.append(("end", "end", "e"))
+    for i in range(n):
+        edges.append(("f%d" % i, "f%d" % i, draw(st.sampled_from("ab"))))
+        edges.append(("f%d" % i, path[0], draw(st.sampled_from("cd"))))
+    return LabeledGraph.make([], edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(st.one_of(long_cycles(), coprime_cycles(), fans()))
+def test_builder_matches_oracle_property(g):
+    assert build_structure(g) == oracle_structure(g)
