@@ -102,11 +102,11 @@ def _cmd_decide(args):
     if witness is None:
         print("NO")
         return 1
-    print("YES")
-    if args.witness:
+    if args.witness:  # written before the verdict, so a failed write prints none
         _emit(formats.format_witness(witness), args.witness)
+        print("YES")
     else:
-        sys.stdout.write(formats.format_witness(witness))
+        sys.stdout.write("YES\n" + formats.format_witness(witness))
     return 0
 
 

@@ -79,8 +79,8 @@ def refine_colors(vertices, signature):
     with color 0 and is recolored by (its color, signature(color, v)) until
     the number of colors stops growing; returns the colors.  Colors rank
     the sorted signatures, so inputs that are equal up to renaming get
-    equal colorings.  Signatures must be comparable: ints (-1 for a missing
-    neighbour) and tuples of them."""
+    equal colorings.  Signatures must be comparable, such as tuples of
+    (label, color) pairs."""
     color = dict.fromkeys(vertices, 0)
     ncolors = 1
     while True:
@@ -269,29 +269,11 @@ class LabeledGraph:
         return cls(frozenset(vs), tuple(sorted(es)))
 
     @cached_property
-    def out_map(self):
-        m = {v: [] for v in sorted(self.vertices)}
-        for (a, b, s) in self.edges:
-            m[a].append((b, s))
-        return m
-
-    @cached_property
-    def in_map(self):
-        m = {v: [] for v in sorted(self.vertices)}
-        for (a, b, s) in self.edges:
-            m[b].append((a, s))
-        return m
-
-    @cached_property
-    def alphabet(self):
-        return frozenset(s for (_, _, s) in self.edges)
-
-    @cached_property
     def index(self):
         """(vertices, position, out): the vertices in sorted order, each
         vertex's position in that order, and per position its out edges as
-        (position, label) pairs in edge order, so ascending by target.  The
-        passes that walk the graph many times run on these integers."""
+        (position, label) pairs in edge order, so ascending by (target,
+        label).  Every pass that walks the graph reads this one adjacency."""
         verts = sorted(self.vertices)
         position = {v: i for i, v in enumerate(verts)}
         out = [[] for _ in verts]

@@ -11,6 +11,7 @@ where one is allowed, so it is never a symbol token.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import gcd, lcm
 
 from .core import (
@@ -89,12 +90,32 @@ def parse_graph(text: str) -> LabeledGraph:
 
 # -- structure graphs -------------------------------------------------------
 
+def _count_text(c) -> str:
+    """A count's digits; past Python's int/str digit limit via Decimal."""
+    try:
+        return "%d" % c
+    except ValueError:
+        return str(Decimal(c))
+
+
+def _parse_count(tok, n) -> int:
+    """int(tok), or for an all-digit token past that limit via Decimal."""
+    try:
+        return int(tok)
+    except ValueError:
+        if tok.isascii() and tok.isdigit():
+            return int(Decimal(tok))
+        raise ParseError("line %d: bad count" % n)
+
+
 def format_structure(s: StructureGraph) -> str:
     oid = {o: "o%d" % i for i, o in enumerate(s.orbits)}
     out = ["orbit %s word=%s" % (oid[o], format_word(o.root)) for o in s.orbits]
+    # each distinct count is spelled once per file
+    digits = {c: _count_text(c) for (_pair, c) in s.transition_classes}
     for ((a, b), c) in s.transitions:
-        out.append("trans %s:%d %s:%d count=%d"
-                   % (oid[a.orbit], a.phase, oid[b.orbit], b.phase, c))
+        out.append("trans %s:%d %s:%d count=%s"
+                   % (oid[a.orbit], a.phase, oid[b.orbit], b.phase, digits[c]))
     return "\n".join(out) + "\n"
 
 
@@ -162,10 +183,7 @@ def parse_structure(text: str) -> StructureGraph:
         elif toks[0] == "trans" and len(toks) == 4 and toks[3].startswith("count="):
             a = point_of(toks[1], n)
             b = point_of(toks[2], n)
-            try:
-                c = int(toks[3][len("count="):])
-            except ValueError:
-                raise ParseError("line %d: bad count" % n)
+            c = _parse_count(toks[3][len("count="):], n)
             if c < 1:
                 raise ParseError("line %d: count must be >= 1" % n)
             key = StructureGraph.shift_class(a, b)
@@ -180,8 +198,9 @@ def parse_structure(text: str) -> StructureGraph:
             entry[3][byte] |= mask
             n_listed += 1
             if entry[0] != c:
-                raise ParseError("line %d: count %d differs from count %d on line %d,"
-                                 " in the same shift class" % (n, c, entry[0], entry[1]))
+                raise ParseError("line %d: count %s differs from count %s on line %d,"
+                                 " in the same shift class"
+                                 % (n, _count_text(c), _count_text(entry[0]), entry[1]))
         else:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
     try:

@@ -38,29 +38,35 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
 
     Removes vertices lacking an incoming or outgoing edge, one at a time
     from a queue while updating the degrees of their neighbours; the
-    presented shift is unchanged.  Returns g itself when it is already
-    essential.  May return the empty graph.
+    presented shift is unchanged.  Runs on the positions of `g.index`, and
+    returns g itself when it is already essential.  May return the empty graph.
     """
-    indeg = dict.fromkeys(g.vertices, 0)
-    outdeg = dict.fromkeys(g.vertices, 0)
-    for (a, b, _s) in g.edges:
-        outdeg[a] += 1
-        indeg[b] += 1
-    queue = [v for v in g.vertices if not indeg[v] or not outdeg[v]]
+    verts, _position, out = g.index
+    indeg = [0] * len(out)
+    for row in out:
+        for (b, _s) in row:
+            indeg[b] += 1
+    queue = [v for v, row in enumerate(out) if not indeg[v] or not row]
+    if not queue:
+        return g
+    outdeg = [len(row) for row in out]
+    pred = [[] for _ in out]
+    for a, row in enumerate(out):
+        for (b, s) in row:
+            pred[b].append((a, s))
     gone = set(queue)
     while queue:
         v = queue.pop()
-        for (deg, nbrs) in ((indeg, g.out_map[v]), (outdeg, g.in_map[v])):
+        for (deg, nbrs) in ((indeg, out[v]), (outdeg, pred[v])):
             for (w, _s) in nbrs:
                 deg[w] -= 1
                 if not deg[w] and w not in gone:
                     gone.add(w)
                     queue.append(w)
-    if not gone:
-        return g
+    names = {verts[v] for v in gone}
     # a filtered sorted tuple stays sorted, and its labels are already checked
-    return LabeledGraph(g.vertices - gone, tuple(e for e in g.edges
-                                                 if e[0] not in gone and e[1] not in gone))
+    return LabeledGraph(g.vertices - names, tuple(e for e in g.edges
+                                                  if e[0] not in names and e[1] not in names))
 
 
 def check_right_resolving(g: LabeledGraph):
@@ -68,12 +74,13 @@ def check_right_resolving(g: LabeledGraph):
     label; empty list iff the presentation is right-resolving."""
     if len({(a, s) for (a, _b, s) in g.edges}) == len(g.edges):
         return []
+    verts, _position, out = g.index
     bad = []
-    for v in sorted(g.vertices):
+    for v, row in enumerate(out):
         seen = {}
-        for (b, s) in g.out_map.get(v, ()):
+        for (_b, s) in row:
             seen[s] = seen.get(s, 0) + 1
-        bad.extend((v, s) for (s, n) in sorted(seen.items()) if n >= 2)
+        bad.extend((verts[v], s) for (s, n) in sorted(seen.items()) if n >= 2)
     return bad
 
 
@@ -139,17 +146,16 @@ def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
     """
     _require_rr(g)
     g = trim_essential(g)
-    verts = sorted(g.vertices)
-    labels = sorted(g.alphabet)
-    succ = {(a, s): b for (a, b, s) in g.edges}
-    color = refine_colors(verts, lambda color, v: tuple(
-        color[succ[(v, s)]] if (v, s) in succ else -1 for s in labels))
-    rep = {}
-    for v in verts:  # smallest vertex name represents its class
-        rep.setdefault(color[v], v)
-    quot_edges = {(rep[color[a]], rep[color[b]], s) for (a, b, s) in g.edges}
-    out = LabeledGraph.make({rep[c] for c in rep}, sorted(quot_edges))
-    return _canonical_rename(out, "m")
+    verts, _position, out = g.index
+    # right-resolving: a vertex's (label, successor) pairs sorted by label
+    # name its follower behaviour up to the successors' classes
+    succ = [sorted((s, b) for (b, s) in row) for row in out]
+    color = refine_colors(range(len(out)), lambda color, v: tuple(
+        (s, color[b]) for (s, b) in succ[v]))
+    rep = {}  # per class, the name of its smallest position: its smallest name
+    name = [rep.setdefault(color[v], verts[v]) for v in range(len(out))]
+    quot_edges = {(name[a], name[b], s) for a, row in enumerate(out) for (b, s) in row}
+    return _canonical_rename(LabeledGraph.make(set(name), sorted(quot_edges)), "m")
 
 
 @dataclass(frozen=True)
@@ -310,19 +316,6 @@ def analyze(g: LabeledGraph) -> AnalysisReport:
                           rank if rank <= 2 else RANK_HIGH)
 
 
-def _junction_path_edges(dep, labels, arr, tag):
-    """Edges of a fresh transitional path spelling `labels` from vertex dep
-    to vertex arr."""
-    edges = []
-    prev = dep
-    for j, s in enumerate(labels[:-1]):
-        mid = "%s_%d" % (tag, j)
-        edges.append((prev, mid, s))
-        prev = mid
-    edges.append((prev, arr, labels[-1]))
-    return edges
-
-
 def from_comb_rep(r: CombRep) -> LabeledGraph:
     """Right-resolving essential presentation of the union of the terms.
 
@@ -355,10 +348,11 @@ def from_comb_rep(r: CombRep) -> LabeledGraph:
                 for k in range(i, j):
                     labels.extend(term.vs[k])
                 labels.append(term.us[j][0])
-                dep = cycle_v[i][0]
-                arr = cycle_v[j][1 % len(term.us[j])]
-                tag = "t%d_p%d_%d" % (ti, i, j)
-                edges.extend(_junction_path_edges(dep, tuple(labels), arr, tag))
+                # a fresh path spelling the labels, through t{ti}_p{i}_{j}_{k}
+                path = ([cycle_v[i][0]]
+                        + ["t%d_p%d_%d_%d" % (ti, i, j, k) for k in range(len(labels) - 1)]
+                        + [cycle_v[j][1 % len(term.us[j])]])
+                edges.extend(zip(path, path[1:], labels))
     return minimize_right_resolving(determinize(LabeledGraph.make(vertices, edges)))
 
 

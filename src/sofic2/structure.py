@@ -29,6 +29,7 @@ oracle shares admission and the last step with build_structure.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 
 from .core import (
@@ -144,25 +145,26 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
 
 def _transitional_paths(g: LabeledGraph, point_of, budget):
     """Every simple path from a cycle vertex that leaves by a non-cycle edge
-    and ends at the first cycle vertex it meets, by DFS, as (labels, start
-    vertex, end vertex) tuples."""
+    and ends at the first cycle vertex it meets, by DFS over the rows of
+    `g.index`, as (labels, start vertex, end vertex) tuples."""
+    verts, position, out = g.index
     found = 0
     for start, x in point_of.items():
-        stack = [(start, (start,), ())]
+        stack = [(position[start], (position[start],), ())]
         while stack:
-            v, verts, labs = stack.pop()
-            if labs and v in point_of:
+            v, path, labs = stack.pop()
+            if labs and verts[v] in point_of:
                 found += 1
                 if found > budget:
                     raise BudgetExceeded("more than %d transitional paths" % budget)
-                yield labs, start, v
+                yield labs, start, verts[v]
                 continue
-            for (b, s) in sorted(g.out_map[v]):
+            for (b, s) in out[v]:
                 # the start's edge labelled x.at(0) is its cycle edge
                 if labs or s != x.at(0):
-                    if b in verts:
+                    if b in path:
                         raise AssertionError("non-simple transitional path")
-                    stack.append((b, verts + (b,), labs + (s,)))
+                    stack.append((b, path + (b,), labs + (s,)))
 
 
 def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) -> StructureGraph:
@@ -180,11 +182,7 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
         if not isinstance(cfg, EventuallyPeriodicPoint):
             raise AssertionError("periodic junction in a right-resolving presentation")
         configs.add(cfg)
-    anchored = {}
-    for cfg in configs:
-        key = (cfg.left, cfg.right)
-        anchored[key] = anchored.get(key, 0) + 1
-    return _structure_graph(point_of, anchored)
+    return _structure_graph(point_of, Counter((cfg.left, cfg.right) for cfg in configs))
 
 
 def synthesize(s: StructureGraph) -> LabeledGraph:

@@ -45,16 +45,36 @@ def chain_graph(k):
     return LabeledGraph.make([], edges)
 
 
+def out_map(g):
+    """Each vertex name -> its out edges as (target, label) pairs in edge
+    order: the name-keyed adjacency that the reference copies in the tests
+    read, independent of `LabeledGraph.index`."""
+    m = {v: [] for v in sorted(g.vertices)}
+    for (a, b, s) in g.edges:
+        m[a].append((b, s))
+    return m
+
+
+def in_map(g):
+    """Each vertex name -> its in edges as (source, label) pairs in edge
+    order."""
+    m = {v: [] for v in sorted(g.vertices)}
+    for (a, b, s) in g.edges:
+        m[b].append((a, s))
+    return m
+
+
 def words_of_length(g, n):
     """All length-n label words of paths in the essential part of g (the
     n-blocks of the presented shift); exponential output."""
     g = trim_essential(g)
+    succ = out_map(g)
     frontier = {(): frozenset(g.vertices)}
     for _ in range(n):
         nxt = {}
         for w, vs in frontier.items():
             for v in sorted(vs):
-                for (b, s) in g.out_map.get(v, ()):
+                for (b, s) in succ.get(v, ()):
                     key = w + (s,)
                     nxt.setdefault(key, set()).add(b)
         frontier = {w: frozenset(vs) for w, vs in nxt.items()}

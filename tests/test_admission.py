@@ -20,7 +20,8 @@ from sofic2.core import _check_symbol, canonicalize_point
 from sofic2.errors import NotCountableCertified, NotRightResolving, RankTooHigh
 from sofic2.presentation import _cycle_certificate, admit
 
-from conftest import chain_graph, random_certified_graph, random_structure_graph
+from conftest import (chain_graph, in_map, out_map, random_certified_graph,
+                      random_structure_graph)
 
 
 def reference_check_symbol(s):
@@ -48,9 +49,10 @@ def reference_trim(g):
         indeg[b] += 1
     queue = [v for v in g.vertices if not indeg[v] or not outdeg[v]]
     gone = set(queue)
+    outs, ins = out_map(g), in_map(g)
     while queue:
         v = queue.pop()
-        for (deg, nbrs) in ((indeg, g.out_map[v]), (outdeg, g.in_map[v])):
+        for (deg, nbrs) in ((indeg, outs[v]), (outdeg, ins[v])):
             for (w, _s) in nbrs:
                 deg[w] -= 1
                 if not deg[w] and w not in gone:
@@ -62,9 +64,10 @@ def reference_trim(g):
 
 def reference_check_right_resolving(g):
     bad = []
+    outs = out_map(g)
     for v in sorted(g.vertices):
         seen = {}
-        for (b, s) in g.out_map.get(v, ()):
+        for (b, s) in outs.get(v, ()):
             seen[s] = seen.get(s, 0) + 1
         bad.extend((v, s) for (s, n) in sorted(seen.items()) if n >= 2)
     return bad
@@ -120,7 +123,8 @@ def _tarjan_sccs(vertices, succ):
 
 
 def reference_cycle_certificate(g):
-    succ = {v: sorted({b for (b, s) in g.out_map[v]}) for v in g.vertices}
+    outs = out_map(g)
+    succ = {v: sorted({b for (b, s) in outs[v]}) for v in g.vertices}
     sccs = _tarjan_sccs(g.vertices, succ)
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     best = []
@@ -132,7 +136,7 @@ def reference_cycle_certificate(g):
         n_internal = 0
         succ_best = 0
         for v in comp:
-            for (b, s) in g.out_map[v]:
+            for (b, s) in outs[v]:
                 j = comp_of[b]
                 if j == i:
                     n_internal += 1

@@ -50,6 +50,17 @@ def test_structure_chain_count(tmp_path, capsys):
     assert "count=1024" in out
 
 
+def test_structure_count_past_the_int_str_digit_limit(tmp_path, capsys):
+    # 2**15000 has 4,516 digits, past Python's default int/str limit of 4,300
+    gpath = tmp_path / "chain.graph"
+    gpath.write_text(formats.format_graph(chain_graph(15000)))
+    spath = tmp_path / "chain.sg"
+    assert main(["structure", str(gpath), "-o", str(spath)]) == 0
+    s = formats.parse_structure(spath.read_text())
+    assert max(c for (_pair, c) in s.transition_classes) == 2 ** 15000
+    assert capsys.readouterr() == ("", "")
+
+
 def test_oracle_structure_budget(tmp_path, capsys):
     gpath = tmp_path / "chain.graph"
     gpath.write_text(formats.format_graph(chain_graph(10)))
@@ -92,6 +103,16 @@ def test_decide_conjugacy_with_witness(tmp_path, fig1_sg_file,
     rc = main(["verify", "--mode", "conj", fig1_sg_file, str(rpath), str(wpath)])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "VALID"
+
+
+def test_decide_writes_the_witness_before_the_verdict(tmp_path, fig1_sg_file, capsys):
+    # a witness path that cannot be written leaves stdout empty
+    wpath = tmp_path / "missing-dir" / "w.txt"
+    assert main(["decide", "--mode", "conj", fig1_sg_file, fig1_sg_file,
+                 "-w", str(wpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_rejects_phase_outside_period(tmp_path, capsys):

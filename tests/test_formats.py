@@ -2,13 +2,16 @@
 
 import random
 import re
+from decimal import Decimal
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sofic2 import Digraph, Mode, decide, formats, verify_witness
-from sofic2.errors import ParseError
+from sofic2 import (Digraph, Mode, SGHomomorphism, canonicalize_point, decide, formats,
+                    verify_witness)
+from sofic2.core import CombRep, CombTerm
+from sofic2.errors import InvalidCombRep, ParseError
 
 from conftest import (
     chain_graph,
@@ -84,6 +87,13 @@ def test_structure_parse_errors():
         formats.parse_structure(
             "orbit o0 word=a.b\n"
             "trans o0:0 o0:0 count=1\ntrans o0:1 o0:1 count=2\n")
+    digits = "9" * 5000  # past Python's int/str limit of 4,300 digits
+    with pytest.raises(ParseError, match="^line 3: count 1 differs from count 9{5000} on line 2,"):
+        formats.parse_structure("orbit o0 word=a.b\ntrans o0:0 o0:0 count=%s\n"
+                                "trans o0:1 o0:1 count=1\n" % digits)
+    for bad in ("+" + digits, digits + "x", "9_" + digits):
+        with pytest.raises(ParseError, match="^line 2: bad count$"):
+            formats.parse_structure("orbit o0 word=a\ntrans o0:0 o0:0 count=%s\n" % bad)
     with pytest.raises(ParseError, match="^line 3: duplicate transition o0:0 o0:0$"):
         formats.parse_structure("orbit o0 word=a\n"
                                 "trans o0:0 o0:0 count=1\ntrans o0:0 o0:0 count=5\n")
@@ -197,6 +207,45 @@ def test_digraph_round_trip():
     _stable(formats.format_digraph, formats.parse_digraph, d)
 
 
+# file tokens: multi-character, and never '-', a dot, whitespace or '#'
+file_symbols = st.sampled_from(["0", "1", "a", "bc"])
+
+
+def file_words(min_size):
+    return st.lists(file_symbols, min_size=min_size, max_size=4).map(tuple)
+
+
+@st.composite
+def comb_reps(draw):
+    """Zero to four terms of arity up to two; a term with a periodic
+    junction is dropped."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(0, 2))
+        term = CombTerm(tuple(draw(file_words(1)) for _ in range(m + 1)),
+                        tuple(draw(file_words(0)) for _ in range(m)))
+        try:
+            terms += CombRep.make([term]).terms
+        except InvalidCombRep:
+            pass
+    return CombRep.make(terms)
+
+
+periodic_points = st.builds(canonicalize_point, file_words(1), st.integers(0, 3))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(comb_reps(), st.dictionaries(periodic_points, periodic_points, max_size=6),
+       st.lists(st.text("ab01-._", min_size=1, max_size=3), max_size=4),
+       st.lists(st.tuples(st.sampled_from("uvw"), st.sampled_from("uvw")), max_size=8))
+def test_comb_rep_witness_and_digraph_files_round_trip(r, mapping, vertices, arcs):
+    assert formats.parse_comb_rep(formats.format_comb_rep(r)) == r
+    h = SGHomomorphism.make(mapping)
+    assert formats.parse_witness(formats.format_witness(h)) == h
+    d = Digraph.make(vertices, arcs)
+    assert formats.parse_digraph(formats.format_digraph(d)) == d
+
+
 def test_witness_round_trip(fig1_structure):
     from sofic2 import Mode, decide
     from conftest import rename_structure
@@ -238,6 +287,11 @@ def test_big_counts_serialize_exactly():
     s = build_structure(chain_graph(64))
     text = formats.format_structure(s)
     assert "count=%d" % (2 ** 64) in text
+    assert formats.parse_structure(text) == s
+    # 2**15000 has 4,516 digits, past Python's default int/str limit of 4,300
+    s = build_structure(chain_graph(15000))
+    text = formats.format_structure(s)
+    assert "count=%s\n" % Decimal(2 ** 15000) in text
     assert formats.parse_structure(text) == s
 
 

@@ -28,7 +28,9 @@ from sofic2.errors import (
 
 from conftest import (
     chain_graph,
+    in_map,
     make_structure,
+    out_map,
     random_certified_graph,
     random_structure_graph,
 )
@@ -112,7 +114,8 @@ def _clone_vertex(rng, g):
     clone copies the vertex's out-edges and takes over some of its
     in-edges.  Sometimes also adds a stray edge, which may change the shift
     or break right-resolving."""
-    v = rng.choice([u for u in sorted(g.vertices) if len(g.in_map[u]) >= 2]
+    ins = in_map(g)
+    v = rng.choice([u for u in sorted(g.vertices) if len(ins[u]) >= 2]
                    or sorted(g.vertices))
     edges = list(g.edges) + [("clone", b, s) for (a, b, s) in g.edges if a == v]
     into_v = [k for k, (_a, b, _s) in enumerate(edges) if b == v]
@@ -453,8 +456,9 @@ def test_admit_names_each_cycle_vertex_point():
     for g in graphs:
         adm = admit(g)
         h = adm.graph
-        fwd = {v: [b for (b, _s) in h.out_map[v]] for v in h.vertices}
-        bwd = {v: [a for (a, _s) in h.in_map[v]] for v in h.vertices}
+        outs, ins = out_map(h), in_map(h)
+        fwd = {v: [b for (b, _s) in outs[v]] for v in h.vertices}
+        bwd = {v: [a for (a, _s) in ins[v]] for v in h.vertices}
         cycles = {}  # least vertex of each cycle -> its vertex set
         on_cycle = set()
         for v in h.vertices:
@@ -466,7 +470,7 @@ def test_admit_names_each_cycle_vertex_point():
         for start, comp in cycles.items():
             order, word = [start], []
             while True:
-                (b, s), = [(b, s) for (b, s) in h.out_map[order[-1]] if b in comp]
+                (b, s), = [(b, s) for (b, s) in outs[order[-1]] if b in comp]
                 word.append(s)
                 if b == start:
                     break
@@ -478,12 +482,12 @@ def test_admit_names_each_cycle_vertex_point():
                 assert all(x.at(t) == word[(k + t) % m] for t in range(x.period))
 
 
-def _reference_subset_step(g, state):
+def _reference_subset_step(outs, state):
     """(label, successor set) pairs of a set of vertex names, in ascending
-    label order."""
+    label order; outs is the graph's `out_map`."""
     succ = {}
     for v in state:
-        for (b, s) in g.out_map[v]:
+        for (b, s) in outs[v]:
             succ.setdefault(s, set()).add(b)
     return [(s, frozenset(succ[s])) for s in sorted(succ)]
 
@@ -496,6 +500,7 @@ def reference_anchored_counts(g, point_of):
         seeds.setdefault(pt, set()).add(v)
     anchored = {}
     steps = {}  # subset state -> its (label, successor set) pairs
+    outs = out_map(g)
     for x_hat, start in seeds.items():
         vec = {frozenset(start): 1}
         ell = 0
@@ -512,7 +517,7 @@ def reference_anchored_counts(g, point_of):
                         continue
                 out = steps.get(state)
                 if out is None:
-                    out = steps[state] = _reference_subset_step(g, state)
+                    out = steps[state] = _reference_subset_step(outs, state)
                 for (s, b) in out:
                     if ell or s != x_hat.at(0):
                         nxt[b] = nxt.get(b, 0) + cnt
