@@ -17,11 +17,16 @@ their shift orbits) that they denote:
   positions ``[-len(defect), 0)`` and the left tail extending maximally.
 
 All types are immutable and hashable; all operations are pure functions.
+Periodic orbits and points are interned, one object per value, so equality
+and hashing are by identity; the intern table is weak and safe under threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
+from decimal import Decimal
 from functools import cached_property
 from math import gcd, lcm
 
@@ -47,6 +52,14 @@ def word(w) -> Word:
     for s in syms:
         _check_symbol(s)
     return syms
+
+
+def _count_text(c) -> str:
+    """A count's digits; past Python's int/str digit limit via Decimal."""
+    try:
+        return "%d" % c
+    except ValueError:
+        return str(Decimal(c))
 
 
 def _rotation(w: Word):
@@ -92,66 +105,97 @@ def refine_colors(vertices, signature):
         ncolors = len(palette)
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name, *value):
+    raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+
+_live_orbits = weakref.WeakValueDictionary()  # root word -> its orbit
+_intern_lock = threading.Lock()
+
+
 class PeriodicOrbit:
     """A periodic orbit, named by its canonical (primitive, least-rotation)
-    root word."""
+    root word, with its points, one per phase, built with it.
 
-    root: Word
-    _hash: int = field(init=False, repr=False, compare=False)
+    Interned: `PeriodicOrbit(root)` returns the one live orbit with that
+    root, so equal orbits are the same object and compare and hash by
+    identity.  The root is validated when its orbit is first created, under
+    a lock, so concurrent calls cannot create two orbits for one root."""
 
-    def __post_init__(self):
-        if not self.root:
-            raise EmptyWord("orbit root must be nonempty")
-        d, p = _rotation(self.root)
-        if p != len(self.root):
-            raise ValueError("orbit root %r is not primitive" % (self.root,))
-        if d != 0:
-            raise ValueError("orbit root %r is not the least rotation" % (self.root,))
-        object.__setattr__(self, "_hash", hash(("orbit", self.root)))
+    __slots__ = ("root", "period", "points", "__weakref__")
+    __setattr__ = __delattr__ = _frozen
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, root):
+        o = _live_orbits.get(root)
+        if o is None:
+            with _intern_lock:
+                o = _live_orbits.get(root)
+                if o is None:
+                    o = _live_orbits[root] = _new_orbit(root)
+        return o
 
-    @property
-    def period(self) -> int:
-        return len(self.root)
+    def __reduce__(self):
+        return PeriodicOrbit, (self.root,)
+
+    def __repr__(self):
+        return "PeriodicOrbit(root=%r)" % (self.root,)
 
     def point(self, phase: int) -> "PeriodicPoint":
-        return PeriodicPoint(self, phase % self.period)
+        return self.points[phase % self.period]
 
     def sort_key(self):
-        return (len(self.root), self.root)
+        return (self.period, self.root)
 
 
-@dataclass(frozen=True, slots=True)
+def _new_orbit(root) -> PeriodicOrbit:
+    """A new orbit on a validated root, with its points."""
+    if not root:
+        raise EmptyWord("orbit root must be nonempty")
+    d, p = _rotation(root)
+    if p != len(root):
+        raise ValueError("orbit root %r is not primitive" % (root,))
+    if d != 0:
+        raise ValueError("orbit root %r is not the least rotation" % (root,))
+    o = object.__new__(PeriodicOrbit)
+    object.__setattr__(o, "root", root)
+    object.__setattr__(o, "period", p)
+    pts = []
+    for r in range(p):
+        x = object.__new__(PeriodicPoint)
+        object.__setattr__(x, "orbit", o)
+        object.__setattr__(x, "phase", r)
+        object.__setattr__(x, "period", p)
+        pts.append(x)
+    object.__setattr__(o, "points", tuple(pts))
+    return o
+
+
 class PeriodicPoint:
-    """The configuration x[t] = orbit.root[(t + phase) % period]."""
+    """The configuration x[t] = orbit.root[(t + phase) % period].  Interned
+    with its orbit: `PeriodicPoint(orbit, phase)` returns `orbit.points[phase]`."""
 
-    orbit: PeriodicOrbit
-    phase: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("orbit", "phase", "period")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not 0 <= self.phase < len(self.orbit.root):
-            raise ValueError("phase %d out of range" % self.phase)
-        object.__setattr__(self, "_hash", hash((self.orbit._hash, self.phase)))
+    def __new__(cls, orbit, phase):
+        if not 0 <= phase < orbit.period:
+            raise ValueError("phase %d out of range" % phase)
+        return orbit.points[phase]
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return PeriodicPoint, (self.orbit, self.phase)
 
-    @property
-    def period(self) -> int:
-        return len(self.orbit.root)
+    def __repr__(self):
+        return "PeriodicPoint(orbit=%r, phase=%r)" % (self.orbit, self.phase)
 
     def at(self, t: int) -> str:
-        return self.orbit.root[(t + self.phase) % len(self.orbit.root)]
+        return self.orbit.root[(t + self.phase) % self.period]
 
     def shift(self, n: int) -> "PeriodicPoint":
-        return PeriodicPoint(self.orbit, (self.phase + n) % len(self.orbit.root))
+        return self.orbit.points[(self.phase + n) % self.period]
 
     def sort_key(self):
-        return (len(self.orbit.root), self.orbit.root, self.phase)
+        return (self.period, self.orbit.root, self.phase)
 
 
 def canonicalize_point(u, phase: int = 0) -> PeriodicPoint:
@@ -161,7 +205,7 @@ def canonicalize_point(u, phase: int = 0) -> PeriodicPoint:
     if not u:
         raise EmptyWord("cannot canonicalize the empty word")
     d, p = _rotation(u)
-    return PeriodicPoint(PeriodicOrbit((u + u)[d:d + p]), (phase - d) % p)
+    return PeriodicOrbit((u + u)[d:d + p]).points[(phase - d) % p]
 
 
 @dataclass(frozen=True)
@@ -187,12 +231,6 @@ class EventuallyPeriodicPoint:
             raise ValueError("right tail onset is not leftmost")
         if self.defect and self.defect[0] == self.left.at(-len(self.defect)):
             raise ValueError("left tail does not extend maximally")
-        object.__setattr__(
-            self, "_hash",
-            hash((self.left._hash, self.defect, self.right._hash)))
-
-    def __hash__(self):
-        return self._hash
 
     def at(self, t: int) -> str:
         if t >= 0:
@@ -304,7 +342,7 @@ class StructureGraph:
         (x's orbit, y's orbit, r): its representative has source phase 0
         and target phase r.  It has lcm(p, q) members."""
         return (x.orbit, y.orbit,
-                (y.phase - x.phase) % gcd(len(x.orbit.root), len(y.orbit.root)))
+                (y.phase - x.phase) % gcd(x.period, y.period))
 
     @classmethod
     def make(cls, orbits, transitions) -> "StructureGraph":
@@ -321,11 +359,8 @@ class StructureGraph:
                 raise MalformedStructureGraph("counts not shift equivariant")
             orbs.add(x.orbit)
             orbs.add(y.orbit)
-        # one phase-0 point per orbit, shared by the classes that name it
-        zero = {o: o.point(0) for o in orbs}
         items = tuple(sorted(
-            (((zero[xo], yo.point(r) if r else zero[yo]), c)
-             for ((xo, yo, r), c) in classes.items()),
+            (((xo.points[0], yo.points[r]), c) for ((xo, yo, r), c) in classes.items()),
             key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key())))
         return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items).validate()
 
@@ -341,12 +376,11 @@ class StructureGraph:
         targets = {}  # src orbit -> dst orbit -> {r: count}, in sorted order
         for ((x, y), c) in self.transition_classes:
             targets.setdefault(x.orbit, {}).setdefault(y.orbit, {})[y.phase] = c
-        pts = {o: [o.point(r) for r in range(o.period)] for o in self.orbits}
         for xo, by_target in targets.items():
-            for a, x in enumerate(pts[xo]):
+            for a, x in enumerate(xo.points):
                 for yo, counts in by_target.items():
                     # from x, class r holds the targets of phase a + r (mod g)
-                    g, ys = gcd(xo.period, yo.period), pts[yo]
+                    g, ys = gcd(xo.period, yo.period), yo.points
                     offs = sorted(((a + r) % g, c) for r, c in counts.items())
                     for k in range(0, len(ys), g):
                         for (off, c) in offs:
@@ -354,7 +388,7 @@ class StructureGraph:
 
     @cached_property
     def _point_tuple(self):
-        return tuple(o.point(r) for o in self.orbits for r in range(o.period))
+        return tuple(x for o in self.orbits for x in o.points)
 
     def points(self):
         return self._point_tuple
@@ -376,7 +410,7 @@ class StructureGraph:
         for o in self.orbits:
             if (o, o, 0) not in self._class_counts:
                 raise MalformedStructureGraph(
-                    "missing diagonal transition at %r" % (o.point(0),))
+                    "missing diagonal transition at %r" % (o.points[0],))
         return self
 
     def is_empty(self) -> bool:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import PeriodicPoint, StructureGraph
+from .core import PeriodicPoint, StructureGraph, _count_text
 from .errors import BudgetExceeded, NotRankOne, WitnessInvalid
 
 
@@ -84,12 +84,9 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 
 class _Orbits(NamedTuple):
-    """The orbits of one graph as integers.  Orbits are indexed in sorted
-    order and the point of orbit i at phase r has the id base[i] + r."""
+    """The orbits of one graph as integers, indexed in sorted order."""
 
-    pts: tuple        # the points by id, in sort_key order
     periods: tuple    # per orbit, its period (ascending)
-    base: tuple       # per orbit, the id of its phase-0 point
     by_period: dict   # period -> ascending orbit indices, periods ascending
 
 
@@ -99,14 +96,11 @@ def _orbits(s: StructureGraph) -> _Orbits:
     tab = s.__dict__.get("_orbits")
     if tab is None:
         periods = tuple(o.period for o in s.orbits)
-        base, by_period, total = [], {}, 0
+        by_period = {}
         for i, p in enumerate(periods):
-            base.append(total)
-            total += p
             by_period.setdefault(p, []).append(i)
         tab = s.__dict__["_orbits"] = _Orbits(
-            s.points(), periods, tuple(base),
-            {p: tuple(js) for p, js in by_period.items()})
+            periods, {p: tuple(js) for p, js in by_period.items()})
     return tab
 
 
@@ -228,15 +222,16 @@ def _options(yo, yt, p, shifts, injective, own):
     return found
 
 
-def _witness(xo, yo, choices):
+def _witness(x, y, choices):
     """The vertex map sending phase r of source orbit i, mapped by
-    choices[i] = (j, off), to phase r + off of target orbit j.  Its pairs
-    come in the order of `xo.pts`, which is sort_key order."""
-    xpts, ypts, ybase, yper = xo.pts, yo.pts, yo.base, yo.periods
-    return SGHomomorphism(tuple(
-        (xpts[b + r], ypts[ybase[j] + (r + off) % yper[j]])
-        for b, p, (j, off) in zip(xo.base, xo.periods, choices)
-        for r in range(p)))
+    choices[i] = (j, off), to phase r + off of target orbit j: the points
+    of orbit i against those of orbit j rotated by off, repeated.  Its
+    pairs come orbit by orbit, phases ascending: sort_key order."""
+    pairs, ys = [], y.orbits
+    for o, (j, off) in zip(x.orbits, choices):
+        t = ys[j].points
+        pairs += zip(o.points, (t[off:] + t[:off]) * (o.period // len(t)))
+    return SGHomomorphism(tuple(pairs))
 
 
 def _refuted(mode, x, y):
@@ -394,7 +389,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     while i >= 0:
         if i == n:
             if mode is not Mode.FACTOR or _covers_demand(xo, xs, yo, yt, choice):
-                return _witness(xo, yo, choice)
+                return _witness(x, y, choice)
             rest = 0
         else:
             options, saved = opts[i], trail[i]
@@ -477,7 +472,7 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     targets = _rank1_targets(mode, x, y)
     if targets is None:
         return None
-    return _witness(_orbits(x), _orbits(y), [(j, 0) for j in targets])
+    return _witness(x, y, [(j, 0) for j in targets])
 
 
 def _rank1_targets(mode, x, y):
@@ -489,7 +484,8 @@ def _rank1_targets(mode, x, y):
         if not is_rank_one(s):
             for ((a, b), c) in s.transition_classes:
                 if a != b or c != 1:
-                    raise NotRankOne("transition edge %r -> %r count %d" % (a, b, c))
+                    raise NotRankOne("transition edge %r -> %r count %s"
+                                     % (a, b, _count_text(c)))
     # orbits are sorted by period, so these are the sorted periods
     ps, qs = _orbits(x).periods, _orbits(y).periods
     if mode is Mode.CONJUGACY and ps != qs:
@@ -650,13 +646,13 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
         if len(at) != p:
             return False
         z = at[0]
-        q, root = z.period, z.orbit.root
+        q, zo = z.period, z.orbit
         if p % q:
             return False
         for r, b in at.items():
-            if b.orbit.root != root or b.phase != (z.phase + r) % q:
+            if b.orbit is not zo or b.phase != (z.phase + r) % q:
                 return False
-        moved[o] = (p, z.orbit, z.phase, q)
+        moved[o] = (p, zo, z.phase, q)
     embed, conj = mode is Mode.EMBEDDING, mode is Mode.CONJUGACY
     counts = y._class_counts
     supply = {}  # target class -> aperiodic supply at each of its members

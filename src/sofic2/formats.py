@@ -21,6 +21,7 @@ from .core import (
     CombRep,
     CombTerm,
     Word,
+    _count_text,
     canonicalize_point,
     word,
 )
@@ -89,14 +90,6 @@ def parse_graph(text: str) -> LabeledGraph:
 
 
 # -- structure graphs -------------------------------------------------------
-
-def _count_text(c) -> str:
-    """A count's digits; past Python's int/str digit limit via Decimal."""
-    try:
-        return "%d" % c
-    except ValueError:
-        return str(Decimal(c))
-
 
 def _parse_count(tok, n) -> int:
     """int(tok), or for an all-digit token past that limit via Decimal."""
@@ -205,7 +198,7 @@ def parse_structure(text: str) -> StructureGraph:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
     try:
         s = StructureGraph.make(orbits.values(), {
-            (xo.point(0), yo.point(r)): c for ((xo, yo, r), (c, _n, _t, _b)) in first.items()})
+            (xo.points[0], yo.points[r]): c for ((xo, yo, r), (c, _n, _t, _b)) in first.items()})
     except MalformedStructureGraph as e:
         raise ParseError("structure file invalid: %s" % e)
     # each listed pair is a member of its class; expand only to name a gap

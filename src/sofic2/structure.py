@@ -125,7 +125,7 @@ def _structure_graph(point_of, anchored):
     for ((x, y), n) in anchored.items():
         key = StructureGraph.shift_class(x, y)
         counts[key] = counts.get(key, 0) + n
-    return StructureGraph.make(orbits, {(xo.point(0), yo.point(r)): c
+    return StructureGraph.make(orbits, {(xo.points[0], yo.points[r]): c
                                         for ((xo, yo, r), c) in counts.items()})
 
 

@@ -1,9 +1,16 @@
 """Core value types: canonical forms and their invariants."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sofic2 import (
     EventuallyPeriodicPoint,
@@ -16,6 +23,7 @@ from sofic2 import (
     primitive_root,
     word,
 )
+from sofic2 import core, formats
 from sofic2.core import refine_colors
 from sofic2.errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
 
@@ -133,6 +141,21 @@ def test_canonicalize_config_orbit_invariance():
             assert matches
 
 
+ab_words = st.lists(st.sampled_from(["a", "b"]), max_size=4).map(tuple)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(ab_words.filter(bool), st.integers(-4, 4), ab_words,
+       ab_words.filter(bool), st.integers(-4, 4), st.integers(0, 12))
+def test_canonicalize_config_is_constant_on_shift_orbits(lu, lp, mid, ru, rp, k):
+    # the configuration shifted by k: k symbols of the left tail move into
+    # the front of the middle word, and both tails shift by -k
+    left, right = canonicalize_point(lu, lp), canonicalize_point(ru, rp)
+    moved = tuple(left.at(t) for t in range(-k, 0))
+    assert (canonicalize_config(left.shift(-k), moved + mid, right.shift(-k))
+            == canonicalize_config(left, mid, right))
+
+
 def test_canonicalize_config_shift_consistency_simple():
     left = canonicalize_point("12", 0)
     right = canonicalize_point("13", -1)
@@ -231,3 +254,88 @@ def test_refine_colors_ranks_sorted_signatures():
     # a cycle stays one color
     cyc = {"a": "b", "b": "c", "c": "a"}
     assert set(refine_colors("abc", lambda color, v: color[cyc[v]]).values()) == {0}
+
+
+# -- interning ----------------------------------------------------------------
+
+def test_orbits_and_points_are_interned():
+    w = word("ab")
+    o = PeriodicOrbit(w)
+    assert PeriodicOrbit(w) is o
+    assert PeriodicOrbit(tuple(list(w))) is o
+    assert [x.phase for x in o.points] == [0, 1]
+    assert all(x.orbit is o and x.period == 2 for x in o.points)
+    assert PeriodicPoint(o, 1) is o.points[1] is o.point(-1) is o.points[0].shift(1)
+    with pytest.raises(ValueError, match="phase 2 out of range"):
+        PeriodicPoint(o, 2)
+    rng = random.Random(5)
+    for _ in range(100):
+        u = tuple(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        x = canonicalize_point(u, rng.randint(-9, 9))
+        assert x.orbit.points[x.phase] is x
+        assert x.orbit is PeriodicOrbit(x.orbit.root)
+
+
+def test_parsed_structure_shares_the_live_orbits():
+    rng = random.Random(31)
+    for _ in range(20):
+        s = random_structure_graph(rng)
+        back = formats.parse_structure(formats.format_structure(s))
+        assert len(back.orbits) == len(s.orbits)
+        assert all(a is b for a, b in zip(back.orbits, s.orbits))
+        assert all(a is b for a, b in zip(back.points(), s.points()))
+
+
+def test_copies_and_pickles_return_the_interned_value():
+    o = PeriodicOrbit(word("abb"))
+    for v in (o, o.points[2]):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+
+
+def test_repr_and_immutability():
+    x = PeriodicOrbit(("a", "bc")).points[1]
+    assert repr(x.orbit) == "PeriodicOrbit(root=('a', 'bc'))"
+    assert repr(x) == "PeriodicPoint(orbit=PeriodicOrbit(root=('a', 'bc')), phase=1)"
+    for (v, field) in ((x.orbit, "root"), (x.orbit, "points"), (x, "phase"), (x, "orbit")):
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
+        with pytest.raises(AttributeError):
+            delattr(v, field)
+    assert x.phase == 1 and x.orbit.root == ("a", "bc")
+
+
+def test_unreferenced_orbits_leave_the_intern_table():
+    root = ("unreferenced-orbit-test",)
+    ref = weakref.ref(canonicalize_point(root).orbit)
+    gc.collect()
+    assert ref() is None
+    assert root not in core._live_orbits
+
+
+def test_concurrent_creation_yields_one_orbit_per_root():
+    roots = [("concurrent-%d" % i,) for i in range(500)]
+    barrier = threading.Barrier(4, timeout=30)
+    made = [None] * 4
+
+    def create(k):
+        barrier.wait()
+        made[k] = [PeriodicOrbit(r) for r in roots]
+
+    threads = [threading.Thread(target=create, args=(k,)) for k in range(4)]
+    # switch threads often, so that without the lock two threads would
+    # create orbits for one root
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, r in enumerate(roots):
+        assert made[0][i].root == r
+        assert all(m[i] is made[0][i] for m in made)

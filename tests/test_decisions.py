@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -31,6 +32,7 @@ from sofic2.errors import BudgetExceeded, NotRankOne, WitnessInvalid
 from sofic2.reductions import Digraph
 
 from conftest import (
+    chain_graph,
     make_structure,
     periods_structure,
     random_simple_graph,
@@ -480,6 +482,15 @@ def test_rank1_requires_rank_one(fig1_structure):
         rank1_decide(Mode.CONJUGACY, fig1_structure, fig1_structure)
     assert not is_rank_one(fig1_structure)
     assert is_rank_one(periods_structure([1, 2]))
+
+
+def test_rank1_refusal_names_a_count_past_the_digit_limit():
+    # 2**15000 has 4,516 digits, past Python's default int/str limit of 4,300
+    s = build_structure(chain_graph(15000))
+    with pytest.raises(NotRankOne) as info:
+        rank1_decide(Mode.CONJUGACY, s, s)
+    assert str(info.value) == "transition edge %r -> %r count %s" % (
+        pt("0"), pt("3"), Decimal(2 ** 15000))
 
 
 def test_rank1_agrees_with_general_decide():

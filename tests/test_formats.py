@@ -8,8 +8,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sofic2 import (Digraph, Mode, SGHomomorphism, canonicalize_point, decide, formats,
-                    verify_witness)
+from sofic2 import (ColoredGraph, Digraph, LabeledGraph, Mode, SGHomomorphism, SimpleGraph,
+                    canonicalize_point, decide, formats, verify_witness)
 from sofic2.core import CombRep, CombTerm
 from sofic2.errors import InvalidCombRep, ParseError
 
@@ -244,6 +244,39 @@ def test_comb_rep_witness_and_digraph_files_round_trip(r, mapping, vertices, arc
     assert formats.parse_witness(formats.format_witness(h)) == h
     d = Digraph.make(vertices, arcs)
     assert formats.parse_digraph(formats.format_digraph(d)) == d
+
+
+names = st.sampled_from(["u", "v", "w0", "x1", "yz"])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(names, max_size=3),
+       st.lists(st.tuples(names, names, file_symbols), max_size=8))
+def test_labeled_graph_file_round_trip(vertices, edges):
+    _stable(formats.format_graph, formats.parse_graph, LabeledGraph.make(vertices, edges))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sets(file_symbols, min_size=1), st.lists(file_words(1), max_size=5),
+       st.data())
+def test_forbidden_word_file_round_trip(alphabet, forbidden, data):
+    symbol_map = data.draw(st.dictionaries(st.sampled_from(sorted(alphabet)), file_symbols))
+    text = formats.format_forbidden(alphabet, forbidden, symbol_map)
+    back = formats.parse_forbidden(text)
+    assert back == (sorted(alphabet), sorted(forbidden),
+                    {a: symbol_map.get(a, a) for a in sorted(alphabet)})
+    assert formats.parse_forbidden(formats.format_forbidden(*back)) == back
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(names, st.integers(0, 1), min_size=1), st.data())
+def test_colored_and_simple_graph_files_round_trip(colors, data):
+    pairs = [(a, b) for a in sorted(colors) for b in sorted(colors) if a < b]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=6) if pairs else st.just([]))
+    g = SimpleGraph.make(colors, edges)
+    _stable(formats.format_simple, formats.parse_simple, g)
+    proper = [(a, b) for (a, b) in edges if colors[a] != colors[b]]
+    _stable(formats.format_colored, formats.parse_colored, ColoredGraph.make(colors, proper))
 
 
 def test_witness_round_trip(fig1_structure):

@@ -3,7 +3,9 @@ no library module other than core calls `.validate()` or the raw
 `StructureGraph(...)` constructor.  Witnesses are checked independently:
 `verify_witness` names none of the search's code or tables.  The search
 reads one transition per shift class: none of its code names
-`transitions`."""
+`transitions`.  Periodic points are interned by core: no other module
+calls `PeriodicPoint(...)` or reads `._hash`, so every point comes from
+an orbit's `points`, `point` or `shift`."""
 
 import ast
 from pathlib import Path
@@ -60,6 +62,32 @@ def test_constructor_calls_detects_raw_construction():
 
 def test_only_core_calls_the_constructor():
     assert _outside_core(constructor_calls) == []
+
+
+def point_constructions(tree):
+    """Line numbers of the calls `PeriodicPoint(...)` and
+    `<anything>.PeriodicPoint(...)`, and of the reads of `<anything>._hash`,
+    in the tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (isinstance(node.func, ast.Name)
+                       and node.func.id == "PeriodicPoint"
+                       or isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "PeriodicPoint")
+                  or isinstance(node, ast.Attribute) and node.attr == "_hash")
+
+
+def test_point_constructions_detects_calls_and_hash_reads():
+    tree = ast.parse("x = PeriodicPoint(o, 0)\n"
+                     "y = core.PeriodicPoint(o, 1)\n"
+                     "isinstance(x, PeriodicPoint)\n"
+                     "h = x._hash\n"
+                     "z = o.points[0].shift(1)\n")
+    assert point_constructions(tree) == [1, 2, 4]
+
+
+def test_only_core_constructs_points():
+    assert _outside_core(point_constructions) == []
 
 
 # the search, its tables and its helpers
