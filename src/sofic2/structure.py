@@ -13,9 +13,9 @@ so build_structure never minimizes its input:
   walks in the determinized future graph seeded with the set of all cycle
   vertices that can emit the left tail, so transitional futures are counted
   by a frontier over subset states that sums the walks reaching each state
-  and stops at the first state on a cycle; the states are sets of vertex
-  positions, interned as small int ids shared by every seed's frontier,
-  each stepped and tested for a stream once per build;
+  and stops at the first state on a cycle; a one-vertex state is its
+  vertex's position in `LabeledGraph.index`, stepped on its row, and a
+  larger one an interned set numbered after them, stepped once per build;
 * counts are constant on each class of transitions under simultaneous
   shifts of both endpoints, and each anchored count adds to exactly one
   class, so the anchored counts are summed per class; every periodic orbit
@@ -50,12 +50,12 @@ def _anchored_counts(g: LabeledGraph, point_of):
     For each periodic point x, a frontier of subset states of g starts at
     the set of cycle vertices emitting x, leaves it by every edge but its
     cycle edge, and stops at the first state that lies on a cycle of the
-    future graph; counts are summed per state.  States are frozensets of
-    positions in `g.index`, numbered the first time they are met (the
-    numbered states of the subset construction, Rabin and Scott 1959).
-    Per state id this keeps its members, its stream and, once stepped, its
-    (label, successor id) pairs, so every frontier sums counts in dicts
-    keyed by small ints and no state is stepped or tested twice.
+    future graph; counts are summed per state.  States get small int ids
+    (the numbered subset construction, Rabin and Scott 1959).  State {v}
+    is position v of `g.index`, stepped on v's own `index` row of
+    (successor id, label) pairs, never mutated; only states of two or
+    more positions become frozensets, numbered from len(verts) when first
+    met and stepped once into pairs of the same form.
 
     g is right-resolving with disjoint cycles, so stepping along a cycle
     word maps a set of vertices that all emit one point y bijectively onto
@@ -63,35 +63,36 @@ def _anchored_counts(g: LabeledGraph, point_of):
     is their stream (None for every other state).
     """
     verts, position, out = g.index
-    emits = [point_of.get(v) for v in verts]
-    ids = {}      # subset state -> its id
-    members = []  # id -> subset state
-    stream = []   # id -> the point all its members emit, or None
-    steps = []    # id -> its (label, successor id) pairs, None until stepped
+    stream = [point_of.get(v) for v in verts]  # id -> its members' point, or None
+    steps = list(out)  # id -> its (successor id, label) pairs, None until stepped
+    ids = {}           # state of two or more positions -> its id
+    members = {}       # id -> state of two or more positions
 
-    def state_id(state):
+    def state_id(positions):
+        state = frozenset(positions)
+        if len(state) == 1:
+            return positions[0]
         sid = ids.get(state)
         if sid is None:
-            sid = ids[state] = len(members)
-            members.append(state)
-            it = iter(state)
-            y = emits[next(it)]
-            stream.append(y if y is not None and all(emits[v] == y for v in it) else None)
+            sid = ids[state] = len(stream)
+            members[sid] = state
+            y = stream[positions[0]]
+            stream.append(y if y is not None and all(stream[v] is y for v in state) else None)
             steps.append(None)
         return sid
 
     seeds = {}
     for v, pt in point_of.items():
-        seeds.setdefault(pt, set()).add(position[v])
+        seeds.setdefault(pt, []).append(position[v])
     anchored = {}
     for x_hat, start in seeds.items():
         cycle_label = x_hat.at(0)
-        vec = {state_id(frozenset(start)): 1}
+        vec = {state_id(start): 1}
         ell = 0
         while vec:
             # a transitional path is simple, so the ell + 1 states along it
             # are distinct, and each has been numbered
-            if ell >= len(members):
+            if ell >= len(stream):
                 raise AssertionError("transitional frontier failed to terminate")
             nxt = {}
             for sid, cnt in vec.items():
@@ -106,9 +107,8 @@ def _anchored_counts(g: LabeledGraph, point_of):
                     for v in members[sid]:
                         for (b, s) in out[v]:
                             succ.setdefault(s, []).append(b)
-                    pairs = steps[sid] = [(s, state_id(frozenset(b)))
-                                          for s, b in succ.items()]
-                for (s, b) in pairs:
+                    pairs = steps[sid] = [(state_id(b), s) for s, b in succ.items()]
+                for (b, s) in pairs:
                     # the start's edge labelled x_hat.at(0) is its cycle edge
                     if ell or s != cycle_label:
                         nxt[b] = nxt.get(b, 0) + cnt

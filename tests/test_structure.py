@@ -492,14 +492,15 @@ def _reference_subset_step(outs, state):
     return [(s, frozenset(succ[s])) for s in sorted(succ)]
 
 
-def reference_anchored_counts(g, point_of):
+def reference_anchored_counts(g, point_of, steps=None):
     """The frontier on sets of vertex names: each state visit looks its
-    members' points up again, and steps are cached per frozenset."""
+    members' points up again, and steps are cached per frozenset in
+    `steps`, which the caller may pass to see every state stepped."""
     seeds = {}
     for v, pt in point_of.items():
         seeds.setdefault(pt, set()).add(v)
     anchored = {}
-    steps = {}  # subset state -> its (label, successor set) pairs
+    steps = {} if steps is None else steps  # state -> its (label, successor set) pairs
     outs = out_map(g)
     for x_hat, start in seeds.items():
         vec = {frozenset(start): 1}
@@ -530,21 +531,84 @@ def reference_anchored_counts(g, point_of):
 CHAIN_KS = tuple(range(1, 33)) + (63, 64, 100, 127, 128, 255, 256, 511, 512, 1000, 1024)
 
 
-def test_anchored_counts_match_reference():
+def _frontier_corpus():
+    """The admitted graphs the frontier is checked on: 1,000 certified
+    graphs, 100 synthesized ones and the chains of CHAIN_KS."""
     from sofic2.presentation import admit
-    from sofic2.structure import _anchored_counts
     rng = random.Random(1709)
     graphs = [random_certified_graph(rng) for _ in range(1000)]
     rng = random.Random(1723)
     graphs += [synthesize(random_structure_graph(rng)) for _ in range(100)]
     graphs += [chain_graph(k) for k in CHAIN_KS]
+    return [admit(g) for g in graphs]
+
+
+def test_anchored_counts_match_reference():
+    from sofic2.structure import _anchored_counts
     transitional = 0
-    for g in graphs:
-        h, point_of = admit(g)
+    multi = 0  # graphs whose frontier steps a state of 2+ members, not a seed
+    for h, point_of in _frontier_corpus():
         got = _anchored_counts(h, point_of)
-        assert got == reference_anchored_counts(h, point_of)
+        stepped = {}
+        assert got == reference_anchored_counts(h, point_of, stepped)
         transitional += bool(got)
+        seeds = {frozenset(u for u in point_of if point_of[u] is x)
+                 for x in point_of.values()}
+        multi += any(len(q) >= 2 and q not in seeds for q in stepped)
     assert transitional >= 600
+    assert multi >= 25
+
+
+def test_anchored_counts_leave_the_index_unchanged():
+    # one-vertex states are stepped on the cached `index` rows themselves
+    import copy
+    from sofic2.structure import _anchored_counts
+    for h, point_of in _frontier_corpus():
+        before = copy.deepcopy(h.index)
+        _anchored_counts(h, point_of)
+        assert h.index == before
+
+
+def _check_frontier(edges, expected):
+    """The admitted graph's anchored counts equal `expected` and the
+    reference frontier's, and build == oracle."""
+    from sofic2.presentation import admit
+    from sofic2.structure import _anchored_counts
+    g = LabeledGraph.make([], edges)
+    h, point_of = admit(g)
+    got = _anchored_counts(h, point_of)
+    assert got == reference_anchored_counts(h, point_of) == expected
+    assert build_structure(g) == oracle_structure(g)
+
+
+def test_frontier_keeps_a_merged_state_then_splits_it():
+    # x and y both emit a^inf; label b leaves both, and {m1, n1} then
+    # {m2, n2} are two-member states before d and f split them
+    _check_frontier([("x", "y", "a"), ("y", "x", "a"),
+                     ("x", "m1", "b"), ("y", "n1", "b"),
+                     ("m1", "m2", "c"), ("n1", "n2", "c"),
+                     ("m2", "u", "d"), ("n2", "w", "f"),
+                     ("u", "u", "e"), ("w", "w", "g")],
+                    {(pt("a"), pt("e")): 1, (pt("a"), pt("g")): 1})
+
+
+def test_frontier_walks_on_from_a_state_emitting_two_points():
+    # {u, w} lies on two cycles emitting different points: its stream is
+    # None, so the frontier steps it once more, into {u} and into {w}
+    _check_frontier([("x", "y", "a"), ("y", "x", "a"),
+                     ("x", "u", "b"), ("y", "w", "b"),
+                     ("u", "u", "c"), ("w", "w", "d")],
+                    {(pt("a"), pt("c")): 1, (pt("a"), pt("d")): 1})
+
+
+def test_frontier_termination_assertion_fires():
+    # with b's loop left out of the point map, the walk from a stays on b
+    from sofic2.presentation import admit
+    from sofic2.structure import _anchored_counts
+    h, point_of = admit(LabeledGraph.make([], [("a", "a", "x"), ("a", "b", "y"),
+                                                ("b", "b", "z")]))
+    with pytest.raises(AssertionError, match="transitional frontier failed to terminate"):
+        _anchored_counts(h, {"a": point_of["a"]})
 
 
 def _departure(edges, tag, src, dst, hops, label):
