@@ -15,7 +15,9 @@ characterization, not merely a sufficient condition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (LabeledGraph, CombRep, CombTerm, canonicalize_point, refine_colors,
@@ -42,18 +44,15 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
     returns g itself when it is already essential.  May return the empty graph.
     """
     verts, _position, out = g.index
-    indeg = [0] * len(out)
-    for row in out:
-        for (b, _s) in row:
-            indeg[b] += 1
-    queue = [v for v, row in enumerate(out) if not indeg[v] or not row]
-    if not queue:
+    if all(out) and len(set(map(itemgetter(1), g.edges))) == len(out):
         return g
-    outdeg = [len(row) for row in out]
     pred = [[] for _ in out]
     for a, row in enumerate(out):
         for (b, s) in row:
             pred[b].append((a, s))
+    indeg = [len(p) for p in pred]
+    outdeg = [len(row) for row in out]
+    queue = [v for v in range(len(out)) if not indeg[v] or not outdeg[v]]
     gone = set(queue)
     while queue:
         v = queue.pop()
@@ -77,10 +76,8 @@ def check_right_resolving(g: LabeledGraph):
     verts, _position, out = g.index
     bad = []
     for v, row in enumerate(out):
-        seen = {}
-        for (_b, s) in row:
-            seen[s] = seen.get(s, 0) + 1
-        bad.extend((verts[v], s) for (s, n) in sorted(seen.items()) if n >= 2)
+        seen = Counter(s for (_b, s) in row)
+        bad.extend((verts[v], s) for s in sorted(seen) if seen[s] >= 2)
     return bad
 
 
@@ -177,109 +174,106 @@ class AnalysisReport:
 
 def _cycle_certificate(g: LabeledGraph):
     """One SCC pass for the countability certificate and the rank:
-    (cycles, label, rank, vertex).
+    (cycles, label, rank, vertex), on the positions of `g.index`.
 
     cycles is None when some strongly connected component is neither
-    trivial nor a single simple cycle, and vertex then lies in the first
-    such component.  Otherwise cycles are vertex tuples in walk order,
-    sorted by length then vertices, label maps each cycle vertex to the
-    label of its cycle edge, rank is the most cycles any path visits, and
-    vertex lies on the first cycle whose paths visit three or more (None
-    when rank <= 2).  "First" is in the order Tarjan's algorithm (1972)
-    closes the components, which is reverse topological.  It runs
-    iteratively on the positions of `g.index`, with its marks in lists and
-    roots taken in ascending position; a visited vertex is on its stack
-    until its component closes.  Each component is certified as it closes,
-    when every component it reaches is already done.
+    trivial nor a single simple cycle, and vertex then names the first
+    such component.  Otherwise cycles are position tuples in walk order,
+    sorted by length then vertex names, label holds per position the label
+    of its cycle edge (None off the cycles), rank is the most cycles any
+    path visits, and vertex names the first cycle whose paths visit three
+    or more (None when rank <= 2).  A component is named by, and its cycle
+    starts at, its least vertex by `str`, not its least position.  "First"
+    is in the order Tarjan's algorithm (1972) closes the components, which
+    is reverse topological, here in Pearce's single-array form (2016), run
+    iteratively with roots in ascending position.  A trivial component is
+    never stacked and closes with one store.
     """
     verts, _position, out = g.index
-    n = len(verts)
-    index = [-1] * n
-    low = [0] * n
-    comp_of = [-1] * n
-    stack = []
-    best = []  # per closed component, the most cycles a path from it visits
-    cycles = []
-    label = {}
-    deep = None
-    counter = 0
+    n = len(out)
+    closed = n + 1
+    rindex = [0] * (n + 1)  # 0 while unvisited; entry n is the stack's floor
+    best = [0] * n          # the most cycles a path from the vertex visits
+    label = [None] * n
+    stack = [n]             # finished vertices whose component is still open
+    work = []
+    cycles = []             # in the order their components close
+    counter = 1
     for root in range(n):
-        if index[root] >= 0:
+        if rindex[root]:
             continue
-        index[root] = low[root] = counter
+        v, edges, r = root, iter(out[root]), counter
+        rindex[v] = counter
         counter += 1
-        stack.append(root)
-        work = [(root, iter(out[root]))]
-        while work:
-            v, edges = work[-1]
-            for (w, _s) in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
+        while True:
+            for (w, s) in edges:
+                x = rindex[w]
+                if not x:
+                    work.append((v, edges, r))
+                    v, edges, r = w, iter(out[w]), counter
+                    rindex[v] = counter
                     counter += 1
-                    stack.append(w)
-                    work.append((w, iter(out[w])))
                     break
-                if comp_of[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
+                if x == closed:
+                    if best[w] > best[v]:
+                        best[v] = best[w]
+                elif x < rindex[v]:
+                    rindex[v] = x
+                elif w == v:
+                    label[v] = s  # a loop: v lies on a cycle
             else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] != index[v]:
-                    continue
-                i = len(best)
-                comp = []
-                while True:
-                    w = stack.pop()
-                    comp_of[w] = i
-                    comp.append(w)
-                    if w == v:
-                        break
-                nxt = {}
-                n_internal = 0
-                succ_best = 0
-                for u in comp:
-                    for (w, s) in out[u]:
-                        j = comp_of[w]
-                        if j == i:
-                            n_internal += 1
-                            nxt[u] = w
-                            label[verts[u]] = s
-                        elif best[j] > succ_best:
-                            succ_best = best[j]
-                start = comp[0] if len(comp) == 1 else min(comp, key=lambda u: str(verts[u]))
-                if n_internal:
-                    # strongly connected with one internal edge per vertex:
-                    # exactly one simple cycle covering the component
-                    if n_internal != len(comp):
-                        return None, None, None, verts[start]
-                    order = [start]
-                    while nxt[order[-1]] != start:
-                        order.append(nxt[order[-1]])
-                    cycles.append(tuple(verts[u] for u in order))
-                best.append(succ_best + (n_internal > 0))
-                if best[-1] >= 3 and deep is None:
-                    deep = verts[start]
-    cycles.sort(key=lambda c: (len(c), c))
+                if rindex[v] != r:
+                    stack.append(v)
+                elif rindex[stack[-1]] < r and label[v] is None:
+                    rindex[v] = closed  # trivial, and best[v] is already final
+                else:
+                    comp = [v]
+                    while rindex[stack[-1]] >= r:
+                        comp.append(stack.pop())
+                    # strongly connected: one simple cycle covers it iff the
+                    # walk from its start meets one internal edge per vertex
+                    order = [v if len(comp) == 1 else min(comp, key=lambda u: str(verts[u]))]
+                    while True:
+                        inner = [(w, s) for (w, s) in out[order[-1]] if rindex[w] != closed]
+                        if len(inner) != 1:
+                            return None, None, None, verts[order[0]]
+                        (w, label[order[-1]]), = inner
+                        if w == order[0]:
+                            break
+                        order.append(w)
+                    cycles.append(tuple(order))
+                    b = max(map(best.__getitem__, comp)) + 1
+                    for u in comp:
+                        rindex[u] = closed
+                        best[u] = b
+                if not work:
+                    break
+                u = v
+                v, edges, r = work.pop()
+                if rindex[u] < rindex[v]:
+                    rindex[v] = rindex[u]
+                if best[u] > best[v]:
+                    best[v] = best[u]
+    deep = next((verts[c[0]] for c in cycles if best[c[0]] >= 3), None)
+    cycles.sort(key=lambda c: (len(c), [verts[u] for u in c]))
     return tuple(cycles), label, max(best, default=0), deep
 
 
 class Admitted(NamedTuple):
-    """An admitted presentation: the trimmed graph, and the periodic point
-    read off its cycle from each cycle vertex."""
+    """An admitted presentation: the trimmed graph, and per position of its
+    `index` the periodic point read off its cycle (None off the cycles)."""
 
     graph: LabeledGraph
-    points: dict
+    points: list
 
 
 def admit(g: LabeledGraph) -> Admitted:
     """The one admission gate: checks right-resolving on g as given, trims
-    once and certifies cycles and rank in one SCC pass, which also names
-    each cycle vertex's periodic point (each cycle word is canonicalized
-    once).  Raises NotRightResolving, NotCountableCertified or RankTooHigh,
-    in that order, naming the offending vertex.  Does not minimize:
-    countability and rank are shift properties, and counting does not
-    assume minimality."""
+    once, and certifies cycles and rank in one SCC pass that also reads the
+    cycle words, each distinct one canonicalized once into the point list.
+    Raises NotRightResolving, NotCountableCertified or RankTooHigh, in that
+    order, naming the offending vertex.  Does not minimize: countability and
+    rank are shift properties, and counting does not assume minimality."""
     _require_rr(g)
     g = trim_essential(g)
     cycles, label, rank, vertex = _cycle_certificate(g)
@@ -289,10 +283,13 @@ def admit(g: LabeledGraph) -> Admitted:
     if rank > 2:
         raise RankTooHigh("a path from the cycle through vertex %r visits "
                           "three or more cycles" % (vertex,))
-    points = {}
+    points = [None] * len(label)
+    starts = {}  # cycle word -> its canonical point
     for cyc in cycles:
-        start = canonicalize_point(tuple(label[v] for v in cyc))
-        points.update((v, start.shift(a)) for a, v in enumerate(cyc))
+        w = tuple(map(label.__getitem__, cyc))
+        start = starts[w] = starts.get(w) or canonicalize_point(w)
+        for a, v in enumerate(cyc):
+            points[v] = start.shift(a)
     return Admitted(g, points)
 
 
@@ -310,10 +307,11 @@ def analyze(g: LabeledGraph) -> AnalysisReport:
     trimmed = trim_essential(g)
     essential = trimmed is g
     cycles, _label, rank, _vertex = _cycle_certificate(trimmed)
+    verts = trimmed.index[0]
+    named = tuple(tuple(map(verts.__getitem__, c)) for c in cycles or ())
     if not rr or cycles is None:
-        return AnalysisReport(rr, essential, cycles or (), False, RANK_UNCERTIFIED)
-    return AnalysisReport(rr, essential, cycles, True,
-                          rank if rank <= 2 else RANK_HIGH)
+        return AnalysisReport(rr, essential, named, False, RANK_UNCERTIFIED)
+    return AnalysisReport(rr, essential, named, True, rank if rank <= 2 else RANK_HIGH)
 
 
 def from_comb_rep(r: CombRep) -> LabeledGraph:

@@ -21,15 +21,16 @@ so build_structure never minimizes its input:
   class, so the anchored counts are summed per class; every periodic orbit
   contributes one extra orbit to its own diagonal class.
 
-Admission names the periodic point read off its cycle from each cycle
-vertex.  The edge leaving a cycle vertex with its point's first symbol is
-its cycle edge, unique because the presentation is right-resolving.  The
-oracle shares admission and the last step with build_structure.
+Admission lists the periodic point read off its cycle from each cycle
+vertex, by `index` position.  The edge leaving a cycle vertex with its
+point's first symbol is its cycle edge, unique as the presentation is
+right-resolving.  The oracle shares admission and the last step with build_structure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from math import lcm
 
 from .core import (
@@ -44,26 +45,26 @@ from .presentation import admit
 DEFAULT_PATH_BUDGET = 10 ** 6
 
 
-def _anchored_counts(g: LabeledGraph, point_of):
+def _anchored_counts(g: LabeledGraph, points):
     """Anchored transition counts, keyed by (left point, right point).
 
     For each periodic point x, a frontier of subset states of g starts at
-    the set of cycle vertices emitting x, leaves it by every edge but its
-    cycle edge, and stops at the first state that lies on a cycle of the
-    future graph; counts are summed per state.  States get small int ids
-    (the numbered subset construction, Rabin and Scott 1959).  State {v}
-    is position v of `g.index`, stepped on v's own `index` row of
-    (successor id, label) pairs, never mutated; only states of two or
-    more positions become frozensets, numbered from len(verts) when first
-    met and stepped once into pairs of the same form.
+    the cycle vertices whose entry in admission's point list is x, leaves
+    it by every edge but its cycle edge, and stops at the first state that
+    lies on a cycle of the future graph; counts are summed per state.
+    States get small int ids (the numbered subset construction, Rabin and
+    Scott 1959).  State {v} is position v of `g.index`, stepped on v's own
+    `index` row of (successor id, label) pairs, never mutated; only states
+    of two or more positions become frozensets, numbered from len(points)
+    when first met and stepped once into pairs of the same form.
 
     g is right-resolving with disjoint cycles, so stepping along a cycle
     word maps a set of vertices that all emit one point y bijectively onto
     itself: exactly such states lie on a cycle of the future graph, and y
-    is their stream (None for every other state).
+    is their stream (None for every other state): the point list as it is.
     """
-    verts, position, out = g.index
-    stream = [point_of.get(v) for v in verts]  # id -> its members' point, or None
+    out = g.index[2]
+    stream = list(points)  # id -> its members' point, or None
     steps = list(out)  # id -> its (successor id, label) pairs, None until stepped
     ids = {}           # state of two or more positions -> its id
     members = {}       # id -> state of two or more positions
@@ -82,8 +83,8 @@ def _anchored_counts(g: LabeledGraph, point_of):
         return sid
 
     seeds = {}
-    for v, pt in point_of.items():
-        seeds.setdefault(pt, []).append(position[v])
+    for v in compress(range(len(points)), points):
+        seeds.setdefault(points[v], []).append(v)
     anchored = {}
     for x_hat, start in seeds.items():
         cycle_label = x_hat.at(0)
@@ -117,10 +118,10 @@ def _anchored_counts(g: LabeledGraph, point_of):
     return anchored
 
 
-def _structure_graph(point_of, anchored):
+def _structure_graph(points, anchored):
     """Sum the anchored counts per shift class, add one orbit on each
     periodic orbit's own diagonal class, then make the graph."""
-    orbits = {pt.orbit for pt in point_of.values()}
+    orbits = {pt.orbit for pt in filter(None, set(points))}
     counts = dict.fromkeys(((o, o, 0) for o in orbits), 1)
     for ((x, y), n) in anchored.items():
         key = StructureGraph.shift_class(x, y)
@@ -135,29 +136,30 @@ def build_structure(g: LabeledGraph) -> StructureGraph:
     Requires a right-resolving presentation whose trimmed form has pairwise
     disjoint cycles and no path through three of them; admit raises
     NotRightResolving, NotCountableCertified or RankTooHigh otherwise, and
-    names the periodic point of each cycle vertex.  The presentation is
+    lists the periodic point of each cycle vertex.  The presentation is
     used as given, never minimized.  Counts are exact arbitrary-precision
     ints.
     """
-    g, point_of = admit(g)
-    return _structure_graph(point_of, _anchored_counts(g, point_of))
+    g, points = admit(g)
+    return _structure_graph(points, _anchored_counts(g, points))
 
 
-def _transitional_paths(g: LabeledGraph, point_of, budget):
+def _transitional_paths(g: LabeledGraph, points, budget):
     """Every simple path from a cycle vertex that leaves by a non-cycle edge
     and ends at the first cycle vertex it meets, by DFS over the rows of
-    `g.index`, as (labels, start vertex, end vertex) tuples."""
-    verts, position, out = g.index
+    `g.index`, as (labels, start position, end position) tuples."""
+    out = g.index[2]
     found = 0
-    for start, x in point_of.items():
-        stack = [(position[start], (position[start],), ())]
+    for start in compress(range(len(points)), points):
+        x = points[start]
+        stack = [(start, (start,), ())]
         while stack:
             v, path, labs = stack.pop()
-            if labs and verts[v] in point_of:
+            if labs and points[v] is not None:
                 found += 1
                 if found > budget:
                     raise BudgetExceeded("more than %d transitional paths" % budget)
-                yield labs, start, verts[v]
+                yield labs, start, v
                 continue
             for (b, s) in out[v]:
                 # the start's edge labelled x.at(0) is its cycle edge
@@ -175,14 +177,14 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) ->
     which must be at least 1."""
     if path_budget < 1:
         raise BudgetExceeded("path budget %d is below 1" % path_budget)
-    g, point_of = admit(g)
+    g, points = admit(g)
     configs = set()
-    for (labs, u, w) in _transitional_paths(g, point_of, path_budget):
-        cfg = canonicalize_config(point_of[u], labs, point_of[w].shift(-len(labs)))
+    for (labs, u, w) in _transitional_paths(g, points, path_budget):
+        cfg = canonicalize_config(points[u], labs, points[w].shift(-len(labs)))
         if not isinstance(cfg, EventuallyPeriodicPoint):
             raise AssertionError("periodic junction in a right-resolving presentation")
         configs.add(cfg)
-    return _structure_graph(point_of, Counter((cfg.left, cfg.right) for cfg in configs))
+    return _structure_graph(points, Counter((cfg.left, cfg.right) for cfg in configs))
 
 
 def synthesize(s: StructureGraph) -> LabeledGraph:

@@ -64,6 +64,14 @@ def in_map(g):
     return m
 
 
+def by_name(g, per_position):
+    """A list aligned with the positions of `g.index`, such as an admitted
+    point list or the certificate's labels, as a dict keyed by vertex name,
+    with its None entries left out."""
+    verts = g.index[0]
+    return {verts[v]: x for v, x in enumerate(per_position) if x is not None}
+
+
 def words_of_length(g, n):
     """All length-n label words of paths in the essential part of g (the
     n-blocks of the presented shift); exponential output."""

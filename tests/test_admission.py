@@ -20,7 +20,7 @@ from sofic2.core import _check_symbol, canonicalize_point
 from sofic2.errors import NotCountableCertified, NotRightResolving, RankTooHigh
 from sofic2.presentation import _cycle_certificate, admit
 
-from conftest import (chain_graph, in_map, out_map, random_certified_graph,
+from conftest import (by_name, chain_graph, in_map, out_map, random_certified_graph,
                       random_structure_graph)
 
 
@@ -159,6 +159,25 @@ def reference_cycle_certificate(g):
     return tuple(cycles), label, max(best, default=0), deep
 
 
+def named_certificate(g):
+    """`_cycle_certificate(g)` with its position tuples and its label list
+    keyed back to vertex names, the form `reference_cycle_certificate`
+    gives."""
+    cycles, label, rank, vertex = _cycle_certificate(g)
+    if cycles is None:
+        return cycles, label, rank, vertex
+    verts = g.index[0]
+    return (tuple(tuple(verts[v] for v in c) for c in cycles), by_name(g, label),
+            rank, vertex)
+
+
+def named_admit(g):
+    """`admit(g)` as (graph, points keyed by vertex name), the form
+    `reference_admit` gives."""
+    h, points = admit(g)
+    return h, by_name(h, points)
+
+
 def reference_admit(g):
     bad = reference_check_right_resolving(g)
     if bad:
@@ -248,14 +267,14 @@ def test_admission_matches_reference():
         trimmed = trim_essential(g)
         assert trimmed == reference_trim(g)
         assert check_right_resolving(g) == reference_check_right_resolving(g)
-        assert _cycle_certificate(trimmed) == reference_cycle_certificate(trimmed)
-        got = outcome(admit, g)
+        assert named_certificate(trimmed) == reference_cycle_certificate(trimmed)
+        got = outcome(named_admit, g)
         want = outcome(reference_admit, g)
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want
             kinds.add(want[0])
         else:
-            assert (got.graph, got.points) == want
+            assert got == want
             kinds.add("admitted")
         kinds.add("essential" if trimmed is g else "trimmed")
     assert kinds == {"admitted", NotRightResolving, NotCountableCertified, RankTooHigh,
@@ -267,8 +286,45 @@ def test_certified_graphs_match_reference():
     for _ in range(200):
         g = random_certified_graph(rng)
         assert trim_essential(g) is g
-        assert _cycle_certificate(g) == reference_cycle_certificate(g)
-        assert admit(g) == reference_admit(g)
+        assert named_certificate(g) == reference_cycle_certificate(g)
+        assert named_admit(g) == reference_admit(g)
+
+
+def test_long_and_synthesized_graphs_match_reference():
+    # the shapes admission is tuned on: doubled-edge chains, and synthesized
+    # presentations of about 400 vertices
+    rng = random.Random(1913)
+    graphs = [chain_graph(128), chain_graph(1024)]
+    while len(graphs) < 5:
+        g = synthesize(random_structure_graph(rng, max_orbits=20, max_count=100))
+        if 300 <= len(g.vertices) <= 500:
+            graphs.append(g)
+    for g in graphs:
+        assert named_certificate(g) == reference_cycle_certificate(g)
+        assert named_admit(g) == reference_admit(g)
+
+
+def test_int_vertex_names_are_ordered_by_str():
+    # by str, 10 is below 9, though its position is above: the cycle starts
+    # at 10, and the refusal names 10
+    edges = [(9, 10, "a"), (10, 9, "b"), (10, 11, "c"), (11, 11, "d")]
+    assert analyze(LabeledGraph.make([], edges)).cycles == ((11,), (10, 9))
+    with pytest.raises(NotCountableCertified, match="^the component of vertex 10 is"):
+        admit(LabeledGraph.make([], edges + [(9, 9, "c")]))
+
+
+def test_int_named_graphs_match_reference():
+    rng = random.Random(4243)
+    for _ in range(400):
+        extra, edges = random_edges(rng)
+        named = sorted({v for e in edges for v in e[:2]} | set(extra))
+        # ints of one to four digits, so str order and int order disagree
+        to_int = dict(zip(named, rng.sample(range(1, 2000), len(named))))
+        g = LabeledGraph.make([to_int[v] for v in extra],
+                              [(to_int[a], to_int[b], s) for (a, b, s) in edges])
+        trimmed = trim_essential(g)
+        assert named_certificate(trimmed) == reference_cycle_certificate(trimmed)
+        assert outcome(named_admit, g) == outcome(reference_admit, g)
 
 
 def test_bad_labels_match_reference():

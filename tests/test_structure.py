@@ -27,6 +27,7 @@ from sofic2.errors import (
 )
 
 from conftest import (
+    by_name,
     chain_graph,
     in_map,
     make_structure,
@@ -454,8 +455,8 @@ def test_admit_names_each_cycle_vertex_point():
     rng = random.Random(401)
     graphs += [_long_cycle_graph(rng) for _ in range(6)]
     for g in graphs:
-        adm = admit(g)
-        h = adm.graph
+        h, points = admit(g)
+        points = by_name(h, points)
         outs, ins = out_map(h), in_map(h)
         fwd = {v: [b for (b, _s) in outs[v]] for v in h.vertices}
         bwd = {v: [a for (a, _s) in ins[v]] for v in h.vertices}
@@ -466,7 +467,7 @@ def test_admit_names_each_cycle_vertex_point():
             if v in comp:
                 cycles[min(comp)] = comp
                 on_cycle |= comp
-        assert set(adm.points) == on_cycle
+        assert set(points) == on_cycle
         for start, comp in cycles.items():
             order, word = [start], []
             while True:
@@ -478,7 +479,7 @@ def test_admit_names_each_cycle_vertex_point():
             m = len(order)
             assert m == len(comp)
             for k, v in enumerate(order):
-                x = adm.points[v]
+                x = points[v]
                 assert all(x.at(t) == word[(k + t) % m] for t in range(x.period))
 
 
@@ -547,9 +548,10 @@ def test_anchored_counts_match_reference():
     from sofic2.structure import _anchored_counts
     transitional = 0
     multi = 0  # graphs whose frontier steps a state of 2+ members, not a seed
-    for h, point_of in _frontier_corpus():
-        got = _anchored_counts(h, point_of)
+    for h, points in _frontier_corpus():
+        got = _anchored_counts(h, points)
         stepped = {}
+        point_of = by_name(h, points)
         assert got == reference_anchored_counts(h, point_of, stepped)
         transitional += bool(got)
         seeds = {frozenset(u for u in point_of if point_of[u] is x)
@@ -563,9 +565,9 @@ def test_anchored_counts_leave_the_index_unchanged():
     # one-vertex states are stepped on the cached `index` rows themselves
     import copy
     from sofic2.structure import _anchored_counts
-    for h, point_of in _frontier_corpus():
+    for h, points in _frontier_corpus():
         before = copy.deepcopy(h.index)
-        _anchored_counts(h, point_of)
+        _anchored_counts(h, points)
         assert h.index == before
 
 
@@ -575,9 +577,9 @@ def _check_frontier(edges, expected):
     from sofic2.presentation import admit
     from sofic2.structure import _anchored_counts
     g = LabeledGraph.make([], edges)
-    h, point_of = admit(g)
-    got = _anchored_counts(h, point_of)
-    assert got == reference_anchored_counts(h, point_of) == expected
+    h, points = admit(g)
+    got = _anchored_counts(h, points)
+    assert got == reference_anchored_counts(h, by_name(h, points)) == expected
     assert build_structure(g) == oracle_structure(g)
 
 
@@ -605,10 +607,11 @@ def test_frontier_termination_assertion_fires():
     # with b's loop left out of the point map, the walk from a stays on b
     from sofic2.presentation import admit
     from sofic2.structure import _anchored_counts
-    h, point_of = admit(LabeledGraph.make([], [("a", "a", "x"), ("a", "b", "y"),
-                                                ("b", "b", "z")]))
+    h, points = admit(LabeledGraph.make([], [("a", "a", "x"), ("a", "b", "y"),
+                                             ("b", "b", "z")]))
+    a = by_name(h, points)["a"]
     with pytest.raises(AssertionError, match="transitional frontier failed to terminate"):
-        _anchored_counts(h, {"a": point_of["a"]})
+        _anchored_counts(h, [a if v == "a" else None for v in h.index[0]])
 
 
 def _departure(edges, tag, src, dst, hops, label):
