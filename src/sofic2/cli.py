@@ -25,14 +25,6 @@ from .presentation import (
 from .reductions import digraph_count_table, digraph_gadget, gi_gadget, hom_gadget
 from .structure import DEFAULT_PATH_BUDGET, build_structure, oracle_structure, synthesize
 
-MODES = {
-    "conj": Mode.CONJUGACY,
-    "hom": Mode.BLOCK_MAP,
-    "embed": Mode.EMBEDDING,
-    "factor": Mode.FACTOR,
-}
-
-
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,7 +87,7 @@ def _cmd_synthesize(args):
 
 
 def _cmd_decide(args):
-    mode = MODES[args.mode]
+    mode = Mode(args.mode)
     x = formats.parse_structure(_read(args.a))
     y = formats.parse_structure(_read(args.b))
     witness = (search if args.no_fastpath else decide)(mode, x, y, args.budget)
@@ -139,7 +131,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    mode = MODES[args.mode]
+    mode = Mode(args.mode)
     x = formats.parse_structure(_read(args.a))
     y = formats.parse_structure(_read(args.b))
     h = formats.parse_witness(_read(args.witness))
@@ -179,7 +171,8 @@ def build_parser():
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("decide", help="decide conj/hom/embed/factor")
-    p.add_argument("--mode", choices=sorted(MODES), required=True)
+    p.add_argument("--mode", choices=sorted(m.value for m in Mode),
+                   required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-w", "--witness", help="write the witness here on YES")
@@ -209,7 +202,8 @@ def build_parser():
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="independently re-check a witness")
-    p.add_argument("--mode", choices=sorted(MODES), required=True)
+    p.add_argument("--mode", choices=sorted(m.value for m in Mode),
+                   required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("witness")

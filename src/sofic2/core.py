@@ -151,6 +151,8 @@ def _new_orbit(root) -> PeriodicOrbit:
     """A new orbit on a validated root, with its points."""
     if not root:
         raise EmptyWord("orbit root must be nonempty")
+    for s in root:  # before `_rotation`, which compares the symbols
+        _check_symbol(s)
     d, p = _rotation(root)
     if p != len(root):
         raise ValueError("orbit root %r is not primitive" % (root,))
@@ -239,9 +241,6 @@ class EventuallyPeriodicPoint:
             return self.defect[t + len(self.defect)]
         return self.left.at(t)
 
-    def sort_key(self):
-        return (self.left.sort_key(), self.defect, self.right.sort_key())
-
 
 def canonicalize_config(left: PeriodicPoint, middle, right: PeriodicPoint):
     """Canonical form of the configuration that follows `left` on (-inf, 0),
@@ -255,12 +254,8 @@ def canonicalize_config(left: PeriodicPoint, middle, right: PeriodicPoint):
     middle = word(middle)
     m = len(middle)
 
-    def z(t):
-        if t < 0:
-            return left.at(t)
-        if t < m:
-            return middle[t]
-        return right.at(t)
+    def z(t):  # t < m always: r below starts at m and only falls
+        return left.at(t) if t < 0 else middle[t]
 
     # z is globally periodic iff it coincides with `right` everywhere.
     if left == right and all(middle[t] == right.at(t) for t in range(m)):
@@ -308,16 +303,16 @@ class LabeledGraph:
 
     @cached_property
     def index(self):
-        """(vertices, position, out): the vertices in sorted order, each
-        vertex's position in that order, and per position its out edges as
-        (position, label) pairs in edge order, so ascending by (target,
-        label).  Every pass that walks the graph reads this one adjacency."""
+        """(vertices, out): the vertices in sorted order, and per position
+        in that order its out edges as (position, label) pairs in edge
+        order, so ascending by (target, label).  Every pass that walks the
+        graph reads this one adjacency."""
         verts = sorted(self.vertices)
         position = {v: i for i, v in enumerate(verts)}
         out = [[] for _ in verts]
         for (a, b, s) in self.edges:
             out[position[a]].append((position[b], s))
-        return verts, position, out
+        return verts, out
 
     def is_empty(self) -> bool:
         return not self.vertices

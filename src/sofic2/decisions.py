@@ -6,16 +6,17 @@ an orbit of period q only when q divides p, and choosing a phase offset
 fixes every point of the orbit.
 
 `decide` is the entry point.  When both graphs have rank 1 (finite shifts,
-whose transition edges are exactly the count-1 diagonals) it builds the
-witness directly from the period classes, or finds there is none;
-`rank1_decide` asks the same routine whether a witness exists.  Otherwise
-it runs `search`, a backtracking search over orbit maps with the per-mode
-side conditions, kept on an explicit stack so that no input depends on the
-interpreter's recursion limit.  Both paths return the same witness: the
-first one in the search order (source orbits by period then root, their
-targets likewise, offsets ascending).  `search` stays public as the
-reference that the rank-1 path is tested against; it also decides
-`reductions.digraph_isomorphic`.
+whose transition edges are exactly the count-1 diagonals, a flag of the
+cached orbit table) it builds the witness directly from the period
+classes by one rule per mode, or finds there is none; `rank1_decide`
+refuses a graph of higher rank and asks the same rules whether a witness
+exists.  Otherwise it runs `search`, a backtracking search over orbit
+maps with the per-mode side conditions, kept on an explicit stack so that
+no input depends on the interpreter's recursion limit.  Both paths return
+the same witness: the first one in the search order (source orbits by
+period then root, their targets likewise, offsets ascending).  `search`
+stays public as the reference that the rank-1 path is tested against; it
+also decides `reductions.digraph_isomorphic`.
 
 `search` prunes only subtrees that hold no witness, so its first witness
 is the first in that order, and reads one transition per shift class.  At
@@ -43,7 +44,6 @@ Each public entry refuses a mode that is not a `Mode` with ValueError.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
@@ -88,6 +88,7 @@ class _Orbits(NamedTuple):
 
     periods: tuple    # per orbit, its period (ascending)
     by_period: dict   # period -> ascending orbit indices, periods ascending
+    rank_one: bool    # whether every class is a count-1 diagonal
 
 
 def _orbits(s: StructureGraph) -> _Orbits:
@@ -100,7 +101,8 @@ def _orbits(s: StructureGraph) -> _Orbits:
         for i, p in enumerate(periods):
             by_period.setdefault(p, []).append(i)
         tab = s.__dict__["_orbits"] = _Orbits(
-            periods, {p: tuple(js) for p, js in by_period.items()})
+            periods, {p: tuple(js) for p, js in by_period.items()},
+            all(a == b and c == 1 for ((a, b), c) in s.transition_classes))
     return tab
 
 
@@ -456,14 +458,9 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     (orbits by period then root, targets likewise, offsets ascending), or
     None when no witness exists.  `budget` bounds the nodes of `search`.
 
-    When both graphs have rank 1, `_rank1_targets` builds the witness that
-    `search` would find first, or shows there is none, with no search:
-    block maps send each source orbit to the first target whose period
-    divides its own; embeddings and conjugacies send the k-th source orbit
-    of period p to the k-th target orbit of period p; factor maps send each
-    source orbit, in order, to the first divisor target that still lets the
-    remaining source orbits cover every uncovered target.  Other inputs go
-    to `search`.  Neither path recurses.
+    When both graphs have rank 1 (`is_rank_one`), `_rank1_targets` builds
+    the witness that `search` would find first, or shows there is none,
+    with no search.  Other inputs go to `search`.  Neither path recurses.
     """
     _check_mode(mode)
     _node_limit(budget)
@@ -477,67 +474,63 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
 
 def _rank1_targets(mode, x, y):
     """Per source orbit, its target orbit in the first witness between two
-    rank-1 graphs, or None when there is none.  Phase offsets are all 0.
-    Raises NotRankOne unless both graphs have rank 1, naming the first
-    class that is not a count-1 diagonal."""
-    for s in (x, y):
-        if not is_rank_one(s):
-            for ((a, b), c) in s.transition_classes:
-                if a != b or c != 1:
-                    raise NotRankOne("transition edge %r -> %r count %s"
-                                     % (a, b, _count_text(c)))
-    # orbits are sorted by period, so these are the sorted periods
-    ps, qs = _orbits(x).periods, _orbits(y).periods
-    if mode is Mode.CONJUGACY and ps != qs:
-        return None
-    classes = _orbits(y).by_period
+    rank-1 graphs, or None when there is none; phase offsets are all 0.
+    One rule per mode, on the `_Orbits` tables of both graphs:
+
+    * embeddings and conjugacies: NO when some period has more source
+      orbits than target orbits, or, for a conjugacy, when the sorted
+      periods differ; else the k-th source orbit of period p takes the
+      k-th target orbit of period p;
+    * block maps: each source orbit takes the first target of its first
+      divisor class, the first class whose period divides its own;
+    * factors: the targets of a class are covered in index order, and each
+      source in order first asks `_covers` whether the later sources still
+      cover every uncovered target.  If they do, it takes the first target
+      of its first divisor class, which it covers if that class had none
+      covered.  If not, it covers the first uncovered target of the first
+      divisor class whose cover keeps `_covers` true; when none does, there
+      is no witness.  Covering only gets easier as demand falls, so this is
+      the first target under which the later sources can still finish."""
+    xo, yo = _orbits(x), _orbits(y)
+    ps, classes = xo.periods, yo.by_period
     if mode in INJECTIVE_MODES:
+        # orbits are sorted by period, so the periods tuples are sorted
+        if mode is Mode.CONJUGACY and ps != yo.periods:
+            return None
         out = []
-        for i, p in enumerate(ps):
-            # ps is sorted: this is the k-th source orbit of period p
-            k = k + 1 if i and ps[i - 1] == p else 0
-            js = classes.get(p, ())
-            if k == len(js):
+        for p, js in xo.by_period.items():
+            ts = classes.get(p, ())[:len(js)]
+            if len(ts) < len(js):
                 return None
-            out.append(js[k])
+            out += ts
         return out
-    divisors = {p: [q for q in classes if p % q == 0] for p in set(ps)}
+    divisors = {p: [q for q in classes if p % q == 0] for p in xo.by_period}
     if not all(divisors.values()):
         return None
     if mode is Mode.BLOCK_MAP:
         return [classes[divisors[p][0]][0] for p in ps]
-    # Factor: the targets of a class are covered in index order, so the
-    # first filled[q] of them are covered.  Covering stays feasible or not
-    # alike whichever covered target a source takes, and whichever
-    # uncovered target of one class; so per class only the first covered
-    # and the first uncovered target are candidates.  Each placed source
-    # leaves covering feasible, so a source without a candidate means no
-    # witness, and targets stay uncovered at the end only when there is
-    # no source at all.
-    supply = Counter(ps)
+    supply = {p: len(js) for p, js in xo.by_period.items()}
     uncovered = {q: len(js) for q, js in classes.items()}
-    filled = dict.fromkeys(classes, 0)
     out = []
     for p in ps:
         supply[p] -= 1
-        reuse_ok = None
+        if _covers(supply, uncovered):
+            q = divisors[p][0]
+            if uncovered[q] == len(classes[q]):
+                uncovered[q] -= 1
+            out.append(classes[q][0])
+            continue
         for q in divisors[p]:
-            js, c = classes[q], filled[q]
-            if c:
-                if reuse_ok is None:
-                    reuse_ok = _covers(supply, uncovered)
-                if reuse_ok:
-                    out.append(js[0])
-                    break
-            if c < len(js):
+            if uncovered[q]:
                 uncovered[q] -= 1
                 if _covers(supply, uncovered):
-                    filled[q] += 1
-                    out.append(js[c])
+                    out.append(classes[q][-1 - uncovered[q]])
                     break
                 uncovered[q] += 1
         else:
             return None
+    # each source leaves covering feasible, so targets stay uncovered only
+    # when there is no source at all
     return None if any(uncovered.values()) else out
 
 
@@ -685,18 +678,22 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
     periods (a flow over period classes).  True when `_rank1_targets`
-    finds a witness."""
+    finds a witness.  Raises NotRankOne unless both graphs have rank 1,
+    naming the first class that is not a count-1 diagonal."""
     _check_mode(mode)
+    for s in (x, y):
+        if not is_rank_one(s):
+            for ((a, b), c) in s.transition_classes:
+                if a != b or c != 1:
+                    raise NotRankOne("transition edge %r -> %r count %s"
+                                     % (a, b, _count_text(c)))
     return _rank1_targets(mode, x, y) is not None
 
 
 def is_rank_one(s: StructureGraph) -> bool:
-    """Whether every class of s is a count-1 diagonal, cached on s."""
-    one = s.__dict__.get("_rank_one")
-    if one is None:
-        one = s.__dict__["_rank_one"] = all(
-            a == b and c == 1 for ((a, b), c) in s.transition_classes)
-    return one
+    """Whether every class of s is a count-1 diagonal, read from the orbit
+    tables cached on s."""
+    return _orbits(s).rank_one
 
 
 def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,
@@ -718,8 +715,8 @@ def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,
     out = {}
     for ((ta, tb), c) in y.transitions:
         sources = by_image.get((ta, tb), ())
-        diag_t = ta == tb
-        free_slots = [j for j in range(c) if not (diag_t and j == 0)]
+        # the free slots are 0 .. c - 1, less slot 0 on a diagonal
+        skip = int(ta == tb)
         assign = {}
         cursor = 0
         for ((a, b), k) in sources:
@@ -727,12 +724,11 @@ def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,
                 if a == b and i == 0:
                     assign[((a, b), 0)] = 0
                     continue
-                if cursor < len(free_slots):
-                    j = free_slots[cursor]
-                elif mode is Mode.FACTOR or mode is Mode.BLOCK_MAP:
-                    j = free_slots[-1] if free_slots else 0
-                else:
-                    raise WitnessInvalid("aperiodic supply exceeds capacity")
+                j = cursor + skip
+                if j >= c:
+                    if mode in INJECTIVE_MODES:
+                        raise WitnessInvalid("aperiodic supply exceeds capacity")
+                    j = c - 1  # the last free slot, or 0 when there is none
                 cursor += 1
                 assign[((a, b), i)] = j
         out[(ta, tb)] = assign

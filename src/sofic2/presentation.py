@@ -43,7 +43,7 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
     presented shift is unchanged.  Runs on the positions of `g.index`, and
     returns g itself when it is already essential.  May return the empty graph.
     """
-    verts, _position, out = g.index
+    verts, out = g.index
     if all(out) and len(set(map(itemgetter(1), g.edges))) == len(out):
         return g
     pred = [[] for _ in out]
@@ -73,7 +73,7 @@ def check_right_resolving(g: LabeledGraph):
     label; empty list iff the presentation is right-resolving."""
     if len({(a, s) for (a, _b, s) in g.edges}) == len(g.edges):
         return []
-    verts, _position, out = g.index
+    verts, out = g.index
     bad = []
     for v, row in enumerate(out):
         seen = Counter(s for (_b, s) in row)
@@ -99,7 +99,7 @@ def determinize(g: LabeledGraph) -> LabeledGraph:
     Already-deterministic graphs pass through unchanged."""
     if is_right_resolving(g):
         return g
-    _verts, _position, out = g.index
+    _verts, out = g.index
     full = frozenset(range(len(out)))
     names = {full: "d0"}
     edges = []
@@ -143,7 +143,7 @@ def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
     """
     _require_rr(g)
     g = trim_essential(g)
-    verts, _position, out = g.index
+    verts, out = g.index
     # right-resolving: a vertex's (label, successor) pairs sorted by label
     # name its follower behaviour up to the successors' classes
     succ = [sorted((s, b) for (b, s) in row) for row in out]
@@ -189,7 +189,7 @@ def _cycle_certificate(g: LabeledGraph):
     iteratively with roots in ascending position.  A trivial component is
     never stacked and closes with one store.
     """
-    verts, _position, out = g.index
+    verts, out = g.index
     n = len(out)
     closed = n + 1
     rindex = [0] * (n + 1)  # 0 while unvisited; entry n is the stack's floor

@@ -99,7 +99,6 @@ def gi_gadget(g: ColoredGraph) -> StructureGraph:
     _no_isolated(g.graph)
     pts = {}
     for v in sorted(g.graph.vertices):
-        _check_symbol(v)
         pts[v] = PeriodicOrbit((v,)).point(0)
     counts = {(p, p): 1 for p in pts.values()}
     for e in sorted(g.graph.edges, key=sorted):

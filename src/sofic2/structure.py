@@ -63,7 +63,7 @@ def _anchored_counts(g: LabeledGraph, points):
     itself: exactly such states lie on a cycle of the future graph, and y
     is their stream (None for every other state): the point list as it is.
     """
-    out = g.index[2]
+    out = g.index[1]
     stream = list(points)  # id -> its members' point, or None
     steps = list(out)  # id -> its (successor id, label) pairs, None until stepped
     ids = {}           # state of two or more positions -> its id
@@ -148,7 +148,7 @@ def _transitional_paths(g: LabeledGraph, points, budget):
     """Every simple path from a cycle vertex that leaves by a non-cycle edge
     and ends at the first cycle vertex it meets, by DFS over the rows of
     `g.index`, as (labels, start position, end position) tuples."""
-    out = g.index[2]
+    out = g.index[1]
     found = 0
     for start in compress(range(len(points)), points):
         x = points[start]

@@ -306,6 +306,50 @@ def _one_error_line(capsys):
     return err
 
 
+# One minimal bad file per ParseError branch of the file formats, with the
+# command that reads it (GOOD: a valid one-orbit structure file; `analyze`
+# reads the file as a forbidden-word system) and the message it prints.
+@pytest.mark.parametrize("command, text, message", [
+    (["synthesize"], "orbit o0 word=-\n", "line 1: orbit word must be nonempty"),
+    (["synthesize"], "orbit o0 word=a\ntrans o0 o0:0 count=1\n",
+     "line 2: expected orbit:phase, got 'o0'"),
+    (["synthesize"], "orbit o0 word=a\ntrans o0:x o0:0 count=1\n",
+     "line 2: bad phase 'x'"),
+    (["synthesize"], "orbit o0 word=a\ntrans o1:0 o0:0 count=1\n",
+     "line 2: unknown orbit 'o1'"),
+    (["synthesize"], "orbit o0 word=a\norbit o0 word=b\n",
+     "line 2: duplicate orbit id 'o0'"),
+    (["rank"], "term\n", "line 1: expected 'term u0 [v1 u1 ...]'"),
+    (["rank"], "term - b a\n", "line 1: u words must be nonempty"),
+    (["analyze"], "alphabet a\nforbid -\n",
+     "line 2: cannot forbid the empty word"),
+    (["analyze"], "alphabet a\nallow a\n",
+     "line 2: expected alphabet/forbid/map"),
+    (["analyze"], "forbid a\n", "missing alphabet line"),
+    (["analyze"], "alphabet a\nmap b a\n",
+     "mapped symbol 'b' not in alphabet"),
+    (["reduce", "--gadget", "gi"], "color u 2\n", "line 1: color must be 0 or 1"),
+    (["reduce", "--gadget", "gi"], "vertex u\n",
+     "line 1: expected 'color' or 'edge'"),
+    (["reduce", "--gadget", "gi"], "color u 0\ncolor v 0\nedge u v\n",
+     "edge ['u', 'v'] joins equal colors"),
+    (["reduce", "--gadget", "hom"], "vertex u\nedge u u\n", "self-loop 'u'"),
+    (["verify", "--mode", "conj", "GOOD", "GOOD"], "mop a:0 a:0\n",
+     "line 1: expected 'map src dst'"),
+    (["verify", "--mode", "conj", "GOOD", "GOOD"],
+     "map a:0 a:0\nmap a:0 a:0\n", "line 2: duplicate source point"),
+])
+def test_parse_errors_exit_2_with_their_message(tmp_path, capsys, command,
+                                                text, message):
+    good = tmp_path / "good.sg"
+    good.write_text("orbit o0 word=a\ntrans o0:0 o0:0 count=1\n")
+    bad = tmp_path / ("bad.forbid" if command == ["analyze"] else "bad")
+    bad.write_text(text)
+    argv = [str(good) if arg == "GOOD" else arg for arg in command]
+    assert main(argv + [str(bad)]) == 2
+    assert _one_error_line(capsys) == "error: ParseError: %s\n" % message
+
+
 def test_directory_argument_is_an_error(tmp_path, capsys):
     assert main(["structure", str(tmp_path)]) == 2
     assert str(tmp_path) in _one_error_line(capsys)

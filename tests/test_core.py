@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import sys
 import threading
 import weakref
@@ -274,6 +275,14 @@ def test_orbits_and_points_are_interned():
         x = canonicalize_point(u, rng.randint(-9, 9))
         assert x.orbit.points[x.phase] is x
         assert x.orbit is PeriodicOrbit(x.orbit.root)
+
+
+@pytest.mark.parametrize("root", [(1,), ("a b",), ("",)])
+def test_orbit_root_symbols_are_checked(root):
+    token = re.escape("bad symbol token: %r" % (root[0],))
+    with pytest.raises(ValueError, match=token):
+        PeriodicOrbit(root)
+    assert root not in core._live_orbits
 
 
 def test_parsed_structure_shares_the_live_orbits():

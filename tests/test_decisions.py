@@ -4,6 +4,7 @@ rank-1 fast paths and witness realization."""
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from decimal import Decimal
 
@@ -477,6 +478,32 @@ def test_rank1_factor_deep_matching():
     assert not rank1_decide(Mode.FACTOR, x, periods_structure([1] * 1201, tag=3))
 
 
+# Factor rule cases on rank-1 graphs, by period: the source periods, the
+# target periods, and per source orbit the index of its target orbit in the
+# first witness (None: no witness).
+@pytest.mark.parametrize("ps, qs, targets", [
+    # the second source reuses y0, whose class already has a covered target
+    ([1, 1, 2], [1, 2], [0, 0, 1]),
+    # the first source takes y0, the first target of a class with none
+    # covered, while the later sources still cover every target
+    ([2, 2, 2, 2], [1, 1, 2], [0, 0, 1, 2]),
+    # covering y0 would leave the period-3 source nothing it can cover, so
+    # the first source skips its first divisor class
+    ([2, 3], [1, 2], [1, 0]),
+    # the loop says NO with two sources still unplaced: period 2 has two
+    # targets and one source whose period it divides
+    ([2, 3, 3], [1, 2, 2], None),
+])
+def test_rank1_factor_rule_cases(ps, qs, targets):
+    x, y = periods_structure(ps, tag=1), periods_structure(qs, tag=2)
+    w = decide(Mode.FACTOR, x, y)
+    assert w == search(Mode.FACTOR, x, y)
+    assert rank1_decide(Mode.FACTOR, x, y) == (targets is not None)
+    if targets is not None:
+        assert [y.orbits.index(b.orbit) for (a, b) in w.pairs
+                if a.phase == 0] == targets
+
+
 def test_rank1_requires_rank_one(fig1_structure):
     with pytest.raises(NotRankOne):
         rank1_decide(Mode.CONJUGACY, fig1_structure, fig1_structure)
@@ -710,6 +737,19 @@ def test_realize_orbit_map_modewise_properties():
                     assert set(targets) == set(range(c))
                 if mode is Mode.CONJUGACY:
                     assert targets == list(range(c))
+
+
+def test_realize_orbit_map_reads_a_huge_target_count():
+    # slot j of a target transition comes from the cursor: the slots of a
+    # count of 2**200 are never listed
+    x, y = make_structure([("a", 3)]), make_structure([("b", 2 ** 200)])
+    a, b = pt("a"), pt("b")
+    for mode in (Mode.BLOCK_MAP, Mode.EMBEDDING):
+        w = decide(mode, x, y)
+        start = time.perf_counter()
+        out = realize_orbit_map(mode, x, y, w)
+        assert time.perf_counter() - start < 0.1
+        assert out == {(b, b): {((a, a), 0): 0, ((a, a), 1): 1, ((a, a), 2): 2}}
 
 
 def test_realize_orbit_map_rejects_bad_witness(fig1_structure):

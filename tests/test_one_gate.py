@@ -5,9 +5,11 @@ no library module other than core calls `.validate()` or the raw
 reads one transition per shift class: none of its code names
 `transitions`.  Periodic points are interned by core: no other module
 calls `PeriodicPoint(...)` or reads `._hash`, so every point comes from
-an orbit's `points`, `point` or `shift`."""
+an orbit's `points`, `point` or `shift`.  The runtime is stdlib-only: no
+module imports a package from outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sofic2"
@@ -129,3 +131,35 @@ def test_search_never_names_transitions():
         used = names_used(tree, function)
         assert used is not None, function
         assert "transitions" not in used, function
+
+
+def outside_imports(tree):
+    """The absolute imports in the tree whose top-level package is not in
+    the standard library, as (line, name) pairs."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names
+                  if n.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_outside_imports_sees_both_import_forms():
+    tree = ast.parse("import os, numpy.linalg\n"
+                     "from networkx import Graph\n"
+                     "from . import core\n"
+                     "from __future__ import annotations\n")
+    assert outside_imports(tree) == [(1, "numpy.linalg"), (2, "networkx")]
+
+
+def test_runtime_imports_only_the_standard_library():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    found = ["%s:%d %s" % (p.name, line, name) for p in paths
+             for (line, name) in outside_imports(ast.parse(p.read_text(), str(p)))]
+    assert found == []
