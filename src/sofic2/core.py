@@ -381,12 +381,8 @@ class StructureGraph:
                         for (off, c) in offs:
                             yield (x, ys[k + off]), c
 
-    @cached_property
-    def _point_tuple(self):
-        return tuple(x for o in self.orbits for x in o.points)
-
     def points(self):
-        return self._point_tuple
+        return tuple(x for o in self.orbits for x in o.points)
 
     def count(self, x: PeriodicPoint, y: PeriodicPoint) -> int:
         return self._class_counts.get(self.shift_class(x, y), 0)

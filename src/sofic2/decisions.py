@@ -5,10 +5,12 @@ Such a map is determined orbit by orbit: an orbit of period p may map into
 an orbit of period q only when q divides p, and choosing a phase offset
 fixes every point of the orbit.
 
-`decide` is the entry point.  When both graphs have rank 1 (finite shifts,
-whose transition edges are exactly the count-1 diagonals, a flag of the
-cached orbit table) it builds the witness directly from the period
-classes by one rule per mode, or finds there is none; `rank1_decide`
+`decide` is the entry point.  Every pass reads one integer table per
+graph (`_tables`), built in one pass over its transition classes and
+cached on it.  When both graphs have rank 1 (finite shifts, whose
+transition edges are exactly the count-1 diagonals, a flag of that
+table) it builds the witness directly from the period classes by one
+rule per mode, or finds there is none; `rank1_decide`
 refuses a graph of higher rank and asks the same rules whether a witness
 exists.  Otherwise it runs `search`, a backtracking search over orbit
 maps with the per-mode side conditions, kept on an explicit stack so that
@@ -83,78 +85,60 @@ _UNBOUNDED = float("inf")
 DEFAULT_NODE_BUDGET = 10 ** 6
 
 
-class _Orbits(NamedTuple):
-    """The orbits of one graph as integers, indexed in sorted order."""
+class _Tables(NamedTuple):
+    """The tables of one graph on integer orbit indices, orbits in sorted
+    order, built in one pass over its transition classes: no path expands
+    `transitions`.  The shift class (orbit j, orbit j', r) has the key
+    (j * m + j') * span + r, for m orbits and a span no less than any
+    period."""
 
     periods: tuple    # per orbit, its period (ascending)
     by_period: dict   # period -> ascending orbit indices, periods ascending
     rank_one: bool    # whether every class is a count-1 diagonal
-
-
-def _orbits(s: StructureGraph) -> _Orbits:
-    """The orbit tables of s, cached on it; building them lists no
-    transition, so the rank-1 path never expands `transitions`."""
-    tab = s.__dict__.get("_orbits")
-    if tab is None:
-        periods = tuple(o.period for o in s.orbits)
-        by_period = {}
-        for i, p in enumerate(periods):
-            by_period.setdefault(p, []).append(i)
-        tab = s.__dict__["_orbits"] = _Orbits(
-            periods, {p: tuple(js) for p, js in by_period.items()},
-            all(a == b and c == 1 for ((a, b), c) in s.transition_classes))
-    return tab
-
-
-class _Source(NamedTuple):
-    """The tables of a graph as the source of a search in one mode, on the
-    orbit indices of `_Orbits`.  A class of count c may land on target
-    counts in [lo, hi]: nonzero, at least c for embeddings, exactly c for
-    conjugacies."""
-
     classes: tuple    # per shift class, (orbit, orbit, phase of the target
                       # end, count) at its representative, whose source end
                       # has phase 0
-    own: tuple        # per orbit, its own classes as (phase, lo, hi)
-    later: tuple      # per orbit i, (l, group) per orbit l > i sharing
-                      # classes with i, each entry of a group as (phase at
-                      # i, phase at l, whether it leaves i, lo, hi)
     first: tuple      # per orbit, whether it comes first in its component
+    span: int
+    count: dict       # class key -> count
+    demand: tuple     # per class, (key, aperiodic orbits at each member)
+    near: tuple       # per orbit, the orbits sharing a class with it
+    sources: dict     # mode -> the tables of `_source`, on first use
+    options: dict     # (period, all offsets, injective, own classes) ->
+                      # the choices, masks and own-class mask of _options
 
 
-def _search_profile(s: StructureGraph, mode: Mode) -> _Source:
-    """The source tables of s in `mode`, cached on it."""
-    cache = s.__dict__.setdefault("_search_profile", {})
-    prof = cache.get(mode)
-    if prof is not None:
-        return prof
+def _tables(s: StructureGraph) -> _Tables:
+    """The tables of s, cached on it: the one cache of this module."""
+    t = s.__dict__.get("_tables")
+    if t is not None:
+        return t
+    periods = tuple(o.period for o in s.orbits)
+    by_period = {}
+    for i, p in enumerate(periods):
+        by_period.setdefault(p, []).append(i)
     idx = {o: i for i, o in enumerate(s.orbits)}
-    n = len(idx)
-    classes, own, shared = [], [[] for _ in range(n)], {}
+    m, span = len(periods), max(periods, default=1)
+    classes, count, demand, near = [], {}, [], [{} for _ in range(m)]
     # components: each orbit points at an earlier orbit of its component,
     # or at itself when it comes first
-    comp = list(range(n))
+    comp = list(range(m))
     for ((a, b), c) in s.transition_classes:
         ia, ib, pb = idx[a.orbit], idx[b.orbit], b.phase
         classes.append((ia, ib, pb, c))
-        lo = 1 if mode in (Mode.BLOCK_MAP, Mode.FACTOR) else c
-        hi = c if mode is Mode.CONJUGACY else _UNBOUNDED
-        if ia == ib:
-            own[ia].append((pb, lo, hi))
-            continue
-        if ia < ib:
-            shared.setdefault((ia, ib), []).append((0, pb, True, lo, hi))
-        else:
-            shared.setdefault((ib, ia), []).append((pb, 0, False, lo, hi))
-        ra, rb = _root(comp, ia), _root(comp, ib)
-        comp[max(ra, rb)] = min(ra, rb)
-    later = [()] * n
-    for (i, l), group in sorted(shared.items()):
-        later[i] += ((l, tuple(group)),)
-    prof = cache[mode] = _Source(
-        tuple(classes), tuple(map(tuple, own)), tuple(later),
-        tuple(_root(comp, i) == i for i in range(n)))
-    return prof
+        key = (ia * m + ib) * span + pb
+        count[key] = c
+        demand.append((key, c - 1 if a == b else c))
+        near[ia][ib] = near[ib][ia] = None
+        if ia != ib:
+            ra, rb = _root(comp, ia), _root(comp, ib)
+            comp[max(ra, rb)] = min(ra, rb)
+    t = s.__dict__["_tables"] = _Tables(
+        periods, {p: tuple(js) for p, js in by_period.items()},
+        all(ia == ib and not pb and c == 1 for (ia, ib, pb, c) in classes),
+        tuple(classes), tuple(_root(comp, i) == i for i in range(m)),
+        span, count, tuple(demand), tuple(map(tuple, near)), {}, {})
+    return t
 
 
 def _root(comp, i):
@@ -164,63 +148,59 @@ def _root(comp, i):
     return i
 
 
-class _Target(NamedTuple):
-    """The tables of a graph as the target of a search.  The shift class
-    (orbit j, orbit j', r) has the key (j * m + j') * span + r, for m
-    orbits and a span no less than any period."""
-
-    span: int
-    count: dict       # class key -> count
-    demand: tuple     # per class, (key, aperiodic orbits at each member)
-    near: tuple       # per orbit, the orbits sharing a class with it
-    options: dict     # (period, all offsets, injective, own classes) ->
-                      # the choices, masks and own-class mask of _options
-
-
-def _target_profile(s: StructureGraph) -> _Target:
-    """The target tables of s, cached on it."""
-    prof = s.__dict__.get("_target_profile")
-    if prof is None:
-        idx = {o: i for i, o in enumerate(s.orbits)}
-        m, span = len(idx), max((o.period for o in s.orbits), default=1)
-        count, demand, near = {}, [], [{} for _ in range(m)]
-        for ((a, b), c) in s.transition_classes:
-            ia, ib = idx[a.orbit], idx[b.orbit]
-            key = (ia * m + ib) * span + b.phase
-            count[key] = c
-            demand.append((key, c - 1 if a == b else c))
-            near[ia][ib] = near[ib][ia] = None
-        prof = s.__dict__["_target_profile"] = _Target(
-            span, count, tuple(demand), tuple(map(tuple, near)), {})
-    return prof
+def _source(t: _Tables, mode: Mode):
+    """The tables of a graph as the source of a search in `mode`, cached in
+    its tables t: per orbit, its own classes as (phase, lo, hi); and per
+    orbit i, (l, group) per orbit l > i sharing classes with i, each entry
+    of a group as (phase at i, phase at l, whether it leaves i, lo, hi).  A
+    class of count c may land on target counts in [lo, hi]: nonzero, at
+    least c for embeddings, exactly c for conjugacies."""
+    found = t.sources.get(mode)
+    if found is not None:
+        return found
+    own, shared = [[] for _ in t.periods], {}
+    for (ia, ib, pb, c) in t.classes:
+        lo = 1 if mode in (Mode.BLOCK_MAP, Mode.FACTOR) else c
+        hi = c if mode is Mode.CONJUGACY else _UNBOUNDED
+        if ia == ib:
+            own[ia].append((pb, lo, hi))
+        elif ia < ib:
+            shared.setdefault((ia, ib), []).append((0, pb, True, lo, hi))
+        else:
+            shared.setdefault((ib, ia), []).append((pb, 0, False, lo, hi))
+    later = [()] * len(own)
+    for (i, l), group in sorted(shared.items()):
+        later[i] += ((l, tuple(group)),)
+    found = t.sources[mode] = (tuple(map(tuple, own)), tuple(later))
+    return found
 
 
-def _options(yo, yt, p, shifts, injective, own):
-    """The choices of a source orbit of period p in the target graph, in
-    search order: (target orbit, phase offset) pairs, phase r going to
-    phase r + offset.  Every offset when `shifts`, else only offset 0.
-    Also, per target orbit, the mask of its choices, and the mask of those
-    whose target orbit takes each own class (phase, lo, hi) in `own` to a
-    count in [lo, hi].  Cached on the target's tables."""
+def _options(t, p, shifts, injective, own):
+    """The choices of a source orbit of period p in the target graph of
+    tables t, in search order: (target orbit, phase offset) pairs, phase r
+    going to phase r + offset.  Every offset when `shifts`, else only
+    offset 0.  Also, per target orbit, the mask of its choices, and the
+    mask of those whose target orbit takes each own class (phase, lo, hi)
+    in `own` to a count in [lo, hi].  Cached in t."""
     key = (p, shifts, injective, own)
-    found = yt.options.get(key)
+    found = t.options.get(key)
     if found is None:
         if injective:
-            js = yo.by_period.get(p, ())
+            js = t.by_period.get(p, ())
         else:
-            js = [j for q, group in yo.by_period.items() if p % q == 0
+            js = [j for q, group in t.by_period.items() if p % q == 0
                   for j in group]
-        count, span, m = yt.count, yt.span, len(yo.periods)
+        count, span, m = t.count, t.span, len(t.periods)
         opts, masks, allowed = [], {}, 0
         for j in js:
-            q = yo.periods[j]
+            q = t.periods[j]
             offs = range(q) if shifts else (0,)
             masks[j] = ((1 << len(offs)) - 1) << len(opts)
             opts += [(j, off) for off in offs]
             if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
                    for (pb, lo, hi) in own):
                 allowed |= masks[j]
-        found = yt.options[key] = (tuple(opts), masks, allowed)
+        found = t.options[key] = (tuple(opts), masks, allowed)
     return found
 
 
@@ -246,26 +226,27 @@ def _refuted(mode, x, y):
     periods."""
     nx, ny = len(x.transition_classes), len(y.transition_classes)
     if mode is Mode.CONJUGACY:
-        return nx != ny or _orbits(x).periods != _orbits(y).periods
+        return nx != ny or _tables(x).periods != _tables(y).periods
     if mode is Mode.FACTOR:
         return nx < ny or len(x.orbits) < len(y.orbits)
     return mode is Mode.EMBEDDING and nx > ny
 
 
-def _support(yo, yt, blocks, later, choice):
-    """Forward checking once a source orbit takes `choice` = (j, off): per
-    orbit l in `later`, its row of `_Source.later`, the mask of the options
-    of l under which every class shared with l maps onto a target class
-    whose count lies in [lo, hi], from `blocks[l]`, l's option masks per
-    target orbit.  As every lo is at least 1, only the targets sharing a
-    class with j, j itself included by its diagonal, are walked."""
+def _support(t, blocks, later, choice):
+    """Forward checking once a source orbit takes `choice` = (j, off) in
+    the target graph of tables t: per orbit l in `later`, its row of the
+    `later` table of `_source`, the mask of the options of l under which
+    every class shared with l maps onto a target class whose count lies in
+    [lo, hi], from `blocks[l]`, l's option masks per target orbit.  As
+    every lo is at least 1, only the targets sharing a class with j, j
+    itself included by its diagonal, are walked."""
     j, off = choice
-    yper, count, span, m = yo.periods, yt.count, yt.span, len(yo.periods)
+    yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
     q = yper[j]
     out = []
     for (l, group) in later:
         mask, of_l = 0, blocks[l]
-        for jl in of_l.keys() & yt.near[j]:
+        for jl in of_l.keys() & t.near[j]:
             # per shared class, under option (jl, offl) of l: its image key
             # is base + (d + sign * offl) % g
             g = gcd(q, yper[jl])
@@ -287,16 +268,16 @@ def _support(yo, yt, blocks, later, choice):
     return out
 
 
-def _covers_demand(xo, xs, yo, yt, choices):
+def _covers_demand(xt, yt, choices):
     """The factor-mode counting condition of a complete assignment, once
     per class: a source class of count c whose ends have periods p, p'
     lands on a target class whose ends have periods q, q', g = gcd(q, q'),
     hitting each member lcm(p, p') * g / (q * q') times with its aperiodic
     supply (the count, less one on a diagonal).  Every target class must
     receive a preimage whose supply covers its aperiodic orbits."""
-    xper, yper, span, m = xo.periods, yo.periods, yt.span, len(yo.periods)
+    xper, yper, span, m = xt.periods, yt.periods, yt.span, len(yt.periods)
     supply = {}
-    for (ia, ib, pb, c) in xs.classes:
+    for (ia, ib, pb, c) in xt.classes:
         (ja, offa), (jb, offb) = choices[ia], choices[ib]
         qa, qb = yper[ja], yper[jb]
         g = gcd(qa, qb)
@@ -341,9 +322,11 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     Every check reads one transition per shift class: counts on both sides
     are shift equivariant and every choice commutes with the shift, so the
     rest of a class maps the same way.  A domain is a bitset over an
-    orbit's options.  An orbit's own classes map by its target orbit alone,
-    so its domain starts as the mask that `_options` caches for them on
-    the target.  Forward checking then ands the domain of each later orbit
+    orbit's options.  Both graphs are read through their `_tables`, and
+    the source's classes with their mode's count bounds through `_source`.
+    An orbit's own classes map by its target orbit alone, so its domain
+    starts as the mask that `_options` caches for them in the target's
+    tables.  Forward checking then ands the domain of each later orbit
     sharing classes with the orbit just mapped with the `_support` mask of
     its choice, built on first use and kept for this call; a choice that
     empties a domain is dropped, and a trail of replaced masks undoes the
@@ -362,14 +345,14 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     limit = _node_limit(budget)
     if _refuted(mode, x, y):
         return None
-    xo, yo = _orbits(x), _orbits(y)
-    xs, yt = _search_profile(x, mode), _target_profile(y)
-    n, m = len(xo.periods), len(yo.periods)
+    xt, yt = _tables(x), _tables(y)
+    own, later = _source(xt, mode)
+    n, m = len(xt.periods), len(yt.periods)
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
     # the first orbit of each component takes offset 0 only
-    found = [_options(yo, yt, p, not first, injective, own)
-             for p, first, own in zip(xo.periods, xs.first, xs.own)]
+    found = [_options(yt, p, not first, injective, mine)
+             for p, first, mine in zip(xt.periods, xt.first, own)]
     opts = [f[0] for f in found]
     blocks = [f[1] for f in found]
     domain = [f[2] for f in found]
@@ -390,7 +373,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     i = k = 0
     while i >= 0:
         if i == n:
-            if mode is not Mode.FACTOR or _covers_demand(xo, xs, yo, yt, choice):
+            if mode is not Mode.FACTOR or _covers_demand(xt, yt, choice):
                 return _witness(x, y, choice)
             rest = 0
         else:
@@ -407,7 +390,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
             sup = supports.get((i, k))
             if sup is None:
                 sup = supports[(i, k)] = _support(
-                    yo, yt, blocks, xs.later[i], options[k - 1])
+                    yt, blocks, later[i], options[k - 1])
             for (l, mask) in sup:
                 old = domain[l]
                 new = old & mask
@@ -475,7 +458,7 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
 def _rank1_targets(mode, x, y):
     """Per source orbit, its target orbit in the first witness between two
     rank-1 graphs, or None when there is none; phase offsets are all 0.
-    One rule per mode, on the `_Orbits` tables of both graphs:
+    One rule per mode, on the `_tables` of both graphs:
 
     * embeddings and conjugacies: NO when some period has more source
       orbits than target orbits, or, for a conjugacy, when the sorted
@@ -491,25 +474,25 @@ def _rank1_targets(mode, x, y):
       divisor class whose cover keeps `_covers` true; when none does, there
       is no witness.  Covering only gets easier as demand falls, so this is
       the first target under which the later sources can still finish."""
-    xo, yo = _orbits(x), _orbits(y)
-    ps, classes = xo.periods, yo.by_period
+    xt, yt = _tables(x), _tables(y)
+    ps, classes = xt.periods, yt.by_period
     if mode in INJECTIVE_MODES:
         # orbits are sorted by period, so the periods tuples are sorted
-        if mode is Mode.CONJUGACY and ps != yo.periods:
+        if mode is Mode.CONJUGACY and ps != yt.periods:
             return None
         out = []
-        for p, js in xo.by_period.items():
+        for p, js in xt.by_period.items():
             ts = classes.get(p, ())[:len(js)]
             if len(ts) < len(js):
                 return None
             out += ts
         return out
-    divisors = {p: [q for q in classes if p % q == 0] for p in xo.by_period}
+    divisors = {p: [q for q in classes if p % q == 0] for p in xt.by_period}
     if not all(divisors.values()):
         return None
     if mode is Mode.BLOCK_MAP:
         return [classes[divisors[p][0]][0] for p in ps]
-    supply = {p: len(js) for p, js in xo.by_period.items()}
+    supply = {p: len(js) for p, js in xt.by_period.items()}
     uncovered = {q: len(js) for q, js in classes.items()}
     out = []
     for p in ps:
@@ -691,9 +674,9 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
 
 
 def is_rank_one(s: StructureGraph) -> bool:
-    """Whether every class of s is a count-1 diagonal, read from the orbit
+    """Whether every class of s is a count-1 diagonal, read from the
     tables cached on s."""
-    return _orbits(s).rank_one
+    return _tables(s).rank_one
 
 
 def realize_orbit_map(mode: Mode, x: StructureGraph, y: StructureGraph,

@@ -30,11 +30,23 @@ from .errors import ImproperColoring, InvalidCombRep, MalformedStructureGraph, P
 from .reductions import ColoredGraph, Digraph, SimpleGraph
 
 
+# the least length of the blocks that `_lines` splits, in characters
+_BLOCK = 1 << 16
+
+
 def _lines(text):
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield n, line.split()
+    """(line number, tokens) per line of text that holds more than a
+    comment, numbered as `text.splitlines()` numbers them.  The lines are
+    split a block at a time, each block ending just after a newline, which
+    always ends a line, so the lines of a large file are never all held."""
+    n = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for n, raw in enumerate(text[start:end].splitlines(), start=n + 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield n, line.split()
+        start = end
 
 
 def _vertex_lines(text, keyword, fields, check=None):

@@ -15,7 +15,7 @@ from .core import (
     _check_symbol,
     comb_rep,
 )
-from .decisions import Mode, decide
+from .decisions import DEFAULT_NODE_BUDGET, Mode, decide
 from .errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 from .presentation import from_comb_rep
 from .structure import build_structure
@@ -257,15 +257,16 @@ def _fixed_point_graph(d: Digraph) -> StructureGraph:
 def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
     """Isomorphism of directed multigraphs, parallel arcs counted, decided
     as conjugacy of their fixed-point graphs (`_fixed_point_graph`) by
-    `decide`, with no node budget.
+    `decide`.  Raises BudgetExceeded once the search takes more than
+    `DEFAULT_NODE_BUDGET` nodes.
 
-    This is exact.  Each shift class between fixed points is one vertex
-    pair, so a conjugacy is a vertex bijection under which every pair keeps
-    its count: loops and arc multiplicities are kept.  It maps classes one
-    to one and both graphs have equally many, so every class of h has a
-    preimage, and non-arcs go to non-arcs.
+    Its answers are exact.  Each shift class between fixed points is one
+    vertex pair, so a conjugacy is a vertex bijection under which every
+    pair keeps its count: loops and arc multiplicities are kept.  It maps
+    classes one to one and both graphs have equally many, so every class
+    of h has a preimage, and non-arcs go to non-arcs.
     """
     if len(g.vertices) != len(h.vertices) or len(g.arcs) != len(h.arcs):
         return False
-    return decide(Mode.CONJUGACY, _fixed_point_graph(g),
-                  _fixed_point_graph(h)) is not None
+    return decide(Mode.CONJUGACY, _fixed_point_graph(g), _fixed_point_graph(h),
+                  DEFAULT_NODE_BUDGET) is not None

@@ -1,6 +1,7 @@
 """Decision procedures: worked examples, exhaustive-search agreement,
 rank-1 fast paths and witness realization."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -807,17 +808,33 @@ def test_unknown_mode_is_refused_before_any_table(mode):
     pairs += [(random_structure_graph(rng, max_orbits=3, max_period=3, max_count=4),
                random_structure_graph(rng, max_orbits=3, max_period=3, max_count=4))
               for _ in range(20)]
-    tables = {"_orbits", "_search_profile", "_target_profile", "_rank_one"}
     for (x, y) in pairs:
         ident = SGHomomorphism.make({p: p for p in x.points()})
+        before = set(x.__dict__), set(y.__dict__)
         for call in (decide, search, rank1_decide):
             with pytest.raises(ValueError, match="^unknown mode %r$" % (mode,)):
                 call(mode, x, y)
         with pytest.raises(ValueError, match="^unknown mode %r$" % (mode,)):
             verify_witness(mode, x, x, ident)
-        assert not tables & (set(x.__dict__) | set(y.__dict__))
+        assert (set(x.__dict__), set(y.__dict__)) == before
     ranks = {is_rank_one(x) and is_rank_one(y) for (x, y) in pairs}
     assert ranks == {True, False}
+
+
+def test_decisions_cache_one_table_per_graph(fig1_structure):
+    # whatever the mode and the role of a graph, `decisions` keeps one
+    # cache on it, beside the class counts that core caches itself
+    for s in (periods_structure([1, 2, 2, 3]), fig1_structure):
+        for mode in Mode:
+            decide(mode, s, s)
+            search(mode, s, s)
+            if is_rank_one(s):
+                assert rank1_decide(mode, s, s)
+            else:
+                with pytest.raises(NotRankOne):
+                    rank1_decide(mode, s, s)
+        cached = set(s.__dict__) - {f.name for f in dataclasses.fields(s)}
+        assert cached == {"_tables", "_class_counts"}
 
 
 def test_decide_empty_graphs():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from math import lcm
 
@@ -15,6 +16,7 @@ from sofic2.errors import InvalidCombRep, ParseError
 
 from conftest import (
     chain_graph,
+    make_structure,
     random_certified_graph,
     random_colored_graph,
     random_simple_graph,
@@ -368,3 +370,51 @@ def test_structure_files_and_transitions_property(rng, rng2):
             if w is not None:
                 back = formats.parse_witness(formats.format_witness(w))
                 assert back == w and verify_witness(mode, a, b, back)
+
+
+# every line boundary of str.splitlines
+LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                   "\x85", "\u2028", "\u2029"]
+
+
+def _splitlines_reference(text):
+    """`formats._lines` as it was when it listed `text.splitlines()`."""
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield n, line.split()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.one_of(st.sampled_from(LINE_BOUNDARIES),
+                          st.text("ab #\t", max_size=8)), max_size=30),
+       st.sampled_from([1, 2, 5000]))
+def test_lines_match_splitlines(pieces, repeats):
+    # 5,000 repeats of more than 13 characters run past one block
+    text = "".join(pieces) * repeats
+    assert list(formats._lines(text)) == list(_splitlines_reference(text))
+
+
+def test_lines_cut_blocks_only_after_a_newline():
+    text = "".join(b + "a #c" for b in LINE_BOUNDARIES) * 9000
+    assert len(text) > 3 * formats._BLOCK
+    got = list(formats._lines(text))
+    assert got == list(_splitlines_reference(text))
+    assert got[-1][0] == len(text.splitlines())
+
+
+def test_parse_structure_never_holds_every_line():
+    # two cycles of coprime periods 199 and 211 and one departure: 42,401
+    # lines, of which the parser keeps one block at a time
+    roots = [tuple("p%d_%d" % (p, k) for k in range(p)) for p in (199, 211)]
+    s = make_structure([(r, 1) for r in roots], [((roots[0], 0), (roots[1], 0), 1)])
+    text = formats.format_structure(s)
+    assert len(text.splitlines()) == 42401
+    tracemalloc.start()
+    try:
+        assert formats.parse_structure(text) == s
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 3.6MB when the parser listed every line first
+    assert peak < 1.5e6, peak

@@ -6,7 +6,9 @@ reads one transition per shift class: none of its code names
 `transitions`.  Periodic points are interned by core: no other module
 calls `PeriodicPoint(...)` or reads `._hash`, so every point comes from
 an orbit's `points`, `point` or `shift`.  The runtime is stdlib-only: no
-module imports a package from outside the standard library."""
+module imports a package from outside the standard library.  A graph
+carries one cache of the decisions: the only explicit `__dict__` write
+in the library is that of `decisions._tables`, under the key `_tables`."""
 
 import ast
 import sys
@@ -93,7 +95,7 @@ def test_only_core_constructs_points():
 
 
 # the search, its tables and its helpers
-SEARCH_NAMES = {"search", "_search_profile", "_target_profile", "_options",
+SEARCH_NAMES = {"search", "_tables", "_source", "_options",
                 "_support", "_witness", "_covers_demand", "_refuted"}
 
 
@@ -110,10 +112,11 @@ def names_used(tree, function):
 
 def test_names_used_sees_calls_and_attributes():
     tree = ast.parse("def f(s):\n"
-                     "    return _options(s) + decisions._search_profile(s).x\n"
+                     "    return _options(_tables(s)) + decisions._source(s).x\n"
                      "def search():\n"
                      "    pass\n")
-    assert SEARCH_NAMES & set(names_used(tree, "f")) == {"_options", "_search_profile"}
+    assert SEARCH_NAMES & set(names_used(tree, "f")) == {"_options", "_tables",
+                                                         "_source"}
     assert names_used(tree, "g") is None
 
 
@@ -163,3 +166,53 @@ def test_runtime_imports_only_the_standard_library():
     found = ["%s:%d %s" % (p.name, line, name) for p in paths
              for (line, name) in outside_imports(ast.parse(p.read_text(), str(p)))]
     assert found == []
+
+
+# the methods of a dict that change it
+DICT_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear",
+                 "__setitem__", "__delitem__"}
+
+
+def dict_writes(tree):
+    """(line, key) for each explicit write to `<anything>.__dict__` or
+    `vars(...)` in the tree: an item assigned or deleted, or a mutating
+    method called; key is the item named by a constant, else None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target, key = node.value, node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_MUTATORS):
+            target, key = node.func.value, (node.args or [None])[0]
+        else:
+            continue
+        if (isinstance(target, ast.Attribute) and target.attr == "__dict__"
+                or isinstance(target, ast.Call)
+                and isinstance(target.func, ast.Name) and target.func.id == "vars"):
+            found.append((node.lineno,
+                          key.value if isinstance(key, ast.Constant) else None))
+    return sorted(found)
+
+
+def test_dict_writes_sees_items_and_mutating_calls():
+    tree = ast.parse("s.__dict__['a'] = 1\n"
+                     "x = s.__dict__.get('b')\n"
+                     "s.__dict__.setdefault('c', {})\n"
+                     "del s.__dict__['d']\n"
+                     "vars(s).update(e=1)\n"
+                     "s.__dict__[k] += 1\n"
+                     "y = s.__dict__['f'] + t['g']\n"
+                     "t['h'] = s.__dict__\n"
+                     "s.__dict__.clear()\n")
+    assert dict_writes(tree) == [(1, "a"), (3, "c"), (4, "d"), (5, None),
+                                 (6, None), (9, None)]
+
+
+def test_only_the_decision_tables_write_a_dict():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    found = ["%s:%d %s" % (p.name, line, key) for p in paths
+             for (line, key) in dict_writes(ast.parse(p.read_text(), str(p)))]
+    assert found
+    assert all(w.startswith("decisions.py:") and w.endswith(" _tables")
+               for w in found), found

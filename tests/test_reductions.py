@@ -23,9 +23,11 @@ from sofic2 import (
     gi_gadget,
     hom_gadget,
     oracle_structure,
+    reductions,
 )
 from sofic2.core import refine_colors
-from sofic2.errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
+from sofic2.errors import (BudgetExceeded, ImproperColoring, IsolatedVertex,
+                           ReservedSymbol, TooLarge)
 
 from conftest import (
     periods_structure,
@@ -220,6 +222,15 @@ def test_digraph_isomorphic_needs_no_recursion():
     g, h = digraph_gadget(s, table), digraph_gadget(t, table)
     assert len(g.vertices) == len(h.vertices) == 1140
     assert digraph_isomorphic(g, h)
+
+
+def test_digraph_isomorphic_stops_at_the_node_budget(monkeypatch):
+    # arcs make the fixed-point graphs rank 2, so `search` decides them
+    monkeypatch.setattr(reductions, "DEFAULT_NODE_BUDGET", 1)
+    g = Digraph.make(range(3), [(0, 1), (1, 2)])
+    h = Digraph.make("abc", [("c", "a"), ("a", "b")])
+    with pytest.raises(BudgetExceeded, match="more than 1 nodes"):
+        digraph_isomorphic(g, h)
 
 
 def test_digraph_gadget_empty():
