@@ -26,7 +26,9 @@ the root, orbit and class counts can answer NO.  Forward checking
 (Haralick and Elliott 1980) on bitset domains, with bitset supports
 (Lecoutre and Vion 2008), narrows the choices of the later orbits that
 share classes with each orbit it maps, and backtracks as soon as one has
-none left; a support walks only the targets next to the chosen one.  The
+none left; a support walks only the targets next to the chosen one.  All
+domains share one layout: bit b is the target's b-th point, a choice of
+target orbit and phase offset, so ascending bits are the search order.  The
 first orbit of each source component takes phase offset 0 only: shifting
 all images of one component keeps every count, injectivity, and in factor
 mode the component's preimage supply, so some witness at least as early
@@ -90,7 +92,7 @@ class _Tables(NamedTuple):
     order, built in one pass over its transition classes: no path expands
     `transitions`.  The shift class (orbit j, orbit j', r) has the key
     (j * m + j') * span + r, for m orbits and a span no less than any
-    period."""
+    period.  Bit b of every search domain is point b, `choices[b]`."""
 
     periods: tuple    # per orbit, its period (ascending)
     by_period: dict   # period -> ascending orbit indices, periods ascending
@@ -101,11 +103,11 @@ class _Tables(NamedTuple):
     first: tuple      # per orbit, whether it comes first in its component
     span: int
     count: dict       # class key -> count
-    demand: tuple     # per class, (key, aperiodic orbits at each member)
     near: tuple       # per orbit, the orbits sharing a class with it
+    choices: tuple    # per point in sorted order, (orbit, phase)
+    block: tuple      # per orbit, the mask of its points' bits
     sources: dict     # mode -> the tables of `_source`, on first use
-    options: dict     # (period, all offsets, injective, own classes) ->
-                      # the choices, masks and own-class mask of _options
+    options: dict     # the initial domains of `_options`, by its key
 
 
 def _tables(s: StructureGraph) -> _Tables:
@@ -119,7 +121,11 @@ def _tables(s: StructureGraph) -> _Tables:
         by_period.setdefault(p, []).append(i)
     idx = {o: i for i, o in enumerate(s.orbits)}
     m, span = len(periods), max(periods, default=1)
-    classes, count, demand, near = [], {}, [], [{} for _ in range(m)]
+    classes, count, near = [], {}, [{} for _ in range(m)]
+    choices, block = [], []
+    for j, p in enumerate(periods):
+        block.append(((1 << p) - 1) << len(choices))
+        choices += [(j, r) for r in range(p)]
     # components: each orbit points at an earlier orbit of its component,
     # or at itself when it comes first
     comp = list(range(m))
@@ -128,7 +134,6 @@ def _tables(s: StructureGraph) -> _Tables:
         classes.append((ia, ib, pb, c))
         key = (ia * m + ib) * span + pb
         count[key] = c
-        demand.append((key, c - 1 if a == b else c))
         near[ia][ib] = near[ib][ia] = None
         if ia != ib:
             ra, rb = _root(comp, ia), _root(comp, ib)
@@ -137,7 +142,8 @@ def _tables(s: StructureGraph) -> _Tables:
         periods, {p: tuple(js) for p, js in by_period.items()},
         all(ia == ib and not pb and c == 1 for (ia, ib, pb, c) in classes),
         tuple(classes), tuple(_root(comp, i) == i for i in range(m)),
-        span, count, tuple(demand), tuple(map(tuple, near)), {}, {})
+        span, count, tuple(map(tuple, near)), tuple(choices), tuple(block),
+        {}, {})
     return t
 
 
@@ -176,31 +182,25 @@ def _source(t: _Tables, mode: Mode):
 
 
 def _options(t, p, shifts, injective, own):
-    """The choices of a source orbit of period p in the target graph of
-    tables t, in search order: (target orbit, phase offset) pairs, phase r
-    going to phase r + offset.  Every offset when `shifts`, else only
-    offset 0.  Also, per target orbit, the mask of its choices, and the
-    mask of those whose target orbit takes each own class (phase, lo, hi)
-    in `own` to a count in [lo, hi].  Cached in t."""
+    """The initial domain of a source orbit of period p in the target graph
+    of tables t: point (j, off) of `t.choices` sends phase r to phase
+    r + off of target orbit j.  It holds the target orbits of period p
+    when `injective`, else of every period dividing p, that take each own
+    class (phase, lo, hi) in `own` to a count in [lo, hi]; with every
+    offset when `shifts`, else offset 0 only.  Cached in t."""
     key = (p, shifts, injective, own)
     found = t.options.get(key)
     if found is None:
-        if injective:
-            js = t.by_period.get(p, ())
-        else:
-            js = [j for q, group in t.by_period.items() if p % q == 0
-                  for j in group]
         count, span, m = t.count, t.span, len(t.periods)
-        opts, masks, allowed = [], {}, 0
-        for j in js:
-            q = t.periods[j]
-            offs = range(q) if shifts else (0,)
-            masks[j] = ((1 << len(offs)) - 1) << len(opts)
-            opts += [(j, off) for off in offs]
-            if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
-                   for (pb, lo, hi) in own):
-                allowed |= masks[j]
-        found = t.options[key] = (tuple(opts), masks, allowed)
+        found = 0
+        for q, js in t.by_period.items():
+            if p % q == 0 and (q == p or not injective):
+                for j in js:
+                    b = t.block[j]
+                    if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
+                           for (pb, lo, hi) in own):
+                        found |= b if shifts else b & -b
+        t.options[key] = found
     return found
 
 
@@ -232,30 +232,32 @@ def _refuted(mode, x, y):
     return mode is Mode.EMBEDDING and nx > ny
 
 
-def _support(t, blocks, later, choice):
+def _support(t, start, later, choice):
     """Forward checking once a source orbit takes `choice` = (j, off) in
     the target graph of tables t: per orbit l in `later`, its row of the
-    `later` table of `_source`, the mask of the options of l under which
-    every class shared with l maps onto a target class whose count lies in
-    [lo, hi], from `blocks[l]`, l's option masks per target orbit.  As
-    every lo is at least 1, only the targets sharing a class with j, j
-    itself included by its diagonal, are walked."""
+    `later` table of `_source`, the mask of the points in l's initial
+    domain `start[l]` under which every class shared with l maps onto a
+    target class whose count lies in [lo, hi].  As every lo is at least 1,
+    only the targets sharing a class with j, j itself included by its
+    diagonal, are walked."""
     j, off = choice
     yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
     q = yper[j]
     out = []
     for (l, group) in later:
-        mask, of_l = 0, blocks[l]
-        for jl in of_l.keys() & t.near[j]:
-            # per shared class, under option (jl, offl) of l: its image key
+        mask = 0
+        for jl in t.near[j]:
+            # l's offsets 0, 1, ... on jl, from the low bit
+            block = start[l] & t.block[jl]
+            if not block:
+                continue
+            # per shared class, under point (jl, offl) of l: its image key
             # is base + (d + sign * offl) % g
             g = gcd(q, yper[jl])
             leave, enter = (j * m + jl) * span, (jl * m + j) * span
             ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
                     else (enter, pi + off - pl, -1, lo, hi)
                     for (pi, pl, leaves, lo, hi) in group]
-            # the block of jl holds its offsets 0, 1, ... from its low bit
-            block = of_l[jl]
             bit = block & -block
             for offl in range(block.bit_length() - bit.bit_length() + 1):
                 for (base, d, sign, lo, hi) in ends:
@@ -285,7 +287,9 @@ def _covers_demand(xt, yt, choices):
         hits = lcm(xper[ia], xper[ib]) * g // (qa * qb)
         supply[key] = supply.get(key, 0) + hits * (
             c - 1 if ia == ib and not pb else c)
-    return all(supply.get(key, -1) >= need for (key, need) in yt.demand)
+    return all(supply.get((ia * m + ib) * span + pb, -1)
+               >= (c - 1 if ia == ib and not pb else c)
+               for (ia, ib, pb, c) in yt.classes)
 
 
 def _check_mode(mode):
@@ -321,21 +325,21 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
 
     Every check reads one transition per shift class: counts on both sides
     are shift equivariant and every choice commutes with the shift, so the
-    rest of a class maps the same way.  A domain is a bitset over an
-    orbit's options.  Both graphs are read through their `_tables`, and
-    the source's classes with their mode's count bounds through `_source`.
-    An orbit's own classes map by its target orbit alone, so its domain
-    starts as the mask that `_options` caches for them in the target's
-    tables.  Forward checking then ands the domain of each later orbit
+    rest of a class maps the same way.  Both graphs are read through their
+    `_tables`, and the source's classes with their mode's count bounds
+    through `_source`.  A domain is a bitset over the target's points, in
+    the one layout of its tables.  An orbit's own classes map by its target
+    orbit alone, so its domain starts as the mask that `_options` caches
+    for them.  Forward checking then ands the domain of each later orbit
     sharing classes with the orbit just mapped with the `_support` mask of
     its choice, built on first use and kept for this call; a choice that
     empties a domain is dropped, and a trail of replaced masks undoes the
     narrowing on backtracking.  So the search prunes only subtrees that
-    hold no witness.  Injective modes
-    mask out the options on targets in use; surjective modes do so once
-    the uncovered targets are as many as the orbits left; block maps keep
-    no such masks.  A complete assignment is a witness, built in search
-    order with no sort; in factor mode it must also pass `_covers_demand`.
+    hold no witness.  One mask holds the points of the targets in use:
+    injective modes mask it out, and surjective modes do so once the
+    uncovered targets are as many as the orbits left.  A complete
+    assignment is a witness, built in search order with no sort; in factor
+    mode it must also pass `_covers_demand`.
 
     The levels live on an explicit stack, so the search depth is not
     bounded by the recursion limit.  Its cost is exponential in the worst
@@ -351,23 +355,17 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
     # the first orbit of each component takes offset 0 only
-    found = [_options(yt, p, not first, injective, mine)
+    start = [_options(yt, p, not first, injective, mine)
              for p, first, mine in zip(xt.periods, xt.first, own)]
-    opts = [f[0] for f in found]
-    blocks = [f[1] for f in found]
-    domain = [f[2] for f in found]
-    if not all(domain):
+    if not all(start):
         return None
-    # per masks table of this search, the mask of its choices whose target
-    # is in use; block maps never read it
-    lists = {} if mode is Mode.BLOCK_MAP else {id(b): b for b in blocks}
-    used = dict.fromkeys(lists, 0)
+    domain, choices, block = list(start), yt.choices, yt.block
     choice, resume = [None] * n, [0] * n
     # per level, the (orbit, mask) pairs that its current choice replaced
     trail = [[] for _ in range(n)]
-    supports = {}  # (level, option index + 1) -> its _support, on first use
+    supports = {}  # (level, bit + 1) -> its _support, on first use
     uses = [0] * m
-    covered = nodes = 0
+    used = covered = nodes = 0  # used: the bits of the targets in use
     # Invariant in the surjective modes: at level i, m - covered <= n - i;
     # so a complete assignment covers every target.
     i = k = 0
@@ -377,11 +375,10 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
                 return _witness(x, y, choice)
             rest = 0
         else:
-            options, saved = opts[i], trail[i]
-            rest = domain[i]
+            saved, rest = trail[i], domain[i]
             if injective or (surjective and m - covered == n - i):
-                rest &= ~used[id(blocks[i])]
-            # bit b of rest is option k + b of level i
+                rest &= ~used
+            # bit b of rest is bit k + b of the domain
             rest >>= k
         while rest:
             step = (rest & -rest).bit_length()
@@ -390,7 +387,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
             sup = supports.get((i, k))
             if sup is None:
                 sup = supports[(i, k)] = _support(
-                    yt, blocks, later[i], options[k - 1])
+                    yt, start, later[i], choices[k - 1])
             for (l, mask) in sup:
                 old = domain[l]
                 new = old & mask
@@ -414,8 +411,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
                 uses[j] -= 1
                 if not uses[j]:
                     covered -= 1
-                    for key, masks in lists.items():
-                        used[key] &= ~masks.get(j, 0)
+                    used &= ~block[j]
                 saved = trail[i]
                 while saved:
                     l, old = saved.pop()
@@ -424,12 +420,11 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
         nodes += 1
         if nodes > limit:
             raise BudgetExceeded("search needs more than %d nodes" % budget)
-        choice[i] = options[k - 1]
+        choice[i] = choices[k - 1]
         j = choice[i][0]
         if not uses[j]:
             covered += 1
-            for key, masks in lists.items():
-                used[key] |= masks.get(j, 0)
+            used |= block[j]
         uses[j] += 1
         resume[i] = k
         i, k = i + 1, 0

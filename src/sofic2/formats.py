@@ -194,8 +194,11 @@ def parse_structure(text: str) -> StructureGraph:
             key = StructureGraph.shift_class(a, b)
             entry = first.get(key)
             if entry is None:
-                entry = first[key] = (c, n, toks[1:3],
-                                      bytearray((lcm(a.period, b.period) + 7) // 8))
+                size = lcm(a.period, b.period)
+                if size > len(text):  # each member needs a line of its own
+                    raise ParseError("line %d: its shift class has %d members, more than"
+                                     " %d characters can list" % (n, size, len(text)))
+                entry = first[key] = (c, n, toks[1:3], bytearray((size + 7) // 8))
             byte, mask = _member_bit(a, b)
             if entry[3][byte] & mask:
                 raise ParseError("line %d: duplicate transition %s %s"

@@ -29,7 +29,7 @@ from sofic2 import (
     search,
     verify_witness,
 )
-from sofic2.decisions import _refuted
+from sofic2.decisions import _options, _refuted, _tables
 from sofic2.errors import BudgetExceeded, NotRankOne, WitnessInvalid
 from sofic2.reductions import Digraph
 
@@ -677,6 +677,51 @@ def test_a_budget_leaves_the_first_witness_unchanged():
             except BudgetExceeded:
                 continue
             assert w == search(mode, x, y), mode
+
+
+# the smallest budget under which `search` returns, on the first 12 pairs
+# of _gadget_stream_pairs and then _seeded_pairs(75, 15), in ALL_MODES
+# order: 1 for a search that takes no node, else its node count
+SEARCH_NODES = (
+    6, 1, 6, 1, 6, 1, 6, 1, 3, 3, 1, 1, 3, 1, 3, 1, 8, 1, 725, 1, 4, 1, 4,
+    1, 4, 1, 6, 1, 3, 3, 1, 1, 2, 1, 2, 1, 2, 2, 1, 1, 6, 1, 6, 1, 3, 6, 1,
+    1, 4, 1, 2, 1, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 3, 1, 4, 4, 4,
+    4, 3, 1, 1, 1, 3, 3, 3, 3, 3, 1, 1, 1, 3, 3, 3, 3, 2, 1, 1, 1, 2, 2, 2,
+    2, 3, 1, 1, 1, 3, 3, 3, 3, 1, 1, 1, 1, 2, 2, 2, 2, 3, 1, 4, 1, 3, 3, 3,
+    3, 1, 1, 1, 1, 3, 3, 3, 3, 2, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1,
+    1, 2, 2, 1, 1, 2, 2, 2, 2, 3, 1, 3, 1, 3, 3, 3, 3, 3, 1, 2, 1, 3, 3, 3,
+    3)
+
+
+def test_search_node_counts_are_pinned():
+    # the pruning keeps its strength: each search takes exactly its pinned
+    # nodes (a budget below 1 is refused, so a pin of 1 fails at 0 too)
+    pairs = _gadget_stream_pairs()[:12] + list(_seeded_pairs(75, 15))
+    runs = [(mode, x, y) for (x, y) in pairs for mode in ALL_MODES]
+    assert len(runs) == len(SEARCH_NODES)
+    for (mode, x, y), n in zip(runs, SEARCH_NODES):
+        search(mode, x, y, budget=n)
+        with pytest.raises(BudgetExceeded):
+            search(mode, x, y, budget=n - 1)
+
+
+def test_domain_bits_are_target_points_in_search_order():
+    # bit b of a domain is point b of the target, so the set bits of an
+    # initial domain, low to high, are its choices in search order
+    rng = random.Random(101)
+    for _ in range(20):
+        t = _tables(random_structure_graph(rng, max_orbits=8, max_period=6))
+        for j, block in enumerate(t.block):
+            assert block == sum(1 << b for b, (i, _r) in enumerate(t.choices)
+                                if i == j)
+            assert [r for (i, r) in t.choices if i == j] == list(range(t.periods[j]))
+        for p, shifts, injective in itertools.product(range(1, 7), (False, True),
+                                                      (False, True)):
+            mask = _options(t, p, shifts, injective, ())
+            got = [c for b, c in enumerate(t.choices) if mask >> b & 1]
+            assert got == [(j, off) for j, q in enumerate(t.periods)
+                           if (q == p if injective else p % q == 0)
+                           for off in (range(q) if shifts else (0,))]
 
 
 def test_realize_orbit_map_examples(fig1_structure):

@@ -418,3 +418,25 @@ def test_parse_structure_never_holds_every_line():
         tracemalloc.stop()
     # about 3.6MB when the parser listed every line first
     assert peak < 1.5e6, peak
+
+
+def test_parse_structure_refuses_a_class_no_file_of_its_size_can_list():
+    # orbits of coprime periods 9,973 and 9,967 and one line of their cross
+    # class, whose 99,400,891 members would need a 12.4MB bitmap; the file
+    # is 39,980 characters, so it cannot list them.  The orbits are interned
+    # before tracing, so the peak counts the parser's own allocations
+    words = [("a",) * 9972 + ("b",), ("c",) * 9966 + ("d",)]
+    orbits = [canonicalize_point(w, 0).orbit for w in words]
+    text = ("orbit o0 word=%s\norbit o1 word=%s\ntrans o0:0 o1:0 count=1\n"
+            "trans o0:0 o0:0 count=1\ntrans o1:0 o1:0 count=1\n"
+            % tuple(".".join(w) for w in words))
+    assert len(text) == 39980 and [o.period for o in orbits] == [9973, 9967]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^line 3: its shift class has 99400891"
+                           " members, more than 39980 characters can list$"):
+            formats.parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak

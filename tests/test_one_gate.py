@@ -6,7 +6,8 @@ reads one transition per shift class: none of its code names
 `transitions`.  Periodic points are interned by core: no other module
 calls `PeriodicPoint(...)` or reads `._hash`, so every point comes from
 an orbit's `points`, `point` or `shift`.  The runtime is stdlib-only: no
-module imports a package from outside the standard library.  A graph
+module imports a package from outside the standard library.  The search
+keys no table by object identity: `decisions` never calls `id()`.  A graph
 carries one cache of the decisions: the only explicit `__dict__` write
 in the library is that of `decisions._tables`, under the key `_tables`."""
 
@@ -134,6 +135,26 @@ def test_search_never_names_transitions():
         used = names_used(tree, function)
         assert used is not None, function
         assert "transitions" not in used, function
+
+
+def id_calls(tree):
+    """Line numbers of the calls `id(...)` in the tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "id")
+
+
+def test_id_calls_sees_only_calls_of_id():
+    tree = ast.parse("def f(x):\n"
+                     "    k = id(x)\n"
+                     "    return {id(y): y for y in x}, x.id, ident(x), id\n"
+                     "g = obj.id(1)\n")
+    assert id_calls(tree) == [2, 3]
+
+
+def test_decisions_keys_no_table_by_object_identity():
+    path = SRC / "decisions.py"
+    assert id_calls(ast.parse(path.read_text(), str(path))) == []
 
 
 def outside_imports(tree):
