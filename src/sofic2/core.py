@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from decimal import Decimal
 from functools import cached_property
 from math import gcd, lcm
@@ -329,6 +329,7 @@ class StructureGraph:
     orbits: tuple              # PeriodicOrbit, sorted by (period, root)
     transition_classes: tuple  # sorted ((src point, dst point), count)
                                # pairs, one per class at its representative
+    _class_counts: dict = field(compare=False, repr=False)  # shift_class -> count
 
     @staticmethod
     def shift_class(x: PeriodicPoint, y: PeriodicPoint):
@@ -357,11 +358,8 @@ class StructureGraph:
         items = tuple(sorted(
             (((xo.points[0], yo.points[r]), c) for ((xo, yo, r), c) in classes.items()),
             key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key())))
-        return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items).validate()
-
-    @cached_property
-    def _class_counts(self):
-        return {self.shift_class(x, y): c for ((x, y), c) in self.transition_classes}
+        return cls(tuple(sorted(orbs, key=PeriodicOrbit.sort_key)), items,
+                   classes).validate()
 
     @property
     def transitions(self):
@@ -392,16 +390,19 @@ class StructureGraph:
 
         Well-formedness: all counts are >= 1 and every orbit carries its
         diagonal class.  Counts are shift equivariant by construction, one
-        per class, and endpoints need no check: `make` lists the orbit of
-        each.  `make` runs this on every graph it returns.
+        per class in the table `make` keeps, and endpoints need no check:
+        `make` lists the orbit of each.  `make` runs this on every graph it
+        returns.
         """
         for (_pair, c) in self.transition_classes:
             if c < 1:
                 raise MalformedStructureGraph("transition count < 1")
         for o in self.orbits:
             if (o, o, 0) not in self._class_counts:
+                # a root can be as long as the file it came from
                 raise MalformedStructureGraph(
-                    "missing diagonal transition at %r" % (o.points[0],))
+                    "missing diagonal transition at the orbit of period %d,"
+                    " root starting %.80s" % (o.period, " ".join(o.root[:8])))
         return self
 
     def is_empty(self) -> bool:

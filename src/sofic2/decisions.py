@@ -572,14 +572,14 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
     """Independent validity check of a witness; never raises on malformed
     maps, simply returns False.  Reads none of the search's tables.
 
-    The map must name every point of x once and commute with the shift:
-    phase r of each source orbit goes to the image of its phase 0 moved on
-    r phases, on an orbit whose period divides the source period (else the
-    step from phase p - 1 back to phase 0 breaks).  Then the lcm(p, q)
-    members of a source class map onto the lcm(p', q') members of one
-    target class (p' | p, q' | q), which share one count, each hit
-    lcm(p, q) / lcm(p', q') times.  So each condition is checked once per
-    class of x, at the class of its image:
+    The pairs are read as one point map, which must name every point of x
+    once and commute with the shift: phase r of each source orbit goes to
+    the image of its phase 0 moved on r phases, on an orbit whose period
+    divides the source period (else the step from phase p - 1 back to phase
+    0 breaks).  Then the lcm(p, q) members of a source class map onto the
+    lcm(p', q') members of one target class (p' | p, q' | q), which share
+    one count, each hit lcm(p, q) / lcm(p', q') times.  So each condition
+    is checked once per class of x, at the class of its image:
 
     * the target count is nonzero, at least the source count for
       embeddings and equal to it for conjugacies.  Every orbit has its
@@ -596,8 +596,7 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
       preimage.
     """
     _check_mode(mode)
-    periods = {o: o.period for o in x.orbits}
-    named = {}  # source orbit -> {phase: image}
+    image = {}
     for pair in h.pairs:
         try:
             a, b = pair
@@ -605,39 +604,29 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
             return False
         if not (isinstance(a, PeriodicPoint) and isinstance(b, PeriodicPoint)):
             return False
-        named.setdefault(a.orbit, {})[a.phase] = b
-    # with as many pairs as points, every point of x is named exactly once
-    # when every orbit of x has all its phases
-    if len(h.pairs) != sum(periods.values()) or len(named) != len(periods):
+        image[a] = b
+    # with as many distinct sources as pairs and as points of x, every point
+    # of x is named exactly once when each is found below
+    if not len(image) == len(h.pairs) == sum(o.period for o in x.orbits):
         return False
-    # source orbit -> (period, image orbit, image phase of phase 0, its period)
-    moved = {}
-    for o, at in named.items():
-        p = periods.get(o)  # None for an orbit outside x
-        if len(at) != p:
+    for o in x.orbits:
+        z = image.get(o.points[0])
+        if z is None or o.period % z.period:
             return False
-        z = at[0]
-        q, zo = z.period, z.orbit
-        if p % q:
-            return False
-        for r, b in at.items():
-            if b.orbit is not zo or b.phase != (z.phase + r) % q:
+        for r, a in enumerate(o.points):  # points are interned: `is` is exact
+            if image.get(a) is not z.shift(r):
                 return False
-        moved[o] = (p, zo, z.phase, q)
     embed, conj = mode is Mode.EMBEDDING, mode is Mode.CONJUGACY
     counts = y._class_counts
     supply = {}  # target class -> aperiodic supply at each of its members
     for ((a, b), c) in x.transition_classes:
-        # the representative (a, b) has a at phase 0: its image is the
-        # pair at phases u and v + b.phase of the image orbits
-        pa, ou, u, qu = moved[a.orbit]
-        pb, ov, v, qv = moved[b.orbit]
-        g = gcd(qu, qv)
-        key = (ou, ov, (v + b.phase - u) % g)
+        u, v = image[a], image[b]
+        g = gcd(u.period, v.period)
+        key = (u.orbit, v.orbit, (v.phase - u.phase) % g)
         cy = counts.get(key, 0)
         if not cy or (embed and c > cy) or (conj and c != cy):
             return False
-        hits = lcm(pa, pb) * g // (qu * qv)
+        hits = lcm(a.period, b.period) * g // (u.period * v.period)
         if (embed or conj) and (hits != 1 or key in supply):
             return False
         supply[key] = supply.get(key, 0) + hits * (c - 1 if a == b else c)

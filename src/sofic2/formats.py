@@ -104,13 +104,15 @@ def parse_graph(text: str) -> LabeledGraph:
 # -- structure graphs -------------------------------------------------------
 
 def _parse_count(tok, n) -> int:
-    """int(tok), or for an all-digit token past that limit via Decimal."""
+    """The count an ASCII digit token spells, past Python's int/str digit
+    limit via Decimal.  `int` alone would also take a sign, underscores
+    and other scripts' digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError("line %d: bad count" % n)
     try:
         return int(tok)
     except ValueError:
-        if tok.isascii() and tok.isdigit():
-            return int(Decimal(tok))
-        raise ParseError("line %d: bad count" % n)
+        return int(Decimal(tok))
 
 
 def format_structure(s: StructureGraph) -> str:
@@ -142,8 +144,11 @@ def _parse_point(tok, orbit_of, n):
         raise ParseError("line %d: expected orbit:phase, got %r" % (n, tok))
     name, phase = tok.rsplit(":", 1)
     o = orbit_of(name, n)
+    digits = phase.removeprefix("-")  # a negative phase is named as out of range
     try:
-        ph = int(phase)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(phase)
+        ph = int(phase)  # past Python's int/str digit limit, a ValueError
     except ValueError:
         raise ParseError("line %d: bad phase %r" % (n, phase))
     if not 0 <= ph < o.period:

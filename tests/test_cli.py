@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, outputs, witness files."""
 
+import contextlib
+import io
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sofic2 import formats
 from sofic2.cli import main
@@ -378,3 +383,111 @@ def test_outputs_deterministic(tmp_path, fig1_rep_file):
     assert main(["structure", fig1_rep_file, "-o", str(a)]) == 0
     assert main(["structure", fig1_rep_file, "-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+# Seed files of each kind the CLI reads, each valid and small, for the fuzz
+# below to mutate.
+_FUZZ_SEEDS = {
+    "graph": "vertex w\nedge u u 0\nedge u v 1\nedge v v 2\nedge w u 1\n",
+    "rep": "term 0 1 0\nterm 0 - 1.2\nterm 0 - 1.3\nterm 1.2 1 1.3\nterm 1.2 2 1.3\n",
+    "forbid": "alphabet 0 1 2\nforbid 1.0\nforbid 2\nmap 1 c\n",
+    "structure": ("orbit o0 word=0\norbit o1 word=1.2\n"
+                  "trans o0:0 o0:0 count=2\ntrans o0:0 o1:0 count=1\n"
+                  "trans o0:0 o1:1 count=1\ntrans o1:0 o1:0 count=1\n"
+                  "trans o1:1 o1:1 count=1\n"),
+    "witness": "map 0:0 0:0\nmap 1.2:0 1.2:1\nmap 1.2:1 1.2:0\n",
+    "colored": "color u 0\ncolor v 1\ncolor w 0\nedge u v\nedge v w\n",
+    "simple": "edge u v\nedge v w\nedge u w\nedge w x\n",
+}
+_FUZZ_TOKENS = ("0", "1", "2", "-1", "+1", "1_0", "\u0665", "9" * 30, "-", ".", ":",
+                "#", "a", "1.2", "o0", "o0:0", "o1:1", "o2:0", "count=0", "count=3",
+                "word=", "word=2.1", "trans", "orbit", "edge", "vertex", "arc", "map",
+                "term", "alphabet", "forbid", "color", "u", "\u00e9", "\t", "\x00", "\r")
+_edits = st.lists(st.tuples(
+    st.sampled_from(("delete", "repeat", "swap", "token", "char", "bytes")),
+    st.integers(0, 255), st.integers(0, 255), st.sampled_from(_FUZZ_TOKENS)), max_size=6)
+
+
+def _mutate(text, edits):
+    """The text's bytes after each edit: drop, repeat or swap lines, put a
+    token in place of a word or a character, or put in a byte that is not
+    UTF-8."""
+    lines, garble = text.split("\n"), []
+    for op, i, j, tok in edits:
+        k, m = i % len(lines), j % len(lines)
+        if op == "delete" and len(lines) > 1:
+            del lines[k]
+        elif op == "repeat":
+            lines.insert(m, lines[k])
+        elif op == "swap":
+            lines[k], lines[m] = lines[m], lines[k]
+        elif op == "token":
+            words = lines[k].split(" ")
+            words[j % len(words)] = tok
+            lines[k] = " ".join(words)
+        elif op == "char":
+            at = j % (len(lines[k]) + 1)
+            lines[k] = lines[k][:at] + tok + lines[k][at + 1:]
+        elif op == "bytes":
+            garble.append(i)
+    data = "\n".join(lines).encode()
+    for i in garble:
+        at = i % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class _Overtime(Exception):
+    """A CLI call ran past its cap."""
+
+
+def _on_alarm(signum, frame):
+    raise _Overtime()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(edits=st.fixed_dictionaries({kind: _edits for kind in _FUZZ_SEEDS}),
+       mode=st.sampled_from(("conj", "embed", "factor", "hom")))
+def test_cli_fuzz_exits_cleanly(edits, mode):
+    # every subcommand on mutated files of every kind: each call exits 0, 1
+    # or 2 within its cap, and an exit 2 prints one error line, not a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for kind, text in _FUZZ_SEEDS.items():
+            data = _mutate(text, edits[kind])
+            assert len(data) < 2048
+            path[kind] = os.path.join(tmp, "in." + kind)
+            with open(path[kind], "wb") as fh:
+                fh.write(data)
+        good = os.path.join(tmp, "good.structure")
+        with open(good, "w") as fh:
+            fh.write(_FUZZ_SEEDS["structure"])
+        calls = [[cmd, path[kind]] for cmd in ("analyze", "structure", "oracle-structure")
+                 for kind in ("graph", "rep", "forbid")]
+        calls += [
+            ["synthesize", path["structure"]],
+            ["decide", "--mode", mode, path["structure"], good,
+             "-w", os.path.join(tmp, "out.witness")],
+            ["verify", "--mode", mode, path["structure"], good, path["witness"]],
+            ["rank", path["rep"]],
+            ["derive", path["rep"]],
+            ["reduce", "--gadget", "gi", path["colored"]],
+            ["reduce", "--gadget", "hom", path["simple"]],
+            ["reduce", "--gadget", "digraph", path["structure"], "--with-counts-from", good],
+        ]
+        previous = signal.signal(signal.SIGALRM, _on_alarm)
+        try:
+            for argv in calls:
+                out, err = io.StringIO(), io.StringIO()
+                signal.setitimer(signal.ITIMER_REAL, 5.0)
+                try:
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                assert code in (0, 1, 2), argv
+                if code == 2:
+                    assert err.getvalue().startswith("error: "), argv
+                    assert err.getvalue().count("\n") == 1, argv
+        finally:
+            signal.signal(signal.SIGALRM, previous)

@@ -282,37 +282,45 @@ def _differential_pairs():
     return rng, pairs
 
 
-def _mutants(rng, x, y, vm):
-    """Maps one change away from vm: one image moved to another point of y,
-    outside y or to no point at all, one source missing, or one source
-    replaced by a point outside x."""
-    a = rng.choice(sorted(vm, key=lambda p: p.sort_key()))
+def _mutants(rng, x, y, pairs):
+    """Pair sequences one change away from `pairs`: one image moved to
+    another point of y, outside y or to no point at all; one source
+    missing, or replaced by a point outside x; one source named once more,
+    with its own image or with another point of y, before or after the
+    rest; or the pairs reversed."""
+    i = rng.randrange(len(pairs))
+    a, b = pairs[i]
+    before, after = pairs[:i], pairs[i + 1:]
     outside = canonicalize_point(("out", "side"), rng.randrange(2))
     for image in (rng.choice(y.points()), rng.choice(y.points()),
                   outside, "not a point", None):
-        yield {**vm, a: image}
-    rest = {p: b for p, b in vm.items() if p != a}
-    yield rest
-    yield {**rest, outside: vm[a]}
+        yield before + [(a, image)] + after
+    yield before + after
+    yield before + [(outside, b)] + after
+    for image in (b, rng.choice(y.points())):
+        yield [(a, image)] + pairs
+        yield pairs + [(a, image)]
+    yield pairs[::-1]
 
 
 def test_verify_witness_agrees_with_reference():
     rng, pairs = _differential_pairs()
     calls = accepted = 0
     for (x, y, folding) in pairs:
-        maps = [folding] if folding else []
+        maps = [list(folding.items())] if folding else []
         for mode in ALL_MODES:
             w = decide(mode, x, y)
             if w is not None:
-                maps.append(dict(w.pairs))
-        maps += [_orbit_map(rng, x, y, collapse) for collapse in (False, True, True)]
-        for vm in list(maps):
-            maps += _mutants(rng, x, y, vm)
-        for vm in maps:
-            h = SGHomomorphism(tuple(vm.items()))
+                maps.append(list(w.pairs))
+        maps += [list(_orbit_map(rng, x, y, collapse).items())
+                 for collapse in (False, True, True)]
+        for seq in list(maps):
+            maps += _mutants(rng, x, y, seq)
+        for seq in maps:
+            h = SGHomomorphism(tuple(seq))
             for mode in ALL_MODES:
                 want = reference_verify(mode, x, y, h)
-                assert verify_witness(mode, x, y, h) == want, (mode, x, y, vm)
+                assert verify_witness(mode, x, y, h) == want, (mode, x, y, seq)
                 calls += 1
                 accepted += want
     assert calls >= 20000 and accepted >= 2000, (calls, accepted)
@@ -868,7 +876,7 @@ def test_unknown_mode_is_refused_before_any_table(mode):
 
 def test_decisions_cache_one_table_per_graph(fig1_structure):
     # whatever the mode and the role of a graph, `decisions` keeps one
-    # cache on it, beside the class counts that core caches itself
+    # cache on it; the class counts are a field that `make` fills
     for s in (periods_structure([1, 2, 2, 3]), fig1_structure):
         for mode in Mode:
             decide(mode, s, s)
@@ -879,7 +887,7 @@ def test_decisions_cache_one_table_per_graph(fig1_structure):
                 with pytest.raises(NotRankOne):
                     rank1_decide(mode, s, s)
         cached = set(s.__dict__) - {f.name for f in dataclasses.fields(s)}
-        assert cached == {"_tables", "_class_counts"}
+        assert cached == {"_tables"}
 
 
 def test_decide_empty_graphs():

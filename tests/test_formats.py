@@ -93,9 +93,16 @@ def test_structure_parse_errors():
     with pytest.raises(ParseError, match="^line 3: count 1 differs from count 9{5000} on line 2,"):
         formats.parse_structure("orbit o0 word=a.b\ntrans o0:0 o0:0 count=%s\n"
                                 "trans o0:1 o0:1 count=1\n" % digits)
-    for bad in ("+" + digits, digits + "x", "9_" + digits):
+    # counts and phases are ASCII digits at every length: `int` alone would
+    # take a sign, underscores and other scripts' digits
+    for bad in ("+5", "1_0", "\u0665", "+" + digits, digits + "x", "9_" + digits):
         with pytest.raises(ParseError, match="^line 2: bad count$"):
             formats.parse_structure("orbit o0 word=a\ntrans o0:0 o0:0 count=%s\n" % bad)
+    for bad in ("+0", "0_0", "\u0660", "-", "0" * 5000):
+        with pytest.raises(ParseError, match="^line 2: bad phase %s$" % re.escape(repr(bad))):
+            formats.parse_structure("orbit o0 word=a\ntrans o0:%s o0:0 count=1\n" % bad)
+        with pytest.raises(ParseError, match="^line 1: bad phase %s$" % re.escape(repr(bad))):
+            formats.parse_witness("map a:0 a:%s\n" % bad)
     with pytest.raises(ParseError, match="^line 3: duplicate transition o0:0 o0:0$"):
         formats.parse_structure("orbit o0 word=a\n"
                                 "trans o0:0 o0:0 count=1\ntrans o0:0 o0:0 count=5\n")
@@ -107,6 +114,16 @@ def test_structure_parse_errors():
             "orbit o0 word=a\norbit o1 word=b.c\n"
             "trans o0:0 o0:0 count=1\ntrans o0:0 o1:1 count=3\n"
             "trans o1:0 o1:0 count=1\ntrans o1:1 o1:1 count=1\n")
+
+
+def test_missing_diagonal_refusal_is_bounded():
+    # an orbit is named by its period and its first root symbols, so the
+    # refusal stays short however long the orbit or its symbols
+    for root in (["s%03d" % i for i in range(200)], ["a"] * 9966 + ["b"],
+                 ["x" * 400 + str(i) for i in range(3)]):
+        with pytest.raises(ParseError, match="missing diagonal") as refused:
+            formats.parse_structure("orbit o0 word=%s\n" % ".".join(root))
+        assert len(str(refused.value)) < 200
 
 
 def test_structure_file_repeats_and_gaps_are_named():
