@@ -62,6 +62,14 @@ def _count_text(c) -> str:
         return str(Decimal(c))
 
 
+def _clip(text) -> str:
+    """text as a refusal quotes it: past 60 characters, cut there and
+    followed by its length, so that no message grows with its input."""
+    if len(text) <= 60:
+        return text
+    return "%s... (%d characters)" % (text[:60], len(text))
+
+
 def _rotation(w: Word):
     """(d, p): the least index d at which the lexicographically least
     rotation of w starts, and the primitive period p of w (w is a power of
@@ -402,7 +410,7 @@ class StructureGraph:
                 # a root can be as long as the file it came from
                 raise MalformedStructureGraph(
                     "missing diagonal transition at the orbit of period %d,"
-                    " root starting %.80s" % (o.period, " ".join(o.root[:8])))
+                    " root starting %s" % (o.period, _clip(" ".join(o.root[:8]))))
         return self
 
     def is_empty(self) -> bool:

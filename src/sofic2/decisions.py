@@ -10,15 +10,17 @@ graph (`_tables`), built in one pass over its transition classes and
 cached on it.  When both graphs have rank 1 (finite shifts, whose
 transition edges are exactly the count-1 diagonals, a flag of that
 table) it builds the witness directly from the period classes by one
-rule per mode, or finds there is none; `rank1_decide`
-refuses a graph of higher rank and asks the same rules whether a witness
-exists.  Otherwise it runs `search`, a backtracking search over orbit
-maps with the per-mode side conditions, kept on an explicit stack so that
-no input depends on the interpreter's recursion limit.  Both paths return
-the same witness: the first one in the search order (source orbits by
-period then root, their targets likewise, offsets ascending).  `search`
-stays public as the reference that the rank-1 path is tested against; it
-also decides `reductions.digraph_isomorphic`.
+rule per mode, or finds there is none; for factors the rule keeps one
+flow over period classes for the call and mends it per source orbit
+(`_augment`).  `rank1_decide` refuses a graph of higher rank and asks
+the same rules whether a witness exists.  Otherwise it runs `search`, a
+backtracking search over orbit maps with the per-mode side conditions,
+kept on an explicit stack so that no input depends on the interpreter's
+recursion limit.  Both paths return the same witness: the first one in
+the search order (source orbits by period then root, their targets
+likewise, offsets ascending).  `search` stays public as the reference
+that the rank-1 path is tested against; it also decides
+`reductions.digraph_isomorphic`.
 
 `search` prunes only subtrees that hold no witness, so its first witness
 is the first in that order, and reads one transition per shift class.  At
@@ -104,10 +106,15 @@ class _Tables(NamedTuple):
     span: int
     count: dict       # class key -> count
     near: tuple       # per orbit, the orbits sharing a class with it
-    choices: tuple    # per point in sorted order, (orbit, phase)
-    block: tuple      # per orbit, the mask of its points' bits
     sources: dict     # mode -> the tables of `_source`, on first use
     options: dict     # the initial domains of `_options`, by its key
+    layout: list      # [choices, block] on first use as a search target
+
+    # per point in sorted order, (orbit, phase); per orbit, the mask of its
+    # points' bits.  Only a search target reads them, and `block` grows
+    # with the square of the orbits, so they are built on first use.
+    choices = property(lambda t: _layout(t)[0])
+    block = property(lambda t: _layout(t)[1])
 
 
 def _tables(s: StructureGraph) -> _Tables:
@@ -122,10 +129,6 @@ def _tables(s: StructureGraph) -> _Tables:
     idx = {o: i for i, o in enumerate(s.orbits)}
     m, span = len(periods), max(periods, default=1)
     classes, count, near = [], {}, [{} for _ in range(m)]
-    choices, block = [], []
-    for j, p in enumerate(periods):
-        block.append(((1 << p) - 1) << len(choices))
-        choices += [(j, r) for r in range(p)]
     # components: each orbit points at an earlier orbit of its component,
     # or at itself when it comes first
     comp = list(range(m))
@@ -142,9 +145,19 @@ def _tables(s: StructureGraph) -> _Tables:
         periods, {p: tuple(js) for p, js in by_period.items()},
         all(ia == ib and not pb and c == 1 for (ia, ib, pb, c) in classes),
         tuple(classes), tuple(_root(comp, i) == i for i in range(m)),
-        span, count, tuple(map(tuple, near)), tuple(choices), tuple(block),
-        {}, {})
+        span, count, tuple(map(tuple, near)), {}, {}, [])
     return t
+
+
+def _layout(t):
+    """The `choices` and `block` of tables t, built on first use."""
+    if not t.layout:
+        choices, block = [], []
+        for j, p in enumerate(t.periods):
+            block.append(((1 << p) - 1) << len(choices))
+            choices += [(j, r) for r in range(p)]
+        t.layout.extend((tuple(choices), tuple(block)))
+    return t.layout
 
 
 def _root(comp, i):
@@ -191,12 +204,12 @@ def _options(t, p, shifts, injective, own):
     key = (p, shifts, injective, own)
     found = t.options.get(key)
     if found is None:
-        count, span, m = t.count, t.span, len(t.periods)
+        count, span, m, blocks = t.count, t.span, len(t.periods), t.block
         found = 0
         for q, js in t.by_period.items():
             if p % q == 0 and (q == p or not injective):
                 for j in js:
-                    b = t.block[j]
+                    b = blocks[j]
                     if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
                            for (pb, lo, hi) in own):
                         found |= b if shifts else b & -b
@@ -242,13 +255,13 @@ def _support(t, start, later, choice):
     diagonal, are walked."""
     j, off = choice
     yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
-    q = yper[j]
+    q, blocks = yper[j], t.block
     out = []
     for (l, group) in later:
         mask = 0
         for jl in t.near[j]:
             # l's offsets 0, 1, ... on jl, from the low bit
-            block = start[l] & t.block[jl]
+            block = start[l] & blocks[jl]
             if not block:
                 continue
             # per shared class, under point (jl, offl) of l: its image key
@@ -461,14 +474,19 @@ def _rank1_targets(mode, x, y):
       k-th target orbit of period p;
     * block maps: each source orbit takes the first target of its first
       divisor class, the first class whose period divides its own;
-    * factors: the targets of a class are covered in index order, and each
-      source in order first asks `_covers` whether the later sources still
-      cover every uncovered target.  If they do, it takes the first target
-      of its first divisor class, which it covers if that class had none
-      covered.  If not, it covers the first uncovered target of the first
-      divisor class whose cover keeps `_covers` true; when none does, there
-      is no witness.  Covering only gets easier as demand falls, so this is
-      the first target under which the later sources can still finish."""
+    * factors: the targets of a class are covered in index order.  Each
+      source in order takes the first target under which the sources left
+      still cover every uncovered target (covering only gets easier as
+      demand falls): the first target of its first divisor class if it can,
+      covering it if that class had none covered, else the first uncovered
+      target of the first divisor class that keeps a cover, else there is
+      no witness.  A cover is a flow over period classes, p to q when q
+      divides p (Ford and Fulkerson 1956), kept for the call: started
+      greedy, finished by `_augment`, then mended per source.  A source
+      that leaves spends a unit of its class's slack or gives back a unit
+      of flow for `_augment` to replace (never when no class has slack); a
+      cover drops a unit of flow into its class; a failed trial is undone.
+    """
     xt, yt = _tables(x), _tables(y)
     ps, classes = xt.periods, yt.by_period
     if mode in INJECTIVE_MODES:
@@ -487,84 +505,108 @@ def _rank1_targets(mode, x, y):
         return None
     if mode is Mode.BLOCK_MAP:
         return [classes[divisors[p][0]][0] for p in ps]
-    supply = {p: len(js) for p, js in xt.by_period.items()}
+    slack = {p: len(js) for p, js in xt.by_period.items()}
     uncovered = {q: len(js) for q, js in classes.items()}
+    feeds = {q: [p for p in slack if p % q == 0] for q in classes}
+    sent = {p: {} for p in slack}  # sent[p][q]: the flow from class p to q
+    short = dict(uncovered)
+    for p, qs in divisors.items():
+        for q in qs:
+            sent[p][q] = units = min(slack[p], short[q])
+            slack[p] -= units
+            short[q] -= units
+    spare = sum(slack.values())  # the total slack, kept in step with it
+    for q, need in short.items():
+        while need:
+            moved = _augment(sent, slack, feeds, q, need)
+            if not moved:
+                return None
+            need -= moved
+            spare -= moved
     out = []
     for p in ps:
-        supply[p] -= 1
-        if _covers(supply, uncovered):
+        gap = None  # the class that lost a unit of flow, until it is mended
+        if slack[p]:
+            slack[p] -= 1
+            spare -= 1
+        else:
+            for gap, units in sent[p].items():  # p, with no slack, sends some
+                if units:
+                    break
+            sent[p][gap] -= 1
+            if spare and _augment(sent, slack, feeds, gap, 1):
+                gap = None
+                spare -= 1
+        if gap is None:
             q = divisors[p][0]
             if uncovered[q] == len(classes[q]):
                 uncovered[q] -= 1
+                _drop(sent, slack, feeds, q)
+                spare += 1
             out.append(classes[q][0])
             continue
         for q in divisors[p]:
-            if uncovered[q]:
-                uncovered[q] -= 1
-                if _covers(supply, uncovered):
-                    out.append(classes[q][-1 - uncovered[q]])
-                    break
-                uncovered[q] += 1
+            if not uncovered[q]:
+                continue
+            uncovered[q] -= 1
+            if q != gap:
+                donor = _drop(sent, slack, feeds, q)
+                if not _augment(sent, slack, feeds, gap, 1):
+                    sent[donor][q] += 1
+                    slack[donor] -= 1
+                    uncovered[q] += 1
+                    continue
+            out.append(classes[q][-1 - uncovered[q]])
+            break
         else:
             return None
-    # each source leaves covering feasible, so targets stay uncovered only
-    # when there is no source at all
-    return None if any(uncovered.values()) else out
+    # the flow covers the uncovered targets with the sources left, so all
+    # are covered once every source is placed
+    return out
 
 
-def _covers(supply, demand) -> bool:
-    """Whether source orbits counted per period in `supply` can map onto
-    target orbits counted per period in `demand`, covering each once, with
-    a source of period p onto a target of period q only when q divides p.
+def _drop(sent, slack, feeds, q):
+    """Moves a unit of flow out of target class q back to the slack of a
+    source class feeding it, and returns that class."""
+    donor = next(p for p in feeds[q] if sent[p][q])
+    sent[donor][q] -= 1
+    slack[donor] += 1
+    return donor
 
-    A maximum flow over period classes: arcs s -> p with capacity
-    supply[p], p -> q wherever q divides p, and q -> t with capacity
-    demand[q].  Each augmenting path is found by breadth-first search with
-    parent pointers and carries its bottleneck amount, so the cost grows
-    with the number of distinct periods, not with the number of orbits."""
-    need = sum(demand.values())
-    if not need or need > sum(supply.values()):
-        return not need
-    ps = [p for p, c in supply.items() if c]
-    qs = [q for q, c in demand.items() if c]
-    # node 0 is the source, 1 the sink, then the classes of ps and of qs;
-    # cap[u][v] is the residual capacity of u -> v, reverse arcs included.
-    # The flow starts greedy: each class of ps sends what it can to the
-    # classes of qs in turn, so most calls need few augmenting paths.
-    cap = [{} for _ in range(2 + len(ps) + len(qs))]
-    rest = {b: demand[q] for b, q in enumerate(qs, 2 + len(ps))}
-    for a, p in enumerate(ps, 2):
-        left = supply[p]
-        for b, q in enumerate(qs, 2 + len(ps)):
-            if p % q == 0:
-                sent = min(left, rest[b])
-                cap[a][b], cap[b][a] = need - sent, sent
-                left -= sent
-                rest[b] -= sent
-        cap[0][a], cap[a][0] = left, supply[p] - left
-    for b, q in enumerate(qs, 2 + len(ps)):
-        cap[b][1], cap[1][b] = rest[b], demand[q] - rest[b]
-    need = sum(rest.values())
-    while need:
-        parent = {0: None}
-        queue = [0]
-        for u in queue:  # the loop also visits nodes appended on the way
-            for v, c in cap[u].items():
-                if c and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if 1 not in parent:
-            return False
-        path, v = [], 1
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        amount = min(cap[u][v] for (u, v) in path)
-        for (u, v) in path:
-            cap[u][v] -= amount
-            cap[v][u] += amount
-        need -= amount
-    return True
+
+def _augment(sent, slack, feeds, q, most) -> int:
+    """Moves up to `most` units of flow into target class q along one
+    augmenting path and returns the units moved: 0 when the flow is a
+    maximum one.  `sent[p][u]` is the flow from source class p to target
+    class u, `slack[p]` what p leaves free, `feeds[u]` the classes that u
+    divides.  Back from q, a class p feeding a class in need ends the path
+    if it has slack, else frees a unit it sends to another class, which
+    then needs a feeder: a breadth-first search over period classes."""
+    feeding, freed = {}, {q: None}  # the parent pointers of the path
+    queue = [q]
+    for t in queue:  # the loop also visits classes appended on the way
+        for p in feeds[t]:
+            if p in feeding:
+                continue
+            feeding[p] = t
+            if slack[p]:
+                amount, u = min(most, slack[p]), t
+                while freed[u] is not None:
+                    amount = min(amount, sent[freed[u]][u])
+                    u = feeding[freed[u]]
+                slack[p] -= amount
+                while p is not None:
+                    u = feeding[p]
+                    sent[p][u] += amount
+                    p = freed[u]
+                    if p is not None:
+                        sent[p][u] -= amount
+                return amount
+            for u, units in sent[p].items():
+                if units and u not in freed:
+                    freed[u] = p
+                    queue.append(u)
+    return 0
 
 
 def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
@@ -644,8 +686,9 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     period multisets, block maps need a divisor period for every source
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
-    periods (a flow over period classes).  True when `_rank1_targets`
-    finds a witness.  Raises NotRankOne unless both graphs have rank 1,
+    periods: one flow over period classes, kept for the call and mended
+    as each source orbit is placed.  True when `_rank1_targets` finds a
+    witness.  Raises NotRankOne unless both graphs have rank 1,
     naming the first class that is not a count-1 diagonal."""
     _check_mode(mode)
     for s in (x, y):

@@ -21,6 +21,7 @@ from .core import (
     CombRep,
     CombTerm,
     Word,
+    _clip,
     _count_text,
     canonicalize_point,
     word,
@@ -69,7 +70,7 @@ def _vertex_lines(text, keyword, fields, check=None):
 
 def _file_symbol(tok, n=0):
     if tok == "-" or "." in tok or "#" in tok or tok.split() != [tok]:
-        raise ParseError("line %d: bad symbol token %r" % (n, tok))
+        raise ParseError("line %d: bad symbol token %s" % (n, _clip(repr(tok))))
     return tok
 
 
@@ -134,14 +135,15 @@ def _parse_orbit(tok, n) -> PeriodicOrbit:
     try:
         return PeriodicOrbit(w)
     except ValueError:
-        raise ParseError("line %d: %r is not a canonical orbit word (expected %s)"
-                         % (n, tok, format_word(canonicalize_point(w).orbit.root)))
+        raise ParseError("line %d: %s is not a canonical orbit word (expected %s)"
+                         % (n, _clip(repr(tok)),
+                            _clip(format_word(canonicalize_point(w).orbit.root))))
 
 
 def _parse_point(tok, orbit_of, n):
     """An orbit:phase token; orbit_of(name, n) resolves the orbit part."""
     if ":" not in tok:
-        raise ParseError("line %d: expected orbit:phase, got %r" % (n, tok))
+        raise ParseError("line %d: expected orbit:phase, got %s" % (n, _clip(repr(tok))))
     name, phase = tok.rsplit(":", 1)
     o = orbit_of(name, n)
     digits = phase.removeprefix("-")  # a negative phase is named as out of range
@@ -150,9 +152,10 @@ def _parse_point(tok, orbit_of, n):
             raise ValueError(phase)
         ph = int(phase)  # past Python's int/str digit limit, a ValueError
     except ValueError:
-        raise ParseError("line %d: bad phase %r" % (n, phase))
+        raise ParseError("line %d: bad phase %s" % (n, _clip(repr(phase))))
     if not 0 <= ph < o.period:
-        raise ParseError("line %d: phase %d outside period %d" % (n, ph, o.period))
+        raise ParseError("line %d: phase %s outside period %d"
+                         % (n, _clip("%d" % ph), o.period))
     return o.point(ph)
 
 
@@ -176,7 +179,7 @@ def parse_structure(text: str) -> StructureGraph:
 
     def orbit_of(name, n):
         if name not in orbits:
-            raise ParseError("line %d: unknown orbit %r" % (n, name))
+            raise ParseError("line %d: unknown orbit %s" % (n, _clip(repr(name))))
         return orbits[name]
 
     def point_of(tok, n):  # each distinct point token is resolved once per file
@@ -188,7 +191,8 @@ def parse_structure(text: str) -> StructureGraph:
         if toks[0] == "orbit" and len(toks) == 3 and toks[2].startswith("word="):
             orbit = _parse_orbit(toks[2][len("word="):], n)
             if toks[1] in orbits:
-                raise ParseError("line %d: duplicate orbit id %r" % (n, toks[1]))
+                raise ParseError("line %d: duplicate orbit id %s"
+                                 % (n, _clip(repr(toks[1]))))
             orbits[toks[1]] = orbit
         elif toks[0] == "trans" and len(toks) == 4 and toks[3].startswith("count="):
             a = point_of(toks[1], n)
@@ -207,7 +211,7 @@ def parse_structure(text: str) -> StructureGraph:
             byte, mask = _member_bit(a, b)
             if entry[3][byte] & mask:
                 raise ParseError("line %d: duplicate transition %s %s"
-                                 % (n, toks[1], toks[2]))
+                                 % (n, _clip(toks[1]), _clip(toks[2])))
             entry[3][byte] |= mask
             n_listed += 1
             if entry[0] != c:
@@ -228,7 +232,8 @@ def parse_structure(text: str) -> StructureGraph:
             byte, mask = _member_bit(x, y)
             if not bits[byte] & mask:
                 raise ParseError("line %d: its shift class lacks %s:%d %s:%d" % (
-                    n, ta.rsplit(":", 1)[0], x.phase, tb.rsplit(":", 1)[0], y.phase))
+                    n, _clip(ta.rsplit(":", 1)[0]), x.phase,
+                    _clip(tb.rsplit(":", 1)[0]), y.phase))
     return s
 
 
@@ -292,7 +297,7 @@ def parse_forbidden(text: str):
         raise ParseError("missing alphabet line")
     for b in symbol_map:
         if b not in alphabet:
-            raise ParseError("mapped symbol %r not in alphabet" % b)
+            raise ParseError("mapped symbol %s not in alphabet" % _clip(repr(b)))
     full_map = {a: symbol_map.get(a, a) for a in alphabet}
     return alphabet, forbidden, full_map
 

@@ -29,6 +29,7 @@ from sofic2 import (
     search,
     verify_witness,
 )
+from sofic2 import decisions
 from sofic2.decisions import _options, _refuted, _tables
 from sofic2.errors import BudgetExceeded, NotRankOne, WitnessInvalid
 from sofic2.reductions import Digraph
@@ -511,6 +512,161 @@ def test_rank1_factor_rule_cases(ps, qs, targets):
     if targets is not None:
         assert [y.orbits.index(b.orbit) for (a, b) in w.pairs
                 if a.phase == 0] == targets
+
+
+def _rank1_factor_reference(x, y):
+    """The rank-1 factor rule with a fresh maximum flow per check: per
+    source orbit of x, the index of its target orbit in y in the first
+    witness, or None.  Each source in order asks `_covers_reference`
+    whether the later sources still cover every uncovered target; if so it
+    takes the first target of its first divisor class, covering it if that
+    class had none covered, else it covers the first uncovered target of
+    the first divisor class whose cover keeps a cover."""
+    xt, yt = _tables(x), _tables(y)
+    ps, classes = xt.periods, yt.by_period
+    divisors = {p: [q for q in classes if p % q == 0] for p in xt.by_period}
+    if not all(divisors.values()):
+        return None
+    supply = {p: len(js) for p, js in xt.by_period.items()}
+    uncovered = {q: len(js) for q, js in classes.items()}
+    out = []
+    for p in ps:
+        supply[p] -= 1
+        if _covers_reference(supply, uncovered):
+            q = divisors[p][0]
+            if uncovered[q] == len(classes[q]):
+                uncovered[q] -= 1
+            out.append(classes[q][0])
+            continue
+        for q in divisors[p]:
+            if uncovered[q]:
+                uncovered[q] -= 1
+                if _covers_reference(supply, uncovered):
+                    out.append(classes[q][-1 - uncovered[q]])
+                    break
+                uncovered[q] += 1
+        else:
+            return None
+    return None if any(uncovered.values()) else out
+
+
+def _covers_reference(supply, demand):
+    """Whether sources counted per period in `supply` can cover targets
+    counted per period in `demand`, a source of period p on a target of
+    period q only when q divides p: a maximum flow over period classes
+    from a greedy start, by breadth-first augmenting paths."""
+    need = sum(demand.values())
+    if not need or need > sum(supply.values()):
+        return not need
+    ps = [p for p, c in supply.items() if c]
+    qs = [q for q, c in demand.items() if c]
+    # node 0 is the source, 1 the sink, then the classes of ps and of qs;
+    # cap[u][v] is the residual capacity of u -> v, reverse arcs included
+    cap = [{} for _ in range(2 + len(ps) + len(qs))]
+    rest = {b: demand[q] for b, q in enumerate(qs, 2 + len(ps))}
+    for a, p in enumerate(ps, 2):
+        left = supply[p]
+        for b, q in enumerate(qs, 2 + len(ps)):
+            if p % q == 0:
+                sent = min(left, rest[b])
+                cap[a][b], cap[b][a] = need - sent, sent
+                left -= sent
+                rest[b] -= sent
+        cap[0][a], cap[a][0] = left, supply[p] - left
+    for b, q in enumerate(qs, 2 + len(ps)):
+        cap[b][1], cap[1][b] = rest[b], demand[q] - rest[b]
+    need = sum(rest.values())
+    while need:
+        parent = {0: None}
+        queue = [0]
+        for u in queue:
+            for v, c in cap[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if 1 not in parent:
+            return False
+        path, v = [], 1
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        amount = min(cap[u][v] for (u, v) in path)
+        for (u, v) in path:
+            cap[u][v] -= amount
+            cap[v][u] += amount
+        need -= amount
+    return True
+
+
+def test_rank1_factor_rule_matches_reference():
+    # the kept flow gives the reference's target list on random period
+    # multisets and on every pair of the criterion-8 grid; the rule reads
+    # only the sorted periods, so one graph serves each multiset
+    graphs = {}
+
+    def graph(periods, tag):
+        key = (tuple(sorted(periods)), tag)
+        if key not in graphs:
+            graphs[key] = periods_structure(key[0], tag)
+        return graphs[key]
+
+    rng = random.Random(2614)
+    pairs = [(graph([rng.choice((1, 2, 3, 4, 6, 8, 12))
+                     for _ in range(rng.randint(1, 9))], 1),
+              graph([rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 7))], 2))
+             for _ in range(20000)]
+    grid = [graph(m, 3) for k in range(1, 6)
+            for m in itertools.combinations_with_replacement(range(1, 7), k)]
+    pairs += itertools.product(grid, grid)
+    yes = 0
+    for x, y in pairs:
+        got = decisions._rank1_targets(Mode.FACTOR, x, y)
+        assert got == _rank1_factor_reference(x, y), (x.orbits, y.orbits)
+        yes += got is not None
+    assert len(pairs) == 20000 + 461 ** 2 and yes >= 10000
+
+
+def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
+    # searches for an augmenting path, counted: none on the deep pair
+    # whatever its size, where the greedy start covers every target and no
+    # class has slack to search from (one search finds the NO)
+    calls = []
+    augment = decisions._augment
+
+    def counted(*args):
+        calls.append(args)
+        return augment(*args)
+
+    monkeypatch.setattr(decisions, "_augment", counted)
+    for ps, qs, n in (([1, 1, 2], [1, 2], 0), ([2, 2, 2, 2], [1, 1, 2], 0),
+                      ([2, 3], [1, 2], 2), ([2, 3, 3], [1, 2, 2], 2)):
+        calls.clear()
+        rank1_decide(Mode.FACTOR, periods_structure(ps, tag=1),
+                     periods_structure(qs, tag=2))
+        assert len(calls) == n, (ps, qs)
+    small = periods_structure([1] * 1200, tag=1)
+    for size in (1200, 12000):
+        x = periods_structure([1] * size, tag=1)
+        y = periods_structure([1] * size, tag=2)
+        calls.clear()
+        assert rank1_decide(Mode.FACTOR, x, y)
+        assert len(calls) == 0, size
+    calls.clear()
+    assert not rank1_decide(Mode.FACTOR, small, y)
+    assert len(calls) == 1
+
+
+def test_search_tables_are_built_for_search_targets_only():
+    # the bit layout of the search domains is built the first time a graph
+    # is the target of a search, not for rank-1 decisions or sources
+    x, y = periods_structure([1, 2, 2, 4], tag=1), periods_structure([1, 2], tag=2)
+    for mode in Mode:
+        decide(mode, x, y)
+        rank1_decide(mode, x, y)
+        search(mode, x, y)
+    assert _tables(x).layout == [] and _tables(y).layout != []
+    assert _tables(y).choices == ((0, 0), (1, 0), (1, 1))
+    assert _tables(y).block == (0b1, 0b110)
 
 
 def test_rank1_requires_rank_one(fig1_structure):

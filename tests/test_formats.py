@@ -98,10 +98,12 @@ def test_structure_parse_errors():
     for bad in ("+5", "1_0", "\u0665", "+" + digits, digits + "x", "9_" + digits):
         with pytest.raises(ParseError, match="^line 2: bad count$"):
             formats.parse_structure("orbit o0 word=a\ntrans o0:0 o0:0 count=%s\n" % bad)
-    for bad in ("+0", "0_0", "\u0660", "-", "0" * 5000):
-        with pytest.raises(ParseError, match="^line 2: bad phase %s$" % re.escape(repr(bad))):
+    # a quoted phase past 60 characters is cut there and followed by its length
+    for bad, quoted in [(bad, repr(bad)) for bad in ("+0", "0_0", "\u0660", "-")] + [
+            ("0" * 5000, "'%s... (5002 characters)" % ("0" * 59))]:
+        with pytest.raises(ParseError, match="^line 2: bad phase %s$" % re.escape(quoted)):
             formats.parse_structure("orbit o0 word=a\ntrans o0:%s o0:0 count=1\n" % bad)
-        with pytest.raises(ParseError, match="^line 1: bad phase %s$" % re.escape(repr(bad))):
+        with pytest.raises(ParseError, match="^line 1: bad phase %s$" % re.escape(quoted)):
             formats.parse_witness("map a:0 a:%s\n" % bad)
     with pytest.raises(ParseError, match="^line 3: duplicate transition o0:0 o0:0$"):
         formats.parse_structure("orbit o0 word=a\n"
@@ -124,6 +126,54 @@ def test_missing_diagonal_refusal_is_bounded():
         with pytest.raises(ParseError, match="missing diagonal") as refused:
             formats.parse_structure("orbit o0 word=%s\n" % ".".join(root))
         assert len(str(refused.value)) < 200
+
+
+def _long_refusals():
+    """(parse, text of at least 10,000 characters, leading words of the
+    refusal) for each refusal that quotes user input."""
+    long_word = "b." + ".".join(["a"] * 5000)  # its least rotation starts at a
+    name = "o" * 10000
+    long_symbols = ".".join(["a" * 1500] + ["b" * 1500] * 7)
+    pad = "#" * 6000 + "\n"  # a 4,299-digit phase still fits an int
+    return [
+        (formats.parse_structure, "orbit o0 word=%s\n" % long_word,
+         "line 1: 'b.a.a.a"),
+        (formats.parse_witness, "map %s:0 a:0\n" % long_word, "line 1: 'b.a.a.a"),
+        (formats.parse_structure, "orbit o0 word=a\ntrans %s o0:0 count=1\n" % name,
+         "line 2: expected orbit:phase, got 'ooo"),
+        (formats.parse_structure,
+         "orbit o0 word=a\ntrans o0:%s o0:0 count=1\n" % ("9" * 10000),
+         "line 2: bad phase '999"),
+        (formats.parse_witness, pad + "map a:%s a:0\n" % ("9" * 4299),
+         "line 2: phase 999"),
+        (formats.parse_structure, "orbit o0 word=%s\n" % long_symbols,
+         "structure file invalid: missing diagonal transition at the orbit of period 8,"
+         " root starting aaa"),
+        (formats.parse_structure, "orbit o0 word=a\ntrans %s:0 o0:0 count=1\n" % name,
+         "line 2: unknown orbit 'ooo"),
+        (formats.parse_structure, "orbit %s word=a\norbit %s word=b\n" % (name, name),
+         "line 2: duplicate orbit id 'ooo"),
+        (formats.parse_structure, "orbit %s word=a\n" % name
+         + "trans %s:0 %s:0 count=1\n" % (name, name) * 2,
+         "line 3: duplicate transition ooo"),
+        (formats.parse_structure, "orbit %s word=a.b\ntrans %s:0 %s:0 count=1\n"
+         % (name, name, name), "line 2: its shift class lacks ooo"),
+        (formats.parse_graph, "edge a b %s\n" % ".".join(["s"] * 5000),
+         "line 1: bad symbol token 's.s.s"),
+        (formats.parse_forbidden, "alphabet a\nmap %s a\n" % name,
+         "mapped symbol 'ooo"),
+    ]
+
+
+def test_refusals_quoting_long_input_stay_short():
+    # every refusal quotes user input through one clip: under 300
+    # characters however long the input, with the same leading words
+    for parse, text, start in _long_refusals():
+        assert len(text) >= 10000
+        with pytest.raises(ParseError) as refused:
+            parse(text)
+        message = str(refused.value)
+        assert message.startswith(start) and len(message) < 300, message[:400]
 
 
 def test_structure_file_repeats_and_gaps_are_named():
