@@ -28,13 +28,15 @@ the root, orbit and class counts can answer NO.  Forward checking
 (Haralick and Elliott 1980) on bitset domains, with bitset supports
 (Lecoutre and Vion 2008), narrows the choices of the later orbits that
 share classes with each orbit it maps, and backtracks as soon as one has
-none left; a support walks only the targets next to the chosen one.  All
-domains share one layout: bit b is the target's b-th point, a choice of
-target orbit and phase offset, so ascending bits are the search order.  The
-first orbit of each source component takes phase offset 0 only: shifting
-all images of one component keeps every count, injectivity, and in factor
-mode the component's preimage supply, so some witness at least as early
-has offset 0 there.
+none left; a support, keyed by the target point chosen and the classes
+the two orbits share, is built once per call and walks only the targets
+next to the chosen one.  All domains share one layout: bit b is the
+target's b-th point, a choice of target orbit and phase offset, so
+ascending bits are the search order.  The first orbit of each source
+component takes phase offset 0 only: shifting all images of one
+component keeps every count, injectivity, and in factor mode the
+component's preimage supply, so some witness at least as early has
+offset 0 there.
 
 The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import PeriodicPoint, StructureGraph, _count_text
+from .core import PeriodicPoint, StructureGraph, _clip, _count_text
 from .errors import BudgetExceeded, NotRankOne, WitnessInvalid
 
 
@@ -169,11 +171,12 @@ def _root(comp, i):
 
 def _source(t: _Tables, mode: Mode):
     """The tables of a graph as the source of a search in `mode`, cached in
-    its tables t: per orbit, its own classes as (phase, lo, hi); and per
-    orbit i, (l, group) per orbit l > i sharing classes with i, each entry
-    of a group as (phase at i, phase at l, whether it leaves i, lo, hi).  A
-    class of count c may land on target counts in [lo, hi]: nonzero, at
-    least c for embeddings, exactly c for conjugacies."""
+    its tables t: per orbit, its own classes as (phase, lo, hi); per orbit
+    i, (l, group id) per orbit l > i sharing classes with i; and the
+    distinct groups by id, each entry as (phase at i, phase at l, whether
+    it leaves i, lo, hi).  A class of count c may land on target counts in
+    [lo, hi]: nonzero, at least c for embeddings, exactly c for
+    conjugacies."""
     found = t.sources.get(mode)
     if found is not None:
         return found
@@ -187,10 +190,10 @@ def _source(t: _Tables, mode: Mode):
             shared.setdefault((ia, ib), []).append((0, pb, True, lo, hi))
         else:
             shared.setdefault((ib, ia), []).append((pb, 0, False, lo, hi))
-    later = [()] * len(own)
+    later, ids = [()] * len(own), {}  # ids: group -> its id
     for (i, l), group in sorted(shared.items()):
-        later[i] += ((l, tuple(group)),)
-    found = t.sources[mode] = (tuple(map(tuple, own)), tuple(later))
+        later[i] += ((l, ids.setdefault(tuple(group), len(ids))),)
+    found = t.sources[mode] = (tuple(map(tuple, own)), tuple(later), tuple(ids))
     return found
 
 
@@ -220,12 +223,15 @@ def _options(t, p, shifts, injective, own):
 def _witness(x, y, choices):
     """The vertex map sending phase r of source orbit i, mapped by
     choices[i] = (j, off), to phase r + off of target orbit j: the points
-    of orbit i against those of orbit j rotated by off, repeated.  Its
-    pairs come orbit by orbit, phases ascending: sort_key order."""
+    of orbit i against those of orbit j rotated by off, repeated, or as
+    they are when off is 0 and the periods agree.  Its pairs come orbit by
+    orbit, phases ascending: sort_key order."""
     pairs, ys = [], y.orbits
     for o, (j, off) in zip(x.orbits, choices):
         t = ys[j].points
-        pairs += zip(o.points, (t[off:] + t[:off]) * (o.period // len(t)))
+        if off or len(t) != o.period:
+            t = (t[off:] + t[:off]) * (o.period // len(t))
+        pairs += zip(o.points, t)
     return SGHomomorphism(tuple(pairs))
 
 
@@ -245,42 +251,36 @@ def _refuted(mode, x, y):
     return mode is Mode.EMBEDDING and nx > ny
 
 
-def _support(t, start, later, choice):
-    """Forward checking once a source orbit takes `choice` = (j, off) in
-    the target graph of tables t: per orbit l in `later`, its row of the
-    `later` table of `_source`, the mask of the points in l's initial
-    domain `start[l]` under which every class shared with l maps onto a
-    target class whose count lies in [lo, hi].  As every lo is at least 1,
-    only the targets sharing a class with j, j itself included by its
-    diagonal, are walked."""
+def _support(t, choice, group):
+    """Forward checking once a source orbit i takes `choice` = (j, off) in
+    the target graph of tables t: for a later orbit l whose classes shared
+    with i form `group` (a group of `_source`), the mask, over the target's
+    whole bit layout, of the points (jl, offl) of l under which every class
+    of the group maps onto a target class whose count lies in [lo, hi].  As
+    every lo is at least 1, only the targets sharing a class with j, j
+    itself included by its diagonal, can hold such a point."""
     j, off = choice
     yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
     q, blocks = yper[j], t.block
-    out = []
-    for (l, group) in later:
-        mask = 0
-        for jl in t.near[j]:
-            # l's offsets 0, 1, ... on jl, from the low bit
-            block = start[l] & blocks[jl]
-            if not block:
-                continue
-            # per shared class, under point (jl, offl) of l: its image key
-            # is base + (d + sign * offl) % g
-            g = gcd(q, yper[jl])
-            leave, enter = (j * m + jl) * span, (jl * m + j) * span
-            ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
-                    else (enter, pi + off - pl, -1, lo, hi)
-                    for (pi, pl, leaves, lo, hi) in group]
-            bit = block & -block
-            for offl in range(block.bit_length() - bit.bit_length() + 1):
-                for (base, d, sign, lo, hi) in ends:
-                    if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
-                        break
-                else:
-                    mask |= bit
-                bit <<= 1
-        out.append((l, mask))
-    return out
+    mask = 0
+    for jl in t.near[j]:
+        # per shared class, under point (jl, offl) of l: its image key is
+        # base + (d + sign * offl) % g
+        g = gcd(q, yper[jl])
+        leave, enter = (j * m + jl) * span, (jl * m + j) * span
+        ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
+                else (enter, pi + off - pl, -1, lo, hi)
+                for (pi, pl, leaves, lo, hi) in group]
+        # jl's offsets 0, 1, ... from the low bit of its block
+        bit = blocks[jl] & -blocks[jl]
+        for offl in range(yper[jl]):
+            for (base, d, sign, lo, hi) in ends:
+                if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
+                    break
+            else:
+                mask |= bit
+            bit <<= 1
+    return mask
 
 
 def _covers_demand(xt, yt, choices):
@@ -345,7 +345,9 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     orbit alone, so its domain starts as the mask that `_options` caches
     for them.  Forward checking then ands the domain of each later orbit
     sharing classes with the orbit just mapped with the `_support` mask of
-    its choice, built on first use and kept for this call; a choice that
+    its choice and the classes the two orbits share, kept for this call in
+    one dict keyed by (choice bit, group id), since every domain lies in
+    its initial one and no mask reads the level; a choice that
     empties a domain is dropped, and a trail of replaced masks undoes the
     narrowing on backtracking.  So the search prunes only subtrees that
     hold no witness.  One mask holds the points of the targets in use:
@@ -363,8 +365,8 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     if _refuted(mode, x, y):
         return None
     xt, yt = _tables(x), _tables(y)
-    own, later = _source(xt, mode)
-    n, m = len(xt.periods), len(yt.periods)
+    own, later, groups = _source(xt, mode)
+    n, m, ng = len(xt.periods), len(yt.periods), len(groups)
     injective = mode in INJECTIVE_MODES
     surjective = mode in (Mode.FACTOR, Mode.CONJUGACY)
     # the first orbit of each component takes offset 0 only
@@ -376,7 +378,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     choice, resume = [None] * n, [0] * n
     # per level, the (orbit, mask) pairs that its current choice replaced
     trail = [[] for _ in range(n)]
-    supports = {}  # (level, bit + 1) -> its _support, on first use
+    masks = {}  # (bit + 1) * ng + group id -> its _support, on first use
     uses = [0] * m
     used = covered = nodes = 0  # used: the bits of the targets in use
     # Invariant in the surjective modes: at level i, m - covered <= n - i;
@@ -397,11 +399,11 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
             step = (rest & -rest).bit_length()
             rest >>= step
             k += step
-            sup = supports.get((i, k))
-            if sup is None:
-                sup = supports[(i, k)] = _support(
-                    yt, start, later[i], choices[k - 1])
-            for (l, mask) in sup:
+            for (l, g) in later[i]:
+                mask = masks.get(k * ng + g)
+                if mask is None:
+                    mask = masks[k * ng + g] = _support(yt, choices[k - 1],
+                                                       groups[g])
                 old = domain[l]
                 new = old & mask
                 if new != old:
@@ -695,8 +697,8 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
         if not is_rank_one(s):
             for ((a, b), c) in s.transition_classes:
                 if a != b or c != 1:
-                    raise NotRankOne("transition edge %r -> %r count %s"
-                                     % (a, b, _count_text(c)))
+                    raise NotRankOne("transition edge %s -> %s count %s" % (
+                        _clip(repr(a)), _clip(repr(b)), _count_text(c)))
     return _rank1_targets(mode, x, y) is not None
 
 

@@ -8,6 +8,7 @@ import random
 import time
 from collections import Counter
 from decimal import Decimal
+from math import gcd
 
 import pytest
 
@@ -685,6 +686,18 @@ def test_rank1_refusal_names_a_count_past_the_digit_limit():
         pt("0"), pt("3"), Decimal(2 ** 15000))
 
 
+def test_rank1_refusal_quoting_a_long_orbit_stays_short():
+    # both ends of the class are quoted through core._clip: unclipped, the
+    # reprs of a point on this 2,000-symbol orbit made a 41,908-character
+    # message (192 characters clipped)
+    s = make_structure([(tuple("sym%d" % k for k in range(2000)), 2)])
+    with pytest.raises(NotRankOne) as info:
+        rank1_decide(Mode.FACTOR, s, s)
+    text = str(info.value)
+    assert text.startswith("transition edge PeriodicPoint(")
+    assert text.endswith(" characters) count 2") and len(text) < 300, text
+
+
 def test_rank1_agrees_with_general_decide():
     rng = random.Random(89)
     for _ in range(80):
@@ -867,6 +880,102 @@ def test_search_node_counts_are_pinned():
         search(mode, x, y, budget=n)
         with pytest.raises(BudgetExceeded):
             search(mode, x, y, budget=n - 1)
+
+
+def _support_reference(t, start, later, choice):
+    """Forward checking as `search` did it when it kept one list of masks
+    per (level, choice): per (l, group) of `later`, the mask of the points
+    in l's initial domain `start[l]` under which every class shared with l
+    maps onto a target class whose count lies in [lo, hi], walking only the
+    targets next to the chosen one and, on each, only the offsets from the
+    lowest to the highest bit of start[l]."""
+    j, off = choice
+    yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
+    q, blocks = yper[j], t.block
+    out = []
+    for (l, group) in later:
+        mask = 0
+        for jl in t.near[j]:
+            # l's offsets 0, 1, ... on jl, from the low bit
+            block = start[l] & blocks[jl]
+            if not block:
+                continue
+            # per shared class, under point (jl, offl) of l: its image key
+            # is base + (d + sign * offl) % g
+            g = gcd(q, yper[jl])
+            leave, enter = (j * m + jl) * span, (jl * m + j) * span
+            ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
+                    else (enter, pi + off - pl, -1, lo, hi)
+                    for (pi, pl, leaves, lo, hi) in group]
+            bit = block & -block
+            for offl in range(block.bit_length() - bit.bit_length() + 1):
+                for (base, d, sign, lo, hi) in ends:
+                    if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
+                        break
+                else:
+                    mask |= bit
+                bit <<= 1
+        out.append((l, mask))
+    return out
+
+
+def test_support_masks_match_the_per_level_reference():
+    # a mask keyed by target point and class group, cut to l's initial
+    # domain, is the mask the per-level reference builds, for every choice
+    # of every source orbit's initial domain
+    pairs = _gadget_stream_pairs()[:12] + list(_seeded_pairs(75, 15))
+    checked = nonempty = 0
+    for (x, y) in pairs:
+        xt, yt = _tables(x), _tables(y)
+        for mode in ALL_MODES:
+            own, later, groups = decisions._source(xt, mode)
+            injective = mode in decisions.INJECTIVE_MODES
+            start = [_options(yt, p, not first, injective, mine)
+                     for p, first, mine in zip(xt.periods, xt.first, own)]
+            for i, row in enumerate(later):
+                rows = [(l, groups[g]) for (l, g) in row]
+                for b, choice in enumerate(yt.choices):
+                    if not start[i] >> b & 1:
+                        continue
+                    got = [(l, start[l] & decisions._support(yt, choice, groups[g]))
+                           for (l, g) in row]
+                    assert got == _support_reference(yt, start, rows, choice), \
+                        (mode, x, y, i, choice)
+                    checked += len(got)
+                    nonempty += sum(1 for (_l, mask) in got if mask)
+    # 1,336 masks, 32 of them empty
+    assert checked >= 1300 and 1200 <= nonempty <= checked - 30, (checked, nonempty)
+
+
+# the _support masks that `search` builds on the first 6 pairs of
+# _gadget_stream_pairs in hom, embed and factor mode, in that order: 63 in
+# all, where one list of masks per (level, choice) took 129 _support calls
+SUPPORT_COUNTS = (2, 0, 2, 2, 0, 2, 2, 2, 0, 6, 0, 6, 7, 0, 10, 8, 0, 8)
+
+
+def test_search_builds_each_support_mask_once_per_call(monkeypatch):
+    # within one call no (choice, group) mask is built twice, and a second
+    # identical call builds them all again: masks are kept for the call only
+    calls = []
+    support = decisions._support
+
+    def counted(t, choice, group):
+        calls.append((choice, group))
+        return support(t, choice, group)
+
+    monkeypatch.setattr(decisions, "_support", counted)
+    counts = []
+    for (x, y) in _gadget_stream_pairs()[:6]:
+        for mode in (Mode.BLOCK_MAP, Mode.EMBEDDING, Mode.FACTOR):
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                search(mode, x, y)
+                assert len(set(calls)) == len(calls), mode
+                runs.append(len(calls))
+            assert runs[0] == runs[1], mode
+            counts.append(runs[0])
+    assert tuple(counts) == SUPPORT_COUNTS
 
 
 def test_domain_bits_are_target_points_in_search_order():
