@@ -462,7 +462,8 @@ class CombRep:
             for i in range(t.arity):
                 if isinstance(t.junction(i), PeriodicPoint):
                     raise InvalidCombRep(
-                        "junction %d of term %r is periodic" % (i, (t.us, t.vs)))
+                        "junction %d of term %s is periodic"
+                        % (i, _clip(repr((t.us, t.vs)))))
             seen.add(t)
             out.append(t)
         return cls(tuple(out))

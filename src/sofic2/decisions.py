@@ -30,13 +30,15 @@ the root, orbit and class counts can answer NO.  Forward checking
 share classes with each orbit it maps, and backtracks as soon as one has
 none left; a support, keyed by the target point chosen and the classes
 the two orbits share, is built once per call and walks only the targets
-next to the chosen one.  All domains share one layout: bit b is the
+next to the chosen one.  All domains share one bit order: bit b is the
 target's b-th point, a choice of target orbit and phase offset, so
-ascending bits are the search order.  The first orbit of each source
-component takes phase offset 0 only: shifting all images of one
-component keeps every count, injectivity, and in factor mode the
-component's preimage supply, so some witness at least as early has
-offset 0 there.
+ascending bits are the search order.  A target orbit's points are the
+bits from its `base`, the bit of its phase 0, up, one per phase: the
+tables keep one integer per orbit, so they grow linearly in the graph.
+The first orbit of each source component takes phase offset 0 only:
+shifting all images of one component keeps every count, injectivity,
+and in factor mode the component's preimage supply, so some witness at
+least as early has offset 0 there.
 
 The factor-mode count condition compares aperiodic supply against aperiodic
 demand: on a diagonal edge the periodic point accounts for one orbit of its
@@ -93,13 +95,16 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 class _Tables(NamedTuple):
     """The tables of one graph on integer orbit indices, orbits in sorted
-    order, built in one pass over its transition classes: no path expands
-    `transitions`.  The shift class (orbit j, orbit j', r) has the key
-    (j * m + j') * span + r, for m orbits and a span no less than any
-    period.  Bit b of every search domain is point b, `choices[b]`."""
+    order, built in one pass over its orbits and its transition classes: no
+    path expands `transitions`.  The shift class (orbit j, orbit j', r) has
+    the key (j * m + j') * span + r, for m orbits and a span no less than
+    any period.  Bit b of every search domain is point b, `choices[b]`, so
+    orbit j's points are the q bits from `base[j]` up, for its period q."""
 
     periods: tuple    # per orbit, its period (ascending)
     by_period: dict   # period -> ascending orbit indices, periods ascending
+    choices: tuple    # per point in sorted order, (orbit, phase)
+    base: tuple       # per orbit, the bit of its phase 0
     rank_one: bool    # whether every class is a count-1 diagonal
     classes: tuple    # per shift class, (orbit, orbit, phase of the target
                       # end, count) at its representative, whose source end
@@ -110,13 +115,6 @@ class _Tables(NamedTuple):
     near: tuple       # per orbit, the orbits sharing a class with it
     sources: dict     # mode -> the tables of `_source`, on first use
     options: dict     # the initial domains of `_options`, by its key
-    layout: list      # [choices, block] on first use as a search target
-
-    # per point in sorted order, (orbit, phase); per orbit, the mask of its
-    # points' bits.  Only a search target reads them, and `block` grows
-    # with the square of the orbits, so they are built on first use.
-    choices = property(lambda t: _layout(t)[0])
-    block = property(lambda t: _layout(t)[1])
 
 
 def _tables(s: StructureGraph) -> _Tables:
@@ -125,9 +123,11 @@ def _tables(s: StructureGraph) -> _Tables:
     if t is not None:
         return t
     periods = tuple(o.period for o in s.orbits)
-    by_period = {}
+    by_period, choices, base = {}, [], []
     for i, p in enumerate(periods):
         by_period.setdefault(p, []).append(i)
+        base.append(len(choices))
+        choices += [(i, r) for r in range(p)]
     idx = {o: i for i, o in enumerate(s.orbits)}
     m, span = len(periods), max(periods, default=1)
     classes, count, near = [], {}, [{} for _ in range(m)]
@@ -145,21 +145,11 @@ def _tables(s: StructureGraph) -> _Tables:
             comp[max(ra, rb)] = min(ra, rb)
     t = s.__dict__["_tables"] = _Tables(
         periods, {p: tuple(js) for p, js in by_period.items()},
+        tuple(choices), tuple(base),
         all(ia == ib and not pb and c == 1 for (ia, ib, pb, c) in classes),
         tuple(classes), tuple(_root(comp, i) == i for i in range(m)),
-        span, count, tuple(map(tuple, near)), {}, {}, [])
+        span, count, tuple(map(tuple, near)), {}, {})
     return t
-
-
-def _layout(t):
-    """The `choices` and `block` of tables t, built on first use."""
-    if not t.layout:
-        choices, block = [], []
-        for j, p in enumerate(t.periods):
-            block.append(((1 << p) - 1) << len(choices))
-            choices += [(j, r) for r in range(p)]
-        t.layout.extend((tuple(choices), tuple(block)))
-    return t.layout
 
 
 def _root(comp, i):
@@ -207,15 +197,16 @@ def _options(t, p, shifts, injective, own):
     key = (p, shifts, injective, own)
     found = t.options.get(key)
     if found is None:
-        count, span, m, blocks = t.count, t.span, len(t.periods), t.block
+        count, span, m, base = t.count, t.span, len(t.periods), t.base
         found = 0
         for q, js in t.by_period.items():
             if p % q == 0 and (q == p or not injective):
+                # an orbit's bits: every offset, or offset 0 only
+                bits = (1 << q) - 1 if shifts else 1
                 for j in js:
-                    b = blocks[j]
                     if all(lo <= count.get((j * m + j) * span + pb % q, 0) <= hi
                            for (pb, lo, hi) in own):
-                        found |= b if shifts else b & -b
+                        found |= bits << base[j]
         t.options[key] = found
     return found
 
@@ -254,14 +245,14 @@ def _refuted(mode, x, y):
 def _support(t, choice, group):
     """Forward checking once a source orbit i takes `choice` = (j, off) in
     the target graph of tables t: for a later orbit l whose classes shared
-    with i form `group` (a group of `_source`), the mask, over the target's
-    whole bit layout, of the points (jl, offl) of l under which every class
+    with i form `group` (a group of `_source`), the mask, over all the
+    target's points, of the points (jl, offl) of l under which every class
     of the group maps onto a target class whose count lies in [lo, hi].  As
     every lo is at least 1, only the targets sharing a class with j, j
     itself included by its diagonal, can hold such a point."""
     j, off = choice
     yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
-    q, blocks = yper[j], t.block
+    q = yper[j]
     mask = 0
     for jl in t.near[j]:
         # per shared class, under point (jl, offl) of l: its image key is
@@ -271,8 +262,8 @@ def _support(t, choice, group):
         ends = [(leave, pl - pi - off, 1, lo, hi) if leaves
                 else (enter, pi + off - pl, -1, lo, hi)
                 for (pi, pl, leaves, lo, hi) in group]
-        # jl's offsets 0, 1, ... from the low bit of its block
-        bit = blocks[jl] & -blocks[jl]
+        # jl's offsets 0, 1, ... from the bit of its phase 0
+        bit = 1 << t.base[jl]
         for offl in range(yper[jl]):
             for (base, d, sign, lo, hi) in ends:
                 if not lo <= count.get(base + (d + sign * offl) % g, 0) <= hi:
@@ -341,16 +332,17 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     rest of a class maps the same way.  Both graphs are read through their
     `_tables`, and the source's classes with their mode's count bounds
     through `_source`.  A domain is a bitset over the target's points, in
-    the one layout of its tables.  An orbit's own classes map by its target
-    orbit alone, so its domain starts as the mask that `_options` caches
-    for them.  Forward checking then ands the domain of each later orbit
-    sharing classes with the orbit just mapped with the `_support` mask of
-    its choice and the classes the two orbits share, kept for this call in
-    one dict keyed by (choice bit, group id), since every domain lies in
-    its initial one and no mask reads the level; a choice that
+    the one bit order of its tables.  An orbit's own classes map by its
+    target orbit alone, so its domain starts as the mask that `_options`
+    caches for them.  Forward checking then ands the domain of each later
+    orbit sharing classes with the orbit just mapped with the `_support`
+    mask of its choice and the classes the two orbits share, kept for this
+    call in one dict keyed by (choice bit, group id), since every domain
+    lies in its initial one and no mask reads the level; a choice that
     empties a domain is dropped, and a trail of replaced masks undoes the
     narrowing on backtracking.  So the search prunes only subtrees that
-    hold no witness.  One mask holds the points of the targets in use:
+    hold no witness.  One mask holds the points of the targets in use,
+    each orbit's formed from its `base` and period as it comes into use:
     injective modes mask it out, and surjective modes do so once the
     uncovered targets are as many as the orbits left.  A complete
     assignment is a witness, built in search order with no sort; in factor
@@ -374,7 +366,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
              for p, first, mine in zip(xt.periods, xt.first, own)]
     if not all(start):
         return None
-    domain, choices, block = list(start), yt.choices, yt.block
+    domain, choices, base, yper = list(start), yt.choices, yt.base, yt.periods
     choice, resume = [None] * n, [0] * n
     # per level, the (orbit, mask) pairs that its current choice replaced
     trail = [[] for _ in range(n)]
@@ -426,7 +418,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
                 uses[j] -= 1
                 if not uses[j]:
                     covered -= 1
-                    used &= ~block[j]
+                    used &= ~(((1 << yper[j]) - 1) << base[j])
                 saved = trail[i]
                 while saved:
                     l, old = saved.pop()
@@ -439,7 +431,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
         j = choice[i][0]
         if not uses[j]:
             covered += 1
-            used |= block[j]
+            used |= ((1 << yper[j]) - 1) << base[j]
         uses[j] += 1
         resume[i] = k
         i, k = i + 1, 0
@@ -481,10 +473,12 @@ def _rank1_targets(mode, x, y):
       still cover every uncovered target (covering only gets easier as
       demand falls): the first target of its first divisor class if it can,
       covering it if that class had none covered, else the first uncovered
-      target of the first divisor class that keeps a cover, else there is
-      no witness.  A cover is a flow over period classes, p to q when q
-      divides p (Ford and Fulkerson 1956), kept for the call: started
-      greedy, finished by `_augment`, then mended per source.  A source
+      target of the first divisor class that keeps a cover.  A cover is a
+      flow over period classes, p to q when q divides p (Ford and Fulkerson
+      1956), kept for the call: built from no flow by `_augment` alone,
+      then mended per source.  There is no witness when it falls short;
+      else some class keeps a cover at each source, at the latest the one
+      whose unit of flow the source gave back.  A source
       that leaves spends a unit of its class's slack or gives back a unit
       of flow for `_augment` to replace (never when no class has slack); a
       cover drops a unit of flow into its class; a failed trial is undone.
@@ -510,15 +504,10 @@ def _rank1_targets(mode, x, y):
     slack = {p: len(js) for p, js in xt.by_period.items()}
     uncovered = {q: len(js) for q, js in classes.items()}
     feeds = {q: [p for p in slack if p % q == 0] for q in classes}
-    sent = {p: {} for p in slack}  # sent[p][q]: the flow from class p to q
-    short = dict(uncovered)
-    for p, qs in divisors.items():
-        for q in qs:
-            sent[p][q] = units = min(slack[p], short[q])
-            slack[p] -= units
-            short[q] -= units
+    # sent[p][q]: the flow from class p to q, built by augmenting paths
+    sent = {p: dict.fromkeys(qs, 0) for p, qs in divisors.items()}
     spare = sum(slack.values())  # the total slack, kept in step with it
-    for q, need in short.items():
+    for q, need in uncovered.items():
         while need:
             moved = _augment(sent, slack, feeds, q, need)
             if not moved:
@@ -560,8 +549,6 @@ def _rank1_targets(mode, x, y):
                     continue
             out.append(classes[q][-1 - uncovered[q]])
             break
-        else:
-            return None
     # the flow covers the uncovered targets with the sources left, so all
     # are covered once every source is placed
     return out

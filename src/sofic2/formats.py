@@ -217,7 +217,8 @@ def parse_structure(text: str) -> StructureGraph:
             if entry[0] != c:
                 raise ParseError("line %d: count %s differs from count %s on line %d,"
                                  " in the same shift class"
-                                 % (n, _count_text(c), _count_text(entry[0]), entry[1]))
+                                 % (n, _clip(_count_text(c)), _clip(_count_text(entry[0])),
+                                    entry[1]))
         else:
             raise ParseError("line %d: expected 'orbit' or 'trans'" % n)
     try:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (LabeledGraph, CombRep, CombTerm, canonicalize_point, refine_colors,
-                   word, _check_symbol)
+                   word, _check_symbol, _clip)
 from .errors import (
     EmptyRepresentation,
     NotCountableCertified,
@@ -88,7 +88,7 @@ def is_right_resolving(g: LabeledGraph) -> bool:
 def _require_rr(g: LabeledGraph):
     bad = check_right_resolving(g)
     if bad:
-        raise NotRightResolving("label collisions at %r" % (bad[:5],))
+        raise NotRightResolving("label collisions at %s" % _clip(repr(bad[:5])))
 
 
 def determinize(g: LabeledGraph) -> LabeledGraph:
@@ -279,10 +279,10 @@ def admit(g: LabeledGraph) -> Admitted:
     cycles, label, rank, vertex = _cycle_certificate(g)
     if cycles is None:
         raise NotCountableCertified(
-            "the component of vertex %r is not a single cycle" % (vertex,))
+            "the component of vertex %s is not a single cycle" % _clip(repr(vertex)))
     if rank > 2:
-        raise RankTooHigh("a path from the cycle through vertex %r visits "
-                          "three or more cycles" % (vertex,))
+        raise RankTooHigh("a path from the cycle through vertex %s visits "
+                          "three or more cycles" % _clip(repr(vertex)))
     points = [None] * len(label)
     starts = {}  # cycle word -> its canonical point
     for cyc in cycles:

@@ -13,6 +13,7 @@ from .core import (
     PeriodicOrbit,
     StructureGraph,
     _check_symbol,
+    _clip,
     comb_rep,
 )
 from .decisions import DEFAULT_NODE_BUDGET, Mode, decide
@@ -88,7 +89,7 @@ def _no_isolated(g: SimpleGraph):
     touched = {v for e in g.edges for v in e}
     lonely = sorted(g.vertices - touched)
     if lonely:
-        raise IsolatedVertex("isolated vertices %r" % (lonely,))
+        raise IsolatedVertex("isolated vertices %s" % _clip(repr(lonely)))
 
 
 def gi_gadget(g: ColoredGraph) -> StructureGraph:

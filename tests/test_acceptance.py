@@ -8,6 +8,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from sofic2 import (
     Digraph,
     LabeledGraph,
@@ -150,6 +152,7 @@ def test_criterion_06_gi_correspondence():
           time.time() - t0, 120)
 
 
+@pytest.mark.slow
 def test_criterion_07_hom_correspondence():
     t0 = time.time()
     rng = random.Random(2027)
@@ -189,6 +192,7 @@ def _factor_brute(ps, qs):
     return rec(0, frozenset())
 
 
+@pytest.mark.slow
 def test_criterion_08_rank1_agreement():
     t0 = time.time()
     from conftest import periods_structure

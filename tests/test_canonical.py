@@ -40,6 +40,7 @@ def _words(alphabet, max_len):
         yield from product(alphabet, repeat=n)
 
 
+@pytest.mark.slow
 def test_every_short_word_matches_reference():
     for alphabet, max_len in ((("a", "b"), 10), (("a", "b", "c"), 10),
                               (("a", "ab", "b", "ba"), 7)):

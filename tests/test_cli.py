@@ -368,6 +368,34 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
     assert "ParseError" in err and "latin1.graph" in err
 
 
+def test_refusals_of_long_input_are_one_short_line(tmp_path, capsys):
+    # each refusal quotes a 10,000-character token clipped: unclipped, these
+    # lines ran from 10,045 to 30,087 characters
+    v, w, u = "v" * 10000, "w" * 10000, "u" * 10000
+    cases = [
+        (["structure"], "x.graph", "edge %s %s a\nedge %s %s a\nedge %s %s b\n"
+         % (v, v, v, w, w, v), "NotRightResolving: label collisions at "),
+        (["structure"], "x.graph", "edge %s %s a\nedge %s %s b\n" % (v, v, v, v),
+         "NotCountableCertified: the component of vertex "),
+        (["structure"], "x.graph", "edge %s %s a\nedge %s %s x\nedge %s %s b\n"
+         "edge %s %s y\nedge %s %s c\n" % (u, u, u, v, v, v, v, w, w, w),
+         "RankTooHigh: a path from the cycle through vertex "),
+        (["reduce", "--gadget", "hom"], "x.simple", "vertex %s\nedge a b\n" % v,
+         "IsolatedVertex: isolated vertices "),
+        (["rank"], "x.rep", "term %s %s %s\n" % (v, v, v),
+         "ParseError: invalid representation: junction 0 of term "),
+        (["synthesize"], "x.sg", "orbit o0 word=a.b\ntrans o0:0 o0:0 count=1\n"
+         "trans o0:1 o0:1 count=%s\n" % ("9" * 10000),
+         "ParseError: line 3: count 999"),
+    ]
+    for command, name, text, start in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(command + [str(path)]) == 2, start
+        err = _one_error_line(capsys)
+        assert err.startswith("error: " + start) and len(err) < 300, err[:400]
+
+
 def test_synthesize_round_trip_cli(tmp_path, fig1_sg_file, capsys):
     gpath = tmp_path / "synth.graph"
     assert main(["synthesize", fig1_sg_file, "-o", str(gpath)]) == 0
@@ -445,6 +473,7 @@ def _on_alarm(signum, frame):
     raise _Overtime()
 
 
+@pytest.mark.slow
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(edits=st.fixed_dictionaries({kind: _edits for kind in _FUZZ_SEEDS}),
        mode=st.sampled_from(("conj", "embed", "factor", "hom")))

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sofic2 import (
+    CombRep,
+    CombTerm,
     EventuallyPeriodicPoint,
     PeriodicOrbit,
     PeriodicPoint,
@@ -40,6 +42,13 @@ def test_primitive_root_examples():
 def test_primitive_root_empty_word():
     with pytest.raises(EmptyWord):
         primitive_root(word(""))
+
+
+def test_an_empty_orbit_or_point_is_refused():
+    with pytest.raises(EmptyWord, match="orbit root must be nonempty"):
+        PeriodicOrbit(())
+    with pytest.raises(EmptyWord, match="cannot canonicalize the empty word"):
+        canonicalize_point(())
 
 
 def test_canonicalize_point_examples():
@@ -188,6 +197,21 @@ def test_comb_rep_rejects_periodic_junction():
         comb_rep([("0", "0", "0")])
     r = comb_rep([("0", "1", "0")])
     assert len(r.terms) == 1
+
+
+def test_a_term_needs_one_more_u_than_v():
+    with pytest.raises(InvalidCombRep, match="one more u than v"):
+        CombTerm((word("0"),), (word("1"),))
+
+
+def test_comb_rep_make_refuses_a_non_term():
+    with pytest.raises(InvalidCombRep, match="CombTerm values"):
+        CombRep.make([(word("0"),)])
+
+
+def test_comb_rep_refuses_an_even_number_of_words():
+    with pytest.raises(InvalidCombRep, match="alternate u v u"):
+        comb_rep([("0", "1")])
 
 
 def test_comb_rep_deduplicates():

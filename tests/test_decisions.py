@@ -6,11 +6,13 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sofic2 import (
     LabeledGraph,
@@ -32,13 +34,14 @@ from sofic2 import (
 )
 from sofic2 import decisions
 from sofic2.decisions import _options, _refuted, _tables
-from sofic2.errors import BudgetExceeded, NotRankOne, WitnessInvalid
+from sofic2.errors import BudgetExceeded, NotRankOne, SoficError, WitnessInvalid
 from sofic2.reductions import Digraph
 
 from conftest import (
     chain_graph,
     make_structure,
     periods_structure,
+    random_certified_graph,
     random_simple_graph,
     random_structure_graph,
     rename_structure,
@@ -628,9 +631,10 @@ def test_rank1_factor_rule_matches_reference():
 
 
 def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
-    # searches for an augmenting path, counted: none on the deep pair
-    # whatever its size, where the greedy start covers every target and no
-    # class has slack to search from (one search finds the NO)
+    # searches for an augmenting path, counted: the flow starts empty, so
+    # one per target class at least; one on the deep pair whatever its
+    # size, which moves every unit at once, and then no class has slack to
+    # search from (a second search finds the NO)
     calls = []
     augment = decisions._augment
 
@@ -639,8 +643,8 @@ def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(decisions, "_augment", counted)
-    for ps, qs, n in (([1, 1, 2], [1, 2], 0), ([2, 2, 2, 2], [1, 1, 2], 0),
-                      ([2, 3], [1, 2], 2), ([2, 3, 3], [1, 2, 2], 2)):
+    for ps, qs, n in (([1, 1, 2], [1, 2], 2), ([2, 2, 2, 2], [1, 1, 2], 2),
+                      ([2, 3], [1, 2], 3), ([2, 3, 3], [1, 2, 2], 3)):
         calls.clear()
         rank1_decide(Mode.FACTOR, periods_structure(ps, tag=1),
                      periods_structure(qs, tag=2))
@@ -651,23 +655,25 @@ def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
         y = periods_structure([1] * size, tag=2)
         calls.clear()
         assert rank1_decide(Mode.FACTOR, x, y)
-        assert len(calls) == 0, size
+        assert len(calls) == 1, size
     calls.clear()
     assert not rank1_decide(Mode.FACTOR, small, y)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
-def test_search_tables_are_built_for_search_targets_only():
-    # the bit layout of the search domains is built the first time a graph
-    # is the target of a search, not for rank-1 decisions or sources
-    x, y = periods_structure([1, 2, 2, 4], tag=1), periods_structure([1, 2], tag=2)
-    for mode in Mode:
-        decide(mode, x, y)
-        rank1_decide(mode, x, y)
-        search(mode, x, y)
-    assert _tables(x).layout == [] and _tables(y).layout != []
-    assert _tables(y).choices == ((0, 0), (1, 0), (1, 1))
-    assert _tables(y).block == (0b1, 0b110)
+def test_search_tables_grow_linearly_in_the_graph():
+    # per orbit the tables keep its first bit, not a mask as wide as the
+    # points before it: the whole table of 20,000 fixed points, every field
+    # built, holds 7.4MB, where one mask per orbit made it 34.7MB
+    s = periods_structure([1] * 20000)
+    tracemalloc.start()
+    try:
+        t = _tables(s)
+        assert len(t.choices) == 20000 and t.base[-1] == 19999
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 12 * 10 ** 6, held
 
 
 def test_rank1_requires_rank_one(fig1_structure):
@@ -736,6 +742,52 @@ def _deep_pairs():
     counts[(a, b)] = 1
     xb = StructureGraph.make(x.orbits, counts)
     yield xb, rename_structure(xb, "r")
+
+
+def _built(g):
+    """build_structure(g), or None when it refuses g."""
+    try:
+        return build_structure(g)
+    except SoficError:
+        return None
+
+
+def _two_block(g):
+    """The 2-block presentation of g: one vertex per edge, and an edge
+    e -> f labelled L(e).L(f) when e ends where f starts.  It is
+    right-resolving, its cycles are disjoint when g's are, and it has g's
+    rank."""
+    name = "%s>%s:%s".__mod__
+    return LabeledGraph.make([], [(name(e), name(f), "%s.%s" % (e[2], f[2]))
+                                  for e in g.edges for f in g.edges if e[1] == f[0]])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_two_block_recoding_is_a_conjugacy(rng):
+    # the 2-block presentation presents a shift conjugate to g's (Lind and
+    # Marcus 1995, sections 1.4 and 2.3), and the structure graph is a
+    # conjugacy invariant
+    g = random_certified_graph(rng)
+    x, y = _built(g), _built(_two_block(g))
+    assume(x is not None and y is not None)
+    w = decide(Mode.CONJUGACY, x, y, budget=10 ** 4)
+    assert w is not None and verify_witness(Mode.CONJUGACY, x, y, w)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_subshift_embeds_in_its_shift(rng):
+    # deleting edges presents a subshift, whose inclusion is an injective
+    # shift-commuting map: so an embedding and a block map exist
+    g = random_certified_graph(rng)
+    edges = list(g.edges)
+    kept = rng.sample(edges, len(edges) - max(1, len(edges) // 10))
+    x, y = _built(LabeledGraph.make([], kept)), _built(g)
+    assume(x is not None and y is not None)
+    for mode in (Mode.EMBEDDING, Mode.BLOCK_MAP):
+        w = decide(mode, x, y, budget=10 ** 4)
+        assert w is not None and verify_witness(mode, x, y, w), mode
 
 
 def test_deep_pairs_need_no_recursion():
@@ -891,13 +943,13 @@ def _support_reference(t, start, later, choice):
     lowest to the highest bit of start[l]."""
     j, off = choice
     yper, count, span, m = t.periods, t.count, t.span, len(t.periods)
-    q, blocks = yper[j], t.block
+    q = yper[j]
     out = []
     for (l, group) in later:
         mask = 0
         for jl in t.near[j]:
             # l's offsets 0, 1, ... on jl, from the low bit
-            block = start[l] & blocks[jl]
+            block = start[l] & ((1 << yper[jl]) - 1) << t.base[jl]
             if not block:
                 continue
             # per shared class, under point (jl, offl) of l: its image key
@@ -984,9 +1036,8 @@ def test_domain_bits_are_target_points_in_search_order():
     rng = random.Random(101)
     for _ in range(20):
         t = _tables(random_structure_graph(rng, max_orbits=8, max_period=6))
-        for j, block in enumerate(t.block):
-            assert block == sum(1 << b for b, (i, _r) in enumerate(t.choices)
-                                if i == j)
+        for j, first in enumerate(t.base):
+            assert first == min(b for b, (i, _r) in enumerate(t.choices) if i == j)
             assert [r for (i, r) in t.choices if i == j] == list(range(t.periods[j]))
         for p, shifts, injective in itertools.product(range(1, 7), (False, True),
                                                       (False, True)):

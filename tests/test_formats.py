@@ -90,7 +90,8 @@ def test_structure_parse_errors():
             "orbit o0 word=a.b\n"
             "trans o0:0 o0:0 count=1\ntrans o0:1 o0:1 count=2\n")
     digits = "9" * 5000  # past Python's int/str limit of 4,300 digits
-    with pytest.raises(ParseError, match="^line 3: count 1 differs from count 9{5000} on line 2,"):
+    with pytest.raises(ParseError, match=r"^line 3: count 1 differs from count 9{60}\.\.\. "
+                                         r"\(5000 characters\) on line 2,"):
         formats.parse_structure("orbit o0 word=a.b\ntrans o0:0 o0:0 count=%s\n"
                                 "trans o0:1 o0:1 count=1\n" % digits)
     # counts and phases are ASCII digits at every length: `int` alone would

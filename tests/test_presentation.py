@@ -251,6 +251,20 @@ def test_from_forbidden_words_caps_the_words_of_each_length(monkeypatch):
         from_forbidden_words("01", ["0000"])
 
 
+def test_determinize_caps_its_states(monkeypatch):
+    # the subset construction finds {v, w} and then {v}: two states
+    g = LabeledGraph.make("vw", [("v", "v", "a"), ("v", "w", "a"), ("w", "v", "b")])
+    assert len(determinize(g).vertices) == 2
+    monkeypatch.setattr(presentation, "MAX_DETERMINIZE_STATES", 1)
+    with pytest.raises(SizeLimitExceeded, match="exceeded 1 states"):
+        determinize(g)
+
+
+def test_from_comb_rep_takes_a_list_of_terms():
+    r = comb_rep(FIG1_TERMS)
+    assert from_comb_rep(list(r.terms)) == from_comb_rep(r)
+
+
 def _forbidden_words_reference(alphabet, forbidden, symbol_map=None):
     """from_forbidden_words as it was defined first: every window of each
     extended word is checked against every forbidden word."""
@@ -313,6 +327,11 @@ def test_derivative_examples():
     assert derivative_of_comb_rep(comb_rep([("0",)])) == comb_rep([])
     d2 = derivative_of_comb_rep(comb_rep([("a", "x", "b", "y", "c")]))
     assert d2 == comb_rep([("b", "y", "c"), ("a", "x", "b")])
+
+
+def test_derivative_of_the_empty_representation_is_refused():
+    with pytest.raises(EmptyRepresentation, match="derivative of the empty"):
+        derivative_of_comb_rep(comb_rep([]))
 
 
 def test_derivative_iteration_counts_rank():

@@ -76,6 +76,11 @@ def test_gi_gadget_validation():
         ColoredGraph.make({"u": 0, "v": 0}, [("u", "v")])
 
 
+def test_colored_graph_refuses_an_uncoloured_vertex():
+    with pytest.raises(ImproperColoring, match="vertex 'w' lacks a 0/1 color"):
+        ColoredGraph.make({"u": 0, "v": 1}, [("u", "v"), ("v", "w")])
+
+
 def test_gi_gadget_isomorphic_triangles_with_pendant():
     c1 = ColoredGraph.make({"a": 0, "b": 1, "c": 0, "d": 1},
                            [("a", "b"), ("b", "c"), ("c", "d")])
@@ -364,3 +369,8 @@ def test_brute_oracle_refuses_an_unknown_kind_before_enumerating(monkeypatch):
     monkeypatch.setattr(itertools, "product", enumerated)
     with pytest.raises(ValueError, match="unknown oracle kind 'homm'"):
         brute_graph_oracle("homm", cycle_graph("abcdefg"), cycle_graph("tuvwxyz"))
+
+
+def test_iso_colored_oracle_refuses_plain_graphs():
+    with pytest.raises(ValueError, match="iso_colored needs colored graphs"):
+        brute_graph_oracle("iso_colored", cycle_graph("abc"), cycle_graph("xyz"))
