@@ -12,9 +12,11 @@ transition edges are exactly the count-1 diagonals, a flag of that
 table) it builds the witness directly from the period classes by one
 rule per mode, or finds there is none; for factors the rule keeps one
 flow over period classes for the call and mends it per source orbit
-(`_augment`).  `rank1_decide` refuses a graph of higher rank and asks
-the same rules whether a witness exists.  Otherwise it runs `search`, a
-backtracking search over orbit maps with the per-mode side conditions,
+(`_augment`), trying each cover with one augmenting search, which may
+end at a unit of the tried class and moves no flow when it fails.
+`rank1_decide` refuses a graph of higher rank and asks the same rules
+whether a witness exists.  Otherwise it runs `search`, a backtracking
+search over orbit maps with the per-mode side conditions,
 kept on an explicit stack so that no input depends on the interpreter's
 recursion limit.  Both paths return the same witness: the first one in
 the search order (source orbits by period then root, their targets
@@ -478,10 +480,13 @@ def _rank1_targets(mode, x, y):
       1956), kept for the call: built from no flow by `_augment` alone,
       then mended per source.  There is no witness when it falls short;
       else some class keeps a cover at each source, at the latest the one
-      whose unit of flow the source gave back.  A source
-      that leaves spends a unit of its class's slack or gives back a unit
-      of flow for `_augment` to replace (never when no class has slack); a
-      cover drops a unit of flow into its class; a failed trial is undone.
+      whose unit of flow the source gave back.  A source that leaves
+      spends a unit of its class's slack or gives back a unit of flow for
+      `_augment` to replace (never when no class has slack).  Covering a
+      class with none covered drops a unit of flow into it.  A trial
+      cover of class q is one `_augment` search from the class left short,
+      which may end at a unit sent into q instead of at slack; a failed
+      search moves no flow.
     """
     xt, yt = _tables(x), _tables(y)
     ps, classes = xt.periods, yt.by_period
@@ -516,61 +521,49 @@ def _rank1_targets(mode, x, y):
             spare -= moved
     out = []
     for p in ps:
-        gap = None  # the class that lost a unit of flow, until it is mended
         if slack[p]:
             slack[p] -= 1
-            spare -= 1
         else:
             for gap, units in sent[p].items():  # p, with no slack, sends some
                 if units:
                     break
             sent[p][gap] -= 1
-            if spare and _augment(sent, slack, feeds, gap, 1):
-                gap = None
-                spare -= 1
-        if gap is None:
-            q = divisors[p][0]
-            if uncovered[q] == len(classes[q]):
+            if not (spare and _augment(sent, slack, feeds, gap, 1)):
+                # the first divisor class that keeps a cover: gap, where
+                # p's unit of flow went, at the latest
+                for q in divisors[p]:
+                    if uncovered[q] and (
+                            q == gap or _augment(sent, slack, feeds, gap, 1, q)):
+                        break
                 uncovered[q] -= 1
-                _drop(sent, slack, feeds, q)
-                spare += 1
-            out.append(classes[q][0])
-            continue
-        for q in divisors[p]:
-            if not uncovered[q]:
+                out.append(classes[q][-1 - uncovered[q]])
                 continue
+        spare -= 1
+        q = divisors[p][0]
+        if uncovered[q] == len(classes[q]):
             uncovered[q] -= 1
-            if q != gap:
-                donor = _drop(sent, slack, feeds, q)
-                if not _augment(sent, slack, feeds, gap, 1):
-                    sent[donor][q] += 1
-                    slack[donor] -= 1
-                    uncovered[q] += 1
-                    continue
-            out.append(classes[q][-1 - uncovered[q]])
-            break
+            for donor in feeds[q]:  # a unit into q goes back to slack
+                if sent[donor][q]:
+                    break
+            sent[donor][q] -= 1
+            slack[donor] += 1
+            spare += 1
+        out.append(classes[q][0])
     # the flow covers the uncovered targets with the sources left, so all
     # are covered once every source is placed
     return out
 
 
-def _drop(sent, slack, feeds, q):
-    """Moves a unit of flow out of target class q back to the slack of a
-    source class feeding it, and returns that class."""
-    donor = next(p for p in feeds[q] if sent[p][q])
-    sent[donor][q] -= 1
-    slack[donor] += 1
-    return donor
-
-
-def _augment(sent, slack, feeds, q, most) -> int:
+def _augment(sent, slack, feeds, q, most, cover=None) -> int:
     """Moves up to `most` units of flow into target class q along one
-    augmenting path and returns the units moved: 0 when the flow is a
-    maximum one.  `sent[p][u]` is the flow from source class p to target
-    class u, `slack[p]` what p leaves free, `feeds[u]` the classes that u
-    divides.  Back from q, a class p feeding a class in need ends the path
-    if it has slack, else frees a unit it sends to another class, which
-    then needs a feeder: a breadth-first search over period classes."""
+    augmenting path and returns the units moved: 0, moving nothing, when
+    there is no such path.  `sent[p][u]` is the flow from source class p
+    to target class u, `slack[p]` what p leaves free, `feeds[u]` the
+    classes that u divides.  Back from q, a class p feeding a class in
+    need ends the path if it has slack or sends a unit to class `cover`,
+    which it then takes instead; else it frees a unit it sends to another
+    class, which then needs a feeder: a breadth-first search over period
+    classes."""
     feeding, freed = {}, {q: None}  # the parent pointers of the path
     queue = [q]
     for t in queue:  # the loop also visits classes appended on the way
@@ -578,12 +571,14 @@ def _augment(sent, slack, feeds, q, most) -> int:
             if p in feeding:
                 continue
             feeding[p] = t
-            if slack[p]:
-                amount, u = min(most, slack[p]), t
+            # the path ends at p's slack, or at a unit p sends to cover
+            have, end = (slack, p) if slack[p] else (sent[p], cover)
+            if have.get(end):
+                amount, u = min(most, have[end]), t
                 while freed[u] is not None:
                     amount = min(amount, sent[freed[u]][u])
                     u = feeding[freed[u]]
-                slack[p] -= amount
+                have[end] -= amount
                 while p is not None:
                     u = feeding[p]
                     sent[p][u] += amount
@@ -676,9 +671,11 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     orbit, embeddings a period-preserving injection, and factors
     additionally a cover of the target orbits by source orbits of multiple
     periods: one flow over period classes, kept for the call and mended
-    as each source orbit is placed.  True when `_rank1_targets` finds a
-    witness.  Raises NotRankOne unless both graphs have rank 1,
-    naming the first class that is not a count-1 diagonal."""
+    as each source orbit is placed, each trial cover by one augmenting
+    search that may end at a unit of the tried class.  True when
+    `_rank1_targets` finds a witness.  Raises NotRankOne unless both
+    graphs have rank 1, naming the first class that is not a count-1
+    diagonal."""
     _check_mode(mode)
     for s in (x, y):
         if not is_rank_one(s):

@@ -181,15 +181,15 @@ def named_admit(g):
 def reference_admit(g):
     bad = reference_check_right_resolving(g)
     if bad:
-        raise NotRightResolving("label collisions at %r" % (bad[:5],))
+        raise NotRightResolving("label collisions at %s" % core._clip(repr(bad[:5])))
     g = reference_trim(g)
     cycles, label, rank, vertex = reference_cycle_certificate(g)
     if cycles is None:
         raise NotCountableCertified(
-            "the component of vertex %r is not a single cycle" % (vertex,))
+            "the component of vertex %s is not a single cycle" % core._clip(repr(vertex)))
     if rank > 2:
-        raise RankTooHigh("a path from the cycle through vertex %r visits "
-                          "three or more cycles" % (vertex,))
+        raise RankTooHigh("a path from the cycle through vertex %s visits "
+                          "three or more cycles" % core._clip(repr(vertex)))
     points = {}
     for cyc in cycles:
         start = canonicalize_point(tuple(label[v] for v in cyc))
@@ -209,7 +209,9 @@ def random_edges(rng):
     """Edges and extra vertices of a random presentation: one to four
     disjoint cycles joined by forward paths (rank up to four), and at
     random an edge between any two vertices (which may join cycles), a
-    label collision, dangling tails and sources, and isolated vertices."""
+    label collision, dangling tails and sources, and isolated vertices.
+    Some graphs name every vertex past the 60 characters that a refusal
+    quotes."""
     edges = []
     used = set()
 
@@ -251,6 +253,10 @@ def random_edges(rng):
         add("s0", rng.choice(every))
     extra = ["i0"] if rng.random() < 0.2 else []
     rng.shuffle(edges)
+    if rng.random() < 0.3:
+        long = "v" * 61
+        extra = [long + v for v in extra]
+        edges = [(long + a, long + b, s) for (a, b, s) in edges]
     return extra, edges
 
 
@@ -259,7 +265,7 @@ BAD_LABELS = ["", " ", "a b", "x\t", "　", "\x1c", "a ", 5, None, b"a"]
 
 def test_admission_matches_reference():
     rng = random.Random(4242)
-    kinds = set()
+    kinds, clipped = set(), set()
     for _ in range(600):
         extra, edges = random_edges(rng)
         g = LabeledGraph.make(extra, edges)
@@ -273,12 +279,16 @@ def test_admission_matches_reference():
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want
             kinds.add(want[0])
+            if " characters)" in want[1]:
+                clipped.add(want[0])
         else:
             assert got == want
             kinds.add("admitted")
         kinds.add("essential" if trimmed is g else "trimmed")
     assert kinds == {"admitted", NotRightResolving, NotCountableCertified, RankTooHigh,
                      "essential", "trimmed"}
+    # each refusal also ran through the clip, on a long vertex name
+    assert clipped == {NotRightResolving, NotCountableCertified, RankTooHigh}
 
 
 def test_certified_graphs_match_reference():

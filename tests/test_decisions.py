@@ -602,6 +602,7 @@ def _covers_reference(supply, demand):
     return True
 
 
+@pytest.mark.slow
 def test_rank1_factor_rule_matches_reference():
     # the kept flow gives the reference's target list on random period
     # multisets and on every pair of the criterion-8 grid; the rule reads
@@ -788,6 +789,86 @@ def test_a_subshift_embeds_in_its_shift(rng):
     for mode in (Mode.EMBEDDING, Mode.BLOCK_MAP):
         w = decide(mode, x, y, budget=10 ** 4)
         assert w is not None and verify_witness(mode, x, y, w), mode
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_in_splitting_keeps_the_structure_graph(rng):
+    # split a vertex's in-edges into two nonempty groups, one per copy, and
+    # give both copies every out-edge (Lind and Marcus 1995, section 2.4):
+    # the labels, the shift and right-resolving are kept
+    g = random_certified_graph(rng)
+    ins = {}
+    for e in g.edges:
+        ins.setdefault(e[1], []).append(e)
+    split = sorted(v for v, es in ins.items() if len(es) > 1)
+    assume(split)
+    v = rng.choice(split)
+    group = rng.sample(ins[v], rng.randint(1, len(ins[v]) - 1))
+    copy = ("%s/0" % v, "%s/1" % v)
+
+    def end(e):
+        return "%s/%d" % (v, e in group) if e[1] == v else e[1]
+
+    edges = [(s, end(e), e[2]) for e in g.edges
+             for s in (copy if e[0] == v else (e[0],))]
+    x = _built(g)
+    assume(x is not None)
+    assert build_structure(LabeledGraph.make([], edges)) == x
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_renaming_symbols_keeps_every_answer(rng):
+    # an order-reversing renaming changes least rotations and the search
+    # order, but it is a one-block conjugacy of each shift
+    def renamed(g):
+        flip = dict(zip("abc", "zyx"))
+        return LabeledGraph.make([], [(a, b, flip[s]) for (a, b, s) in g.edges])
+
+    g, h = random_certified_graph(rng), random_certified_graph(rng)
+    x, y, rx, ry = map(_built, (g, h, renamed(g), renamed(h)))
+    assume(None not in (x, y))
+    for mode in ALL_MODES:
+        w, rw = (decide(mode, s, t, budget=10 ** 4) for (s, t) in ((x, y), (rx, ry)))
+        assert (w is None) == (rw is None), mode
+        assert w is None or verify_witness(mode, x, y, w), mode
+        assert rw is None or verify_witness(mode, rx, ry, rw), mode
+    w = decide(Mode.CONJUGACY, x, rx, budget=10 ** 4)
+    assert w is not None and verify_witness(Mode.CONJUGACY, x, rx, w)
+
+
+def _rotated(rng, s):
+    """s with orbit i respelled r<i>_0 ... r<i>_{p-1} and its phases moved
+    on by a seeded d_i in [0, p), transitions mapped point by point: a
+    graph isomorphic to s whose isomorphisms may need nonzero phase
+    offsets."""
+    image = {}
+    for i, o in enumerate(s.orbits):
+        d = rng.randrange(o.period)
+        w = tuple("r%d_%d" % (i, k) for k in range(o.period))
+        image.update((a, canonicalize_point(w, r + d))
+                     for r, a in enumerate(o.points))
+    return StructureGraph.make({image[o.points[0]].orbit for o in s.orbits},
+                               {(image[a], image[b]): c
+                                for ((a, b), c) in s.transitions})
+
+
+def test_rotated_phases_keep_every_mode():
+    # a conjugacy first witness that maps some phase 0 to a nonzero phase
+    # shows that the property reaches offsets other than 0 (40 of 666
+    # phase-0 images over these seeds)
+    turned = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        x = random_structure_graph(rng)
+        y = _rotated(rng, x)
+        for mode in ALL_MODES:
+            w = decide(mode, x, y, budget=10 ** 4)
+            assert w is not None and verify_witness(mode, x, y, w), (seed, mode)
+            if mode is Mode.CONJUGACY:
+                turned += sum(b.phase != 0 for (a, b) in w.pairs if a.phase == 0)
+    assert turned
 
 
 def test_deep_pairs_need_no_recursion():
