@@ -5,52 +5,25 @@ Such a map is determined orbit by orbit: an orbit of period p may map into
 an orbit of period q only when q divides p, and choosing a phase offset
 fixes every point of the orbit.
 
-`decide` is the entry point.  Every pass reads one integer table per
-graph (`_tables`), built in one pass over its transition classes and
-cached on it.  When both graphs have rank 1 (finite shifts, whose
-transition edges are exactly the count-1 diagonals, a flag of that
-table) it builds the witness directly from the period classes by one
-rule per mode, or finds there is none; for factors the rule keeps one
-flow over period classes for the call and mends it per source orbit
-(`_augment`), trying each cover with one augmenting search, which may
-end at a unit of the tried class and moves no flow when it fails.
-`rank1_decide` refuses a graph of higher rank and asks the same rules
-whether a witness exists.  Otherwise it runs `search`, a backtracking
-search over orbit maps with the per-mode side conditions,
-kept on an explicit stack so that no input depends on the interpreter's
-recursion limit.  Both paths return the same witness: the first one in
-the search order (source orbits by period then root, their targets
-likewise, offsets ascending).  `search` stays public as the reference
-that the rank-1 path is tested against; it also decides
-`reductions.digraph_isomorphic`.
+`decide` is the entry point.  It returns the first witness in one search
+order (source orbits by period then root, their targets likewise, offsets
+ascending), or None when there is none.  When both graphs have rank 1
+(`is_rank_one`: finite shifts, whose transition edges are exactly the
+count-1 diagonals) the rules of `_rank1_targets` build that witness with
+no search, and `rank1_decide` asks them whether it exists.  Every other
+pair goes to `search`, which stays public as the reference the rank-1
+rules are tested against and also decides `reductions.digraph_isomorphic`.
 
-`search` prunes only subtrees that hold no witness, so its first witness
-is the first in that order, and reads one transition per shift class.  At
-the root, orbit and class counts can answer NO.  Forward checking
-(Haralick and Elliott 1980) on bitset domains, with bitset supports
-(Lecoutre and Vion 2008), narrows the choices of the later orbits that
-share classes with each orbit it maps, and backtracks as soon as one has
-none left; a support, keyed by the target point chosen and the classes
-the two orbits share, is built once per call and walks only the targets
-next to the chosen one.  All domains share one bit order: bit b is the
-target's b-th point, a choice of target orbit and phase offset, so
-ascending bits are the search order.  A target orbit's points are the
-bits from its `base`, the bit of its phase 0, up, one per phase: the
-tables keep one integer per orbit, so they grow linearly in the graph.
-The first orbit of each source component takes phase offset 0 only:
-shifting all images of one component keeps every count, injectivity,
-and in factor mode the component's preimage supply, so some witness at
-least as early has offset 0 there.
+Every search stops at a node budget: the paper shows these decisions
+NP-hard.  `search` and `decide` raise BudgetExceeded once a search would
+take more than `budget` nodes, `DEFAULT_NODE_BUDGET` unless the caller
+gives another, and refuse a budget below 1, or None, before any work.
 
-The factor-mode count condition compares aperiodic supply against aperiodic
-demand: on a diagonal edge the periodic point accounts for one orbit of its
-own transition count, and its image is forced to the target's periodic
-point, so that orbit can never cover an aperiodic target orbit.
-
-`verify_witness` re-checks a witness against these definitions and reads
-none of the search's tables: commutation orbit by orbit, then each count
-condition once per transition class, which suffices for a commuting map.
-Each public entry refuses a mode that is not a `Mode` with ValueError.
+`verify_witness` re-checks a witness against the definitions and reads
+none of the search's tables, so a fault in them cannot pass its check:
+commutation orbit by orbit, then each count condition once per transition
+class, which suffices for a commuting map.  Each public entry refuses a
+mode that is not a `Mode` with ValueError.
 """
 
 from __future__ import annotations
@@ -90,8 +63,10 @@ class SGHomomorphism:
 # the upper bound on a target count outside conjugacy mode
 _UNBOUNDED = float("inf")
 
-# the node budget of `sofic2 decide`: over 500 times the most that one
-# search takes in the tests, the demos or the decide-search benchmark (1,746)
+# the node budget of every search, unless its caller gives another: over
+# 500 times the most that one search takes in the demos or the
+# decide-search benchmark (1,746), and over 4 times the most in the tests
+# (216,873, a 13-vertex graph that is not 3-colourable)
 DEFAULT_NODE_BUDGET = 10 ** 6
 
 
@@ -281,7 +256,8 @@ def _covers_demand(xt, yt, choices):
     per class: a source class of count c whose ends have periods p, p'
     lands on a target class whose ends have periods q, q', g = gcd(q, q'),
     hitting each member lcm(p, p') * g / (q * q') times with its aperiodic
-    supply (the count, less one on a diagonal).  Every target class must
+    supply: the count, less one on a diagonal, whose periodic point maps to
+    the target's and so covers no aperiodic orbit.  Every target class must
     receive a preimage whose supply covers its aperiodic orbits."""
     xper, yper, span, m = xt.periods, yt.periods, yt.span, len(yt.periods)
     supply = {}
@@ -303,20 +279,20 @@ def _check_mode(mode):
         raise ValueError("unknown mode %r" % (mode,))
 
 
-def _node_limit(budget):
-    """The node limit of a budget (None: no bound); refuses one below 1."""
-    if budget is None:
-        return _UNBOUNDED
-    if budget < 1:
-        raise BudgetExceeded("node budget %d is below 1" % budget)
-    return budget
+def _check_budget(budget):
+    if budget is None or budget < 1:
+        raise BudgetExceeded("node budget %s is below 1" % budget)
 
 
-def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
+def search(mode: Mode, x: StructureGraph, y: StructureGraph,
+           budget=DEFAULT_NODE_BUDGET):
     """First witness homomorphism under the deterministic search order, or
-    None when no witness exists.  Works on graphs of any rank.  Raises
-    BudgetExceeded once it would take more than `budget` nodes (accepted
-    choices); None means no bound.
+    None when no witness exists.  Works on graphs of any rank.
+
+    The stopping rule, for the library and `sofic2 decide --budget` alike:
+    BudgetExceeded once the search would take more than `budget` nodes
+    (accepted choices), `DEFAULT_NODE_BUDGET` unless given; a budget below
+    1, or None, is refused before any work.
 
     After `_refuted`, a depth-first search with one level per source orbit,
     taken by period then root.  Each level tries the target orbits by
@@ -336,9 +312,10 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     through `_source`.  A domain is a bitset over the target's points, in
     the one bit order of its tables.  An orbit's own classes map by its
     target orbit alone, so its domain starts as the mask that `_options`
-    caches for them.  Forward checking then ands the domain of each later
-    orbit sharing classes with the orbit just mapped with the `_support`
-    mask of its choice and the classes the two orbits share, kept for this
+    caches for them.  Forward checking (Haralick and Elliott 1980) then
+    ands the domain of each later orbit sharing classes with the orbit just
+    mapped with the `_support` mask (a bitset support, Lecoutre and Vion
+    2008) of its choice and the classes the two orbits share, kept for this
     call in one dict keyed by (choice bit, group id), since every domain
     lies in its initial one and no mask reads the level; a choice that
     empties a domain is dropped, and a trail of replaced masks undoes the
@@ -355,7 +332,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     case: the paper shows these decisions NP-hard.
     """
     _check_mode(mode)
-    limit = _node_limit(budget)
+    _check_budget(budget)
     if _refuted(mode, x, y):
         return None
     xt, yt = _tables(x), _tables(y)
@@ -427,7 +404,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
                     domain[l] = old
             continue
         nodes += 1
-        if nodes > limit:
+        if nodes > budget:
             raise BudgetExceeded("search needs more than %d nodes" % budget)
         choice[i] = choices[k - 1]
         j = choice[i][0]
@@ -440,17 +417,21 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
     return None
 
 
-def decide(mode: Mode, x: StructureGraph, y: StructureGraph, budget=None):
+def decide(mode: Mode, x: StructureGraph, y: StructureGraph,
+           budget=DEFAULT_NODE_BUDGET):
     """First witness homomorphism under the deterministic search order
     (orbits by period then root, targets likewise, offsets ascending), or
-    None when no witness exists.  `budget` bounds the nodes of `search`.
+    None when no witness exists.
 
     When both graphs have rank 1 (`is_rank_one`), `_rank1_targets` builds
     the witness that `search` would find first, or shows there is none,
     with no search.  Other inputs go to `search`.  Neither path recurses.
+    The stopping rule is that of `search`: BudgetExceeded past `budget`
+    nodes, `DEFAULT_NODE_BUDGET` unless given, and a budget below 1, or
+    None, refused before any work, on the rank-1 path too.
     """
     _check_mode(mode)
-    _node_limit(budget)
+    _check_budget(budget)
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y, budget)
     targets = _rank1_targets(mode, x, y)
@@ -665,16 +646,10 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
 
 
 def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
-    """Fast decisions for finite shifts (structure graphs whose transition
-    edges are exactly the count-1 diagonals): conjugacy compares sorted
-    period multisets, block maps need a divisor period for every source
-    orbit, embeddings a period-preserving injection, and factors
-    additionally a cover of the target orbits by source orbits of multiple
-    periods: one flow over period classes, kept for the call and mended
-    as each source orbit is placed, each trial cover by one augmenting
-    search that may end at a unit of the tried class.  True when
-    `_rank1_targets` finds a witness.  Raises NotRankOne unless both
-    graphs have rank 1, naming the first class that is not a count-1
+    """Whether a witness exists between two finite shifts (structure graphs
+    whose transition edges are exactly the count-1 diagonals), by the
+    rules of `_rank1_targets`, with no search.  Raises NotRankOne unless
+    both graphs have rank 1, naming the first class that is not a count-1
     diagonal."""
     _check_mode(mode)
     for s in (x, y):

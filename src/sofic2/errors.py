@@ -31,7 +31,7 @@ class RankTooHigh(SoficError):
 
 class BudgetExceeded(SoficError):
     """An enumeration needs more steps than its budget, or was given a
-    budget below 1."""
+    budget below 1, or None for a node budget."""
 
 
 class MalformedStructureGraph(SoficError):

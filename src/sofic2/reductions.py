@@ -16,7 +16,7 @@ from .core import (
     _clip,
     comb_rep,
 )
-from .decisions import DEFAULT_NODE_BUDGET, Mode, decide
+from .decisions import Mode, decide
 from .errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
 from .presentation import from_comb_rep
 from .structure import build_structure
@@ -269,5 +269,5 @@ def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
     """
     if len(g.vertices) != len(h.vertices) or len(g.arcs) != len(h.arcs):
         return False
-    return decide(Mode.CONJUGACY, _fixed_point_graph(g), _fixed_point_graph(h),
-                  DEFAULT_NODE_BUDGET) is not None
+    return decide(Mode.CONJUGACY, _fixed_point_graph(g),
+                  _fixed_point_graph(h)) is not None

@@ -19,6 +19,7 @@ from sofic2 import (
     Mode,
     PeriodicOrbit,
     SGHomomorphism,
+    SimpleGraph,
     StructureGraph,
     build_structure,
     canonicalize_point,
@@ -33,7 +34,7 @@ from sofic2 import (
     verify_witness,
 )
 from sofic2 import decisions
-from sofic2.decisions import _options, _refuted, _tables
+from sofic2.decisions import DEFAULT_NODE_BUDGET, _options, _refuted, _tables
 from sofic2.errors import BudgetExceeded, NotRankOne, SoficError, WitnessInvalid
 from sofic2.reductions import Digraph
 
@@ -987,6 +988,92 @@ def test_a_budget_leaves_the_first_witness_unchanged():
             except BudgetExceeded:
                 continue
             assert w == search(mode, x, y), mode
+
+
+def _k3_gadget():
+    return hom_gadget(SimpleGraph.make("abc", [("a", "b"), ("b", "c"),
+                                               ("a", "c")]))
+
+
+def _path_and_k4_into_k3():
+    """hom_gadget of a path a000 .. a009 plus a K4 on z0 .. z3, against
+    hom_gadget(K3): NO, since K4 is not 3-colourable, but the search maps
+    the path's orbits first and takes over a million nodes to show it."""
+    path = ["a%03d" % i for i in range(10)]
+    edges = list(zip(path, path[1:]))
+    edges += itertools.combinations(["z0", "z1", "z2", "z3"], 2)
+    return hom_gadget(SimpleGraph.make([], edges)), _k3_gadget()
+
+
+@pytest.mark.parametrize("run", [search, decide])
+def test_every_search_stops_at_the_default_budget(run):
+    x, y = _path_and_k4_into_k3()
+    with pytest.raises(BudgetExceeded,
+                       match="more than %d nodes" % DEFAULT_NODE_BUDGET):
+        run(Mode.BLOCK_MAP, x, y)
+
+
+def test_no_budget_is_refused():
+    x = _k3_gadget()
+    one = periods_structure([1])
+    assert not is_rank_one(x) and is_rank_one(one)
+    # the rank-1 path runs no search, so `decide` refuses it up front
+    for run, s in ((search, x), (decide, x), (decide, one)):
+        with pytest.raises(BudgetExceeded, match="node budget None"):
+            run(Mode.BLOCK_MAP, s, s, budget=None)
+
+
+def _three_colourable(vertices, edges):
+    """Whether a simple graph has a proper 3-colouring, by exact
+    backtracking in DSATUR order (Brelaz 1979): the uncoloured vertex with
+    the most distinct colours among its neighbours goes next, ties to the
+    most uncoloured neighbours.  Reads nothing of sofic2."""
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    colour = {}
+
+    def extend():
+        if len(colour) == len(adj):
+            return True
+        v = max((u for u in adj if u not in colour),
+                key=lambda u: (len({colour[w] for w in adj[u] if w in colour}),
+                               sum(w not in colour for w in adj[u])))
+        taken = {colour[w] for w in adj[v] if w in colour}
+        for c in range(3):
+            if c not in taken:
+                colour[v] = c
+                if extend():
+                    return True
+                del colour[v]
+        return False
+
+    return extend()
+
+
+def test_block_maps_into_k3_match_an_exact_three_colouring():
+    # known answers above the 8-vertex oracle cap: G is 3-colourable iff
+    # hom_gadget(G) has a block map into hom_gadget(K3); random graphs with
+    # n = 9 .. 14 vertices, none isolated, and m in [n, 2.3n] edges, near
+    # the colouring threshold, under the default budget
+    rng = random.Random(31)
+    k3 = _k3_gadget()
+    answers = Counter()
+    for _ in range(60):
+        n = rng.randint(9, 14)
+        vs = ["g%02d" % i for i in range(n)]
+        pairs = list(itertools.combinations(vs, 2))
+        edges = ()
+        while len({v for e in edges for v in e}) < n:
+            edges = rng.sample(pairs, rng.randint(n, 23 * n // 10))
+        x = hom_gadget(SimpleGraph.make(vs, edges))
+        want = _three_colourable(vs, edges)
+        w = decide(Mode.BLOCK_MAP, x, k3)
+        assert (w is not None) == want, edges
+        assert w is None or verify_witness(Mode.BLOCK_MAP, x, k3, w)
+        answers[want] += 1
+    assert answers[True] >= 10 and answers[False] >= 10, answers
 
 
 # the smallest budget under which `search` returns, on the first 12 pairs

@@ -9,7 +9,9 @@ an orbit's `points`, `point` or `shift`.  The runtime is stdlib-only: no
 module imports a package from outside the standard library.  The search
 keys no table by object identity: `decisions` never calls `id()`.  A graph
 carries one cache of the decisions: the only explicit `__dict__` write
-in the library is that of `decisions._tables`, under the key `_tables`."""
+in the library is that of `decisions._tables`, under the key `_tables`.
+Every search stops at a node budget: no parameter named `budget` or
+`path_budget` defaults to None."""
 
 import ast
 import sys
@@ -237,3 +239,40 @@ def test_only_the_decision_tables_write_a_dict():
     assert found
     assert all(w.startswith("decisions.py:") and w.endswith(" _tables")
                for w in found), found
+
+
+def unbounded_budgets(tree):
+    """(line, name) for each parameter named `budget` or `path_budget` of a
+    function or lambda in the tree whose default is None."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                         a.defaults))
+        pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        found += [(d.lineno, arg.arg) for arg, d in pairs
+                  if arg.arg in ("budget", "path_budget")
+                  and isinstance(d, ast.Constant) and d.value is None]
+    return sorted(found)
+
+
+def test_unbounded_budgets_sees_every_parameter_kind():
+    tree = ast.parse("def f(x, budget=None, y=None): pass\n"
+                     "def g(budget, path_budget=10): pass\n"
+                     "async def h(*, path_budget=None, budget): pass\n"
+                     "k = lambda budget=None: budget\n"
+                     "def m(budget=LIMIT, other=None): pass\n")
+    assert unbounded_budgets(tree) == [(1, "budget"), (3, "path_budget"),
+                                       (4, "budget")]
+
+
+def test_no_search_defaults_to_no_budget():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    found = ["%s:%d %s" % (p.name, line, name) for p in paths
+             for (line, name) in unbounded_budgets(ast.parse(p.read_text(), str(p)))]
+    assert found == []

@@ -23,7 +23,6 @@ from sofic2 import (
     gi_gadget,
     hom_gadget,
     oracle_structure,
-    reductions,
 )
 from sofic2.core import refine_colors
 from sofic2.errors import (BudgetExceeded, ImproperColoring, IsolatedVertex,
@@ -230,8 +229,9 @@ def test_digraph_isomorphic_needs_no_recursion():
 
 
 def test_digraph_isomorphic_stops_at_the_node_budget(monkeypatch):
-    # arcs make the fixed-point graphs rank 2, so `search` decides them
-    monkeypatch.setattr(reductions, "DEFAULT_NODE_BUDGET", 1)
+    # arcs make the fixed-point graphs rank 2, so `search` decides them,
+    # under the default budget of `decide`, here set to 1
+    monkeypatch.setattr(decide, "__defaults__", (1,))
     g = Digraph.make(range(3), [(0, 1), (1, 2)])
     h = Digraph.make("abc", [("c", "a"), ("a", "b")])
     with pytest.raises(BudgetExceeded, match="more than 1 nodes"):
