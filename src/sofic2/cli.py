@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from . import formats
-from .decisions import DEFAULT_NODE_BUDGET, Mode, decide, search, verify_witness
+from .core import DEFAULT_BUDGET
+from .decisions import Mode, decide, search, verify_witness
 from .errors import ParseError, SoficError
 from .presentation import (
     analyze,
@@ -23,7 +24,7 @@ from .presentation import (
     rank_of_comb_rep,
 )
 from .reductions import digraph_count_table, digraph_gadget, gi_gadget, hom_gadget
-from .structure import DEFAULT_PATH_BUDGET, build_structure, oracle_structure, synthesize
+from .structure import build_structure, oracle_structure, synthesize
 
 def _read(path):
     try:
@@ -161,7 +162,7 @@ def build_parser():
     p = sub.add_parser("oracle-structure",
                        help="structure graph by path enumeration")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_oracle_structure)
 
@@ -178,7 +179,7 @@ def build_parser():
     p.add_argument("-w", "--witness", help="write the witness here on YES")
     p.add_argument("--no-fastpath", action="store_true",
                    help="force the general search on rank-1 inputs")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="most search nodes to take before giving up "
                         "(exit 2)")
     p.set_defaults(func=_cmd_decide)

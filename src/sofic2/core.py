@@ -30,7 +30,7 @@ from decimal import Decimal
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
+from .errors import BudgetExceeded, EmptyWord, InvalidCombRep, MalformedStructureGraph
 
 # A word is a tuple of symbol tokens.  Tokens are nonempty strings without
 # whitespace; multi-character tokens are fine (gadget builders mint them).
@@ -68,6 +68,21 @@ def _clip(text) -> str:
     if len(text) <= 60:
         return text
     return "%s... (%d characters)" % (text[:60], len(text))
+
+
+# the budget of every exponential enumeration, unless its caller gives
+# another.  Nodes for `search` and `decide`: over 500 times the most one
+# search takes in the demos or the decide-search benchmark (1,746), over 4
+# times the most in the tests (216,873, a 13-vertex graph not 3-colourable).
+# Paths for `oracle_structure`: over 50,000 times the most a default call
+# takes in the tests (6), the demos (5) or perfbench (18, seeds 1-3)
+DEFAULT_BUDGET = 10 ** 6
+
+
+def _check_budget(budget, unit):
+    """Refuse a budget that is None or below 1, naming what it counts."""
+    if budget is None or budget < 1:
+        raise BudgetExceeded("%s budget %s is below 1" % (unit, budget))
 
 
 def _rotation(w: Word):

@@ -16,7 +16,7 @@ rules are tested against and also decides `reductions.digraph_isomorphic`.
 
 Every search stops at a node budget: the paper shows these decisions
 NP-hard.  `search` and `decide` raise BudgetExceeded once a search would
-take more than `budget` nodes, `DEFAULT_NODE_BUDGET` unless the caller
+take more than `budget` nodes, `core.DEFAULT_BUDGET` unless the caller
 gives another, and refuse a budget below 1, or None, before any work.
 
 `verify_witness` re-checks a witness against the definitions and reads
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .core import PeriodicPoint, StructureGraph, _clip, _count_text
+from .core import (DEFAULT_BUDGET, PeriodicPoint, StructureGraph, _check_budget,
+                   _clip, _count_text)
 from .errors import BudgetExceeded, NotRankOne, WitnessInvalid
 
 
@@ -62,12 +63,6 @@ class SGHomomorphism:
 
 # the upper bound on a target count outside conjugacy mode
 _UNBOUNDED = float("inf")
-
-# the node budget of every search, unless its caller gives another: over
-# 500 times the most that one search takes in the demos or the
-# decide-search benchmark (1,746), and over 4 times the most in the tests
-# (216,873, a 13-vertex graph that is not 3-colourable)
-DEFAULT_NODE_BUDGET = 10 ** 6
 
 
 class _Tables(NamedTuple):
@@ -279,19 +274,14 @@ def _check_mode(mode):
         raise ValueError("unknown mode %r" % (mode,))
 
 
-def _check_budget(budget):
-    if budget is None or budget < 1:
-        raise BudgetExceeded("node budget %s is below 1" % budget)
-
-
 def search(mode: Mode, x: StructureGraph, y: StructureGraph,
-           budget=DEFAULT_NODE_BUDGET):
+           budget=DEFAULT_BUDGET):
     """First witness homomorphism under the deterministic search order, or
     None when no witness exists.  Works on graphs of any rank.
 
     The stopping rule, for the library and `sofic2 decide --budget` alike:
     BudgetExceeded once the search would take more than `budget` nodes
-    (accepted choices), `DEFAULT_NODE_BUDGET` unless given; a budget below
+    (accepted choices), `DEFAULT_BUDGET` unless given; a budget below
     1, or None, is refused before any work.
 
     After `_refuted`, a depth-first search with one level per source orbit,
@@ -332,7 +322,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph,
     case: the paper shows these decisions NP-hard.
     """
     _check_mode(mode)
-    _check_budget(budget)
+    _check_budget(budget, "node")
     if _refuted(mode, x, y):
         return None
     xt, yt = _tables(x), _tables(y)
@@ -418,7 +408,7 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph,
 
 
 def decide(mode: Mode, x: StructureGraph, y: StructureGraph,
-           budget=DEFAULT_NODE_BUDGET):
+           budget=DEFAULT_BUDGET):
     """First witness homomorphism under the deterministic search order
     (orbits by period then root, targets likewise, offsets ascending), or
     None when no witness exists.
@@ -427,11 +417,11 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph,
     the witness that `search` would find first, or shows there is none,
     with no search.  Other inputs go to `search`.  Neither path recurses.
     The stopping rule is that of `search`: BudgetExceeded past `budget`
-    nodes, `DEFAULT_NODE_BUDGET` unless given, and a budget below 1, or
+    nodes, `DEFAULT_BUDGET` unless given, and a budget below 1, or
     None, refused before any work, on the rank-1 path too.
     """
     _check_mode(mode)
-    _check_budget(budget)
+    _check_budget(budget, "node")
     if not (is_rank_one(x) and is_rank_one(y)):
         return search(mode, x, y, budget)
     targets = _rank1_targets(mode, x, y)

@@ -31,7 +31,7 @@ class RankTooHigh(SoficError):
 
 class BudgetExceeded(SoficError):
     """An enumeration needs more steps than its budget, or was given a
-    budget below 1, or None for a node budget."""
+    budget below 1, or None (`core._check_budget`)."""
 
 
 class MalformedStructureGraph(SoficError):

@@ -259,7 +259,7 @@ def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:
     """Isomorphism of directed multigraphs, parallel arcs counted, decided
     as conjugacy of their fixed-point graphs (`_fixed_point_graph`) by
     `decide`.  Raises BudgetExceeded once the search takes more than
-    `DEFAULT_NODE_BUDGET` nodes.
+    `core.DEFAULT_BUDGET` nodes.
 
     Its answers are exact.  Each shift class between fixed points is one
     vertex pair, so a conjugacy is a vertex bijection under which every

@@ -33,16 +33,10 @@ from collections import Counter
 from itertools import compress
 from math import lcm
 
-from .core import (
-    LabeledGraph,
-    EventuallyPeriodicPoint,
-    StructureGraph,
-    canonicalize_config,
-)
+from .core import (DEFAULT_BUDGET, LabeledGraph, EventuallyPeriodicPoint, StructureGraph,
+                   _check_budget, canonicalize_config)
 from .errors import BudgetExceeded
 from .presentation import admit
-
-DEFAULT_PATH_BUDGET = 10 ** 6
 
 
 def _anchored_counts(g: LabeledGraph, points):
@@ -169,14 +163,13 @@ def _transitional_paths(g: LabeledGraph, points, budget):
                     stack.append((b, path + (b,), labs + (s,)))
 
 
-def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_PATH_BUDGET) -> StructureGraph:
+def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_BUDGET) -> StructureGraph:
     """Structure graph by definitional enumeration: every transitional path
     is expanded into its configuration, configurations are canonicalized and
     deduplicated per orbit, then counted.  Independent of build_structure's
-    subset-state frontier; exact whenever the path count fits the budget,
-    which must be at least 1."""
-    if path_budget < 1:
-        raise BudgetExceeded("path budget %d is below 1" % path_budget)
+    subset-state frontier; exact whenever the path count fits the budget.
+    It stops as `decisions.search` does, counting transitional paths."""
+    _check_budget(path_budget, "path")
     g, points = admit(g)
     configs = set()
     for (labs, u, w) in _transitional_paths(g, points, path_budget):

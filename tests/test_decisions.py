@@ -9,12 +9,13 @@ import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sofic2 import (
+    ColoredGraph,
     LabeledGraph,
     Mode,
     PeriodicOrbit,
@@ -26,15 +27,18 @@ from sofic2 import (
     decide,
     digraph_isomorphic,
     formats,
+    gi_gadget,
     hom_gadget,
     is_rank_one,
+    oracle_structure,
     rank1_decide,
     realize_orbit_map,
     search,
     verify_witness,
 )
 from sofic2 import decisions
-from sofic2.decisions import DEFAULT_NODE_BUDGET, _options, _refuted, _tables
+from sofic2.core import DEFAULT_BUDGET
+from sofic2.decisions import _options, _refuted, _tables
 from sofic2.errors import BudgetExceeded, NotRankOne, SoficError, WitnessInvalid
 from sofic2.reductions import Digraph
 
@@ -661,6 +665,15 @@ def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
     calls.clear()
     assert not rank1_decide(Mode.FACTOR, small, y)
     assert len(calls) == 2
+    # the scaling of the kept flow: 900 orbits of periods 1 .. 30 against
+    # 600 and 870, where a fresh flow per check (`_rank1_factor_reference`)
+    # takes over 30 times as long
+    x = periods_structure(list(range(1, 31)) * 30, tag=1)
+    for copies, n in ((20, 1790), (29, 1710)):
+        calls.clear()
+        assert rank1_decide(Mode.FACTOR, x,
+                            periods_structure(list(range(1, 31)) * copies, tag=2))
+        assert len(calls) == n, copies
 
 
 def test_search_tables_grow_linearly_in_the_graph():
@@ -872,6 +885,89 @@ def test_rotated_phases_keep_every_mode():
     assert turned
 
 
+def _point_graph(s):
+    """s as a networkx digraph on its points: an edge per rotation step
+    p -> p.shift(1) and per transition, labelled with whether it is a
+    rotation edge and with its transition count, 0 when there is none."""
+    import networkx as nx
+
+    d = nx.DiGraph()
+    d.add_edges_from(((p, p.shift(1)) for o in s.orbits for p in o.points),
+                     rot=True, count=0)
+    for (a, b), c in s.transitions:
+        d.add_edge(a, b, rot=d.has_edge(a, b), count=c)
+    return d
+
+
+def _bipartite_twins(rng, n):
+    """A 2-coloured graph on v00 .. v{n-1}, vertex i coloured i mod 2 and
+    each (even, odd) pair an edge with probability 0.3, drawn again while
+    a vertex is isolated; its twin, the vertices shuffled within each
+    colour; and the twin with one edge moved to a non-edge, drawn again
+    while a vertex is isolated.  As gi_gadget structure graphs."""
+    vs = ["v%02d" % i for i in range(n)]
+    colour = {v: i % 2 for i, v in enumerate(vs)}
+    pairs = list(itertools.product(vs[0::2], vs[1::2]))
+    edges = []
+    while len({v for e in edges for v in e}) < n:
+        edges = [e for e in pairs if rng.random() < 0.3]
+    name = {}
+    for side in (vs[0::2], vs[1::2]):
+        name.update(zip(side, rng.sample(side, len(side))))
+    twin = [(name[a], name[b]) for (a, b) in edges]
+    moved = []
+    while len({v for e in moved for v in e}) < n:
+        moved = rng.sample(twin, len(twin) - 1)
+        moved.append(rng.choice([e for e in pairs if e not in twin]))
+    return [gi_gadget(ColoredGraph.make(colour, es)) for es in (edges, twin, moved)]
+
+
+def _bumped(rng, s):
+    """s with the count of one seeded transition class raised by 1."""
+    (a, b), _c = rng.choice(s.transition_classes)
+    counts = dict(s.transitions)
+    for t in range(lcm(a.period, b.period)):
+        counts[(a.shift(t), b.shift(t))] += 1
+    return StructureGraph.make(s.orbits, counts)
+
+
+def test_conjugacy_matches_networkx_isomorphism():
+    # a conjugacy is a bijection of points that commutes with the shift
+    # and keeps every transition count, 0 included: an isomorphism of the
+    # point graphs that keeps both edge labels (VF2, Cordella et al. 2004)
+    from networkx.algorithms.isomorphism import (DiGraphMatcher,
+                                                 categorical_edge_match)
+
+    match = categorical_edge_match(["rot", "count"], [False, 0])
+    families = {"twins": [], "two-block": [], "rotated": []}
+    rng = random.Random(11)
+    for n in (6, 8, 10, 12):
+        for _ in range(5):
+            x, twin, moved = _bipartite_twins(rng, n)
+            families["twins"] += [(x, twin), (x, moved)]
+    rng = random.Random(5)
+    while len(families["two-block"]) < 40:
+        g, h = random_certified_graph(rng), random_certified_graph(rng)
+        x, y, z = _built(g), _built(_two_block(g)), _built(_two_block(h))
+        if None not in (x, y, z):
+            families["two-block"] += [(x, y), (x, z)]
+    rng = random.Random(7)
+    for _ in range(30):
+        x, other = random_structure_graph(rng), random_structure_graph(rng)
+        families["rotated"] += [(x, _rotated(rng, x)), (x, _rotated(rng, other)),
+                                (x, _rotated(rng, _bumped(rng, x)))]
+    for family, pairs in families.items():
+        answers = Counter()
+        for (x, y) in pairs:
+            w = decide(Mode.CONJUGACY, x, y)
+            want = DiGraphMatcher(_point_graph(x), _point_graph(y),
+                                  edge_match=match).is_isomorphic()
+            assert (w is not None) == want, (family, x, y)
+            assert w is None or verify_witness(Mode.CONJUGACY, x, y, w), family
+            answers[want] += 1
+        assert answers[True] and answers[False], (family, answers)
+
+
 def test_deep_pairs_need_no_recursion():
     for (x, y) in _deep_pairs():
         for mode in ALL_MODES:
@@ -1009,7 +1105,7 @@ def _path_and_k4_into_k3():
 def test_every_search_stops_at_the_default_budget(run):
     x, y = _path_and_k4_into_k3()
     with pytest.raises(BudgetExceeded,
-                       match="more than %d nodes" % DEFAULT_NODE_BUDGET):
+                       match="more than %d nodes" % DEFAULT_BUDGET):
         run(Mode.BLOCK_MAP, x, y)
 
 
@@ -1021,6 +1117,20 @@ def test_no_budget_is_refused():
     for run, s in ((search, x), (decide, x), (decide, one)):
         with pytest.raises(BudgetExceeded, match="node budget None"):
             run(Mode.BLOCK_MAP, s, s, budget=None)
+
+
+@pytest.mark.parametrize("budget", [None, 0.5])
+def test_every_enumeration_refuses_a_budget_below_one(budget):
+    # one rule, `core._check_budget`, refuses a budget in nodes and in
+    # transitional paths alike, and names it as given
+    g = LabeledGraph.make([], [("u", "u", "a"), ("u", "v", "b"), ("v", "v", "c")])
+    x = _k3_gadget()
+    for run, unit in ((lambda: oracle_structure(g, budget), "path"),
+                      (lambda: search(Mode.BLOCK_MAP, x, x, budget), "node"),
+                      (lambda: decide(Mode.BLOCK_MAP, x, x, budget), "node")):
+        with pytest.raises(BudgetExceeded) as info:
+            run()
+        assert str(info.value) == "%s budget %s is below 1" % (unit, budget)
 
 
 def _three_colourable(vertices, edges):

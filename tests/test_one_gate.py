@@ -10,8 +10,10 @@ module imports a package from outside the standard library.  The search
 keys no table by object identity: `decisions` never calls `id()`.  A graph
 carries one cache of the decisions: the only explicit `__dict__` write
 in the library is that of `decisions._tables`, under the key `_tables`.
-Every search stops at a node budget: no parameter named `budget` or
-`path_budget` defaults to None."""
+Every enumeration stops at a budget: no parameter named `budget` or
+`path_budget` defaults to None (`unbounded_budgets`), and no module but
+core compares one with a constant (`budget_comparisons`), so a budget
+below 1, or None, is refused by one rule, `core._check_budget`."""
 
 import ast
 import sys
@@ -241,6 +243,9 @@ def test_only_the_decision_tables_write_a_dict():
                for w in found), found
 
 
+BUDGET_NAMES = ("budget", "path_budget")
+
+
 def unbounded_budgets(tree):
     """(line, name) for each parameter named `budget` or `path_budget` of a
     function or lambda in the tree whose default is None."""
@@ -255,7 +260,7 @@ def unbounded_budgets(tree):
                          a.defaults))
         pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
         found += [(d.lineno, arg.arg) for arg, d in pairs
-                  if arg.arg in ("budget", "path_budget")
+                  if arg.arg in BUDGET_NAMES
                   and isinstance(d, ast.Constant) and d.value is None]
     return sorted(found)
 
@@ -276,3 +281,41 @@ def test_no_search_defaults_to_no_budget():
     found = ["%s:%d %s" % (p.name, line, name) for p in paths
              for (line, name) in unbounded_budgets(ast.parse(p.read_text(), str(p)))]
     assert found == []
+
+
+def budget_comparisons(tree):
+    """Line numbers of the comparisons in the tree between a constant and
+    `budget` or `path_budget`, as a name or as an attribute like
+    `args.budget`; a constant may carry a sign."""
+    def named(n):
+        return (isinstance(n, ast.Name) and n.id in BUDGET_NAMES
+                or isinstance(n, ast.Attribute) and n.attr in BUDGET_NAMES)
+
+    def constant(n):
+        return isinstance(n.operand if isinstance(n, ast.UnaryOp) else n,
+                          ast.Constant)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if any(map(named, operands)) and any(map(constant, operands)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_budget_comparisons_sees_names_attributes_and_signs():
+    tree = ast.parse("def f(budget, path_budget, n):\n"
+                     "    if budget is None or budget < 1: pass\n"
+                     "    if 0 >= path_budget: pass\n"
+                     "    if args.budget == -1: pass\n"
+                     "    if n > budget or budget > limit: pass\n"
+                     "    if n < 1 and budget: pass\n"
+                     "k = lambda budget: 0 < budget <= 10\n")
+    assert budget_comparisons(tree) == [2, 2, 3, 4, 7]
+
+
+def test_only_core_refuses_a_budget():
+    path = SRC / "core.py"
+    assert budget_comparisons(ast.parse(path.read_text(), str(path)))
+    assert _outside_core(budget_comparisons) == []
