@@ -7,12 +7,13 @@ fixes every point of the orbit.
 
 `decide` is the entry point.  It returns the first witness in one search
 order (source orbits by period then root, their targets likewise, offsets
-ascending), or None when there is none.  When both graphs have rank 1
+ascending), or None when there is none.  First, in `decide`, `search` and
+`rank1_decide` alike, one gate, `_refuted`, answers each NO that periods
+and class counts settle.  It is exact when both graphs have rank 1
 (`is_rank_one`: finite shifts, whose transition edges are exactly the
-count-1 diagonals) the rules of `_rank1_targets` build that witness with
-no search, and `rank1_decide` asks them whether it exists.  Every other
-pair goes to `search`, which stays public as the reference the rank-1
-rules are tested against and also decides `reductions.digraph_isomorphic`.
+count-1 diagonals): `rank1_decide` is the gate, and past it the rules of
+`_rank1_targets` build the first witness with no search.  Every other
+pair goes to `search`, the reference the rank-1 rules are tested against.
 
 Every search stops at a node budget: the paper shows these decisions
 NP-hard.  `search` and `decide` raise BudgetExceeded once a search would
@@ -198,20 +199,50 @@ def _witness(x, y, choices):
     return SGHomomorphism(tuple(pairs))
 
 
-def _refuted(mode, x, y):
-    """Whether orbit and class counts alone show there is no witness.
-    Every commuting map sends each class of x onto one class of y.  A
-    surjective map needs as many source orbits as target orbits, and a
-    factor as many source classes as target classes, since each target
-    class needs a preimage class; an injective map lands distinct classes
-    in distinct classes, so x has at most as many; a conjugacy keeps the
-    periods."""
-    nx, ny = len(x.transition_classes), len(y.transition_classes)
+def _refuted(mode, xt, yt):
+    """Whether periods and class counts alone show that no witness maps
+    the graph x of tables xt to the graph y of tables yt: the one gate
+    that answers NO from them, at every rank.  A commuting map sends each
+    orbit of x onto an orbit of y whose period divides its own, and each
+    class onto one class of y.  So a block map needs a dividing target
+    period for each source period; an embedding is one to one on orbits
+    and classes, keeping periods, and a conjugacy onto too; a factor needs
+    a preimage class per target class and an orbit map onto y (`_cover`).
+    Exact in rank 1, where a witness is any orbit map of the mode's kind."""
+    nx, ny, targets = len(xt.classes), len(yt.classes), yt.by_period
     if mode is Mode.CONJUGACY:
-        return nx != ny or _tables(x).periods != _tables(y).periods
-    if mode is Mode.FACTOR:
-        return nx < ny or len(x.orbits) < len(y.orbits)
-    return mode is Mode.EMBEDDING and nx > ny
+        return nx != ny or xt.periods != yt.periods
+    if mode is Mode.EMBEDDING:
+        return nx > ny or any(len(js) > len(targets.get(p, ()))
+                              for p, js in xt.by_period.items())
+    if mode is Mode.FACTOR and (xt.periods == yt.periods or (
+            targets and not gcd(*xt.by_period) % lcm(*targets))):
+        # no flow: equal periods cover each other orbit for orbit, and the
+        # sources cover as many targets whose periods divide all of theirs
+        return nx < ny or len(xt.periods) < len(yt.periods)
+    divided = {p for p in xt.by_period for q in targets if p % q == 0}
+    return (len(divided) < len(xt.by_period)
+            or mode is Mode.FACTOR and (nx < ny or _cover(xt, yt) is None))
+
+
+def _cover(xt, yt):
+    """The flow over period classes (Ford and Fulkerson 1956) of an orbit
+    map of tables xt onto yt that sends each period p to a divisor, when
+    each p has one: `sent[p][q]` units from p to each divisor class q,
+    ascending, `slack[p]` left free and `feeds[q]` the classes q divides,
+    built from no flow by `_augment` alone; None when it falls short."""
+    slack = {p: len(js) for p, js in xt.by_period.items()}
+    classes = yt.by_period
+    feeds = {q: [p for p in slack if p % q == 0] for q in classes}
+    sent = {p: {q: 0 for q in classes if p % q == 0} for p in slack}
+    for q, js in classes.items():
+        need = len(js)
+        while need:
+            moved = _augment(sent, slack, feeds, q, need)
+            if not moved:
+                return None
+            need -= moved
+    return sent, slack, feeds
 
 
 def _support(t, choice, group):
@@ -323,9 +354,9 @@ def search(mode: Mode, x: StructureGraph, y: StructureGraph,
     """
     _check_mode(mode)
     _check_budget(budget, "node")
-    if _refuted(mode, x, y):
-        return None
     xt, yt = _tables(x), _tables(y)
+    if _refuted(mode, xt, yt):
+        return None
     own, later, groups = _source(xt, mode)
     n, m, ng = len(xt.periods), len(yt.periods), len(groups)
     injective = mode in INJECTIVE_MODES
@@ -411,98 +442,64 @@ def decide(mode: Mode, x: StructureGraph, y: StructureGraph,
            budget=DEFAULT_BUDGET):
     """First witness homomorphism under the deterministic search order
     (orbits by period then root, targets likewise, offsets ascending), or
-    None when no witness exists.
-
-    When both graphs have rank 1 (`is_rank_one`), `_rank1_targets` builds
-    the witness that `search` would find first, or shows there is none,
-    with no search.  Other inputs go to `search`.  Neither path recurses.
-    The stopping rule is that of `search`: BudgetExceeded past `budget`
-    nodes, `DEFAULT_BUDGET` unless given, and a budget below 1, or
-    None, refused before any work, on the rank-1 path too.
+    None when no witness exists.  When both graphs have rank 1
+    (`is_rank_one`), the gate `_refuted` is exact, and past it
+    `_rank1_targets` builds the witness that `search` would find first.
+    Other inputs go to `search`, which runs the gate itself, so it runs
+    once per call.  Neither path recurses.  The stopping rule is that of
+    `search`, on the rank-1 path too.
     """
     _check_mode(mode)
     _check_budget(budget, "node")
-    if not (is_rank_one(x) and is_rank_one(y)):
+    xt, yt = _tables(x), _tables(y)
+    if not (xt.rank_one and yt.rank_one):
         return search(mode, x, y, budget)
-    targets = _rank1_targets(mode, x, y)
-    if targets is None:
+    if _refuted(mode, xt, yt):
         return None
-    return _witness(x, y, [(j, 0) for j in targets])
+    return _witness(x, y, [(j, 0) for j in _rank1_targets(mode, xt, yt)])
 
 
-def _rank1_targets(mode, x, y):
+def _rank1_targets(mode, xt, yt):
     """Per source orbit, its target orbit in the first witness between two
-    rank-1 graphs, or None when there is none; phase offsets are all 0.
-    One rule per mode, on the `_tables` of both graphs:
+    rank-1 graphs of tables xt and yt that pass the gate `_refuted`, so
+    that one exists; phase offsets are all 0.  One rule per mode:
 
-    * embeddings and conjugacies: NO when some period has more source
-      orbits than target orbits, or, for a conjugacy, when the sorted
-      periods differ; else the k-th source orbit of period p takes the
-      k-th target orbit of period p;
+    * embeddings, conjugacies, and factors between equal periods, whose
+      witnesses are bijections that keep each period: the k-th source
+      orbit of period p takes the k-th target orbit of period p;
     * block maps: each source orbit takes the first target of its first
       divisor class, the first class whose period divides its own;
-    * factors: the targets of a class are covered in index order.  Each
-      source in order takes the first target under which the sources left
-      still cover every uncovered target (covering only gets easier as
-      demand falls): the first target of its first divisor class if it can,
-      covering it if that class had none covered, else the first uncovered
-      target of the first divisor class that keeps a cover.  A cover is a
-      flow over period classes, p to q when q divides p (Ford and Fulkerson
-      1956), kept for the call: built from no flow by `_augment` alone,
-      then mended per source.  There is no witness when it falls short;
-      else some class keeps a cover at each source, at the latest the one
-      whose unit of flow the source gave back.  A source that leaves
-      spends a unit of its class's slack or gives back a unit of flow for
-      `_augment` to replace (never when no class has slack).  Covering a
-      class with none covered drops a unit of flow into it.  A trial
-      cover of class q is one `_augment` search from the class left short,
-      which may end at a unit sent into q instead of at slack; a failed
-      search moves no flow.
+    * other factors: each source in order takes the first target under
+      which the sources left still cover every uncovered target, covering
+      a class's targets in index order: the first target of its first
+      divisor class if it can, covering it if that class had none covered,
+      else the first uncovered target of the first divisor class that
+      keeps a cover, at the latest gap, the class whose unit of flow the
+      source gave back.  The flow of `_cover` is kept for the call and
+      mended per source: a source that leaves spends a unit of its class's
+      slack, or gives back a unit of flow for `_augment` to replace (never
+      when no class has slack), and covering a class with none covered
+      drops a unit of flow into it.  A trial cover of class q is one
+      `_augment` search from the class left short.
     """
-    xt, yt = _tables(x), _tables(y)
     ps, classes = xt.periods, yt.by_period
-    if mode in INJECTIVE_MODES:
-        # orbits are sorted by period, so the periods tuples are sorted
-        if mode is Mode.CONJUGACY and ps != yt.periods:
-            return None
-        out = []
-        for p, js in xt.by_period.items():
-            ts = classes.get(p, ())[:len(js)]
-            if len(ts) < len(js):
-                return None
-            out += ts
-        return out
-    divisors = {p: [q for q in classes if p % q == 0] for p in xt.by_period}
-    if not all(divisors.values()):
-        return None
+    if mode in INJECTIVE_MODES or (mode is Mode.FACTOR and ps == yt.periods):
+        return [j for p, js in xt.by_period.items() for j in classes[p][:len(js)]]
     if mode is Mode.BLOCK_MAP:
-        return [classes[divisors[p][0]][0] for p in ps]
-    slack = {p: len(js) for p, js in xt.by_period.items()}
+        first = {p: next(q for q in classes if p % q == 0) for p in xt.by_period}
+        return [classes[first[p]][0] for p in ps]
+    sent, slack, feeds = _cover(xt, yt)
     uncovered = {q: len(js) for q, js in classes.items()}
-    feeds = {q: [p for p in slack if p % q == 0] for q in classes}
-    # sent[p][q]: the flow from class p to q, built by augmenting paths
-    sent = {p: dict.fromkeys(qs, 0) for p, qs in divisors.items()}
     spare = sum(slack.values())  # the total slack, kept in step with it
-    for q, need in uncovered.items():
-        while need:
-            moved = _augment(sent, slack, feeds, q, need)
-            if not moved:
-                return None
-            need -= moved
-            spare -= moved
     out = []
     for p in ps:
         if slack[p]:
             slack[p] -= 1
         else:
-            for gap, units in sent[p].items():  # p, with no slack, sends some
-                if units:
-                    break
+            gap = next(q for q in sent[p] if sent[p][q])  # p, with no slack, sends some
             sent[p][gap] -= 1
             if not (spare and _augment(sent, slack, feeds, gap, 1)):
-                # the first divisor class that keeps a cover: gap, where
-                # p's unit of flow went, at the latest
-                for q in divisors[p]:
+                for q in sent[p]:
                     if uncovered[q] and (
                             q == gap or _augment(sent, slack, feeds, gap, 1, q)):
                         break
@@ -510,12 +507,10 @@ def _rank1_targets(mode, x, y):
                 out.append(classes[q][-1 - uncovered[q]])
                 continue
         spare -= 1
-        q = divisors[p][0]
+        q = next(iter(sent[p]))  # p's first divisor class
         if uncovered[q] == len(classes[q]):
             uncovered[q] -= 1
-            for donor in feeds[q]:  # a unit into q goes back to slack
-                if sent[donor][q]:
-                    break
+            donor = next(d for d in feeds[q] if sent[d][q])  # back to slack
             sent[donor][q] -= 1
             slack[donor] += 1
             spare += 1
@@ -637,10 +632,10 @@ def verify_witness(mode: Mode, x: StructureGraph, y: StructureGraph,
 
 def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
     """Whether a witness exists between two finite shifts (structure graphs
-    whose transition edges are exactly the count-1 diagonals), by the
-    rules of `_rank1_targets`, with no search.  Raises NotRankOne unless
-    both graphs have rank 1, naming the first class that is not a count-1
-    diagonal."""
+    whose transition edges are exactly the count-1 diagonals): the gate
+    `_refuted` alone, which is exact in rank 1, with no search and no
+    witness built.  Raises NotRankOne unless both graphs have rank 1,
+    naming the first class that is not a count-1 diagonal."""
     _check_mode(mode)
     for s in (x, y):
         if not is_rank_one(s):
@@ -648,7 +643,7 @@ def rank1_decide(mode: Mode, x: StructureGraph, y: StructureGraph) -> bool:
                 if a != b or c != 1:
                     raise NotRankOne("transition edge %s -> %s count %s" % (
                         _clip(repr(a)), _clip(repr(b)), _count_text(c)))
-    return _rank1_targets(mode, x, y) is not None
+    return not _refuted(mode, _tables(x), _tables(y))
 
 
 def is_rank_one(s: StructureGraph) -> bool:

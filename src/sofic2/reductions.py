@@ -14,10 +14,12 @@ from .core import (
     StructureGraph,
     _check_symbol,
     _clip,
+    _count_text,
     comb_rep,
 )
 from .decisions import Mode, decide
-from .errors import ImproperColoring, IsolatedVertex, ReservedSymbol, TooLarge
+from .errors import (ImproperColoring, IsolatedVertex, ReservedSymbol, SoficError,
+                     TooLarge)
 from .presentation import from_comb_rep
 from .structure import build_structure
 
@@ -150,9 +152,12 @@ def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
     """Unlabeled digraph isomorphic-equivalent to the structure graph:
     every rotation edge becomes 3 parallel length-3 paths, every transition
     edge with count k becomes m parallel length-m paths for the table entry
-    m of k."""
+    m of k; a table lacking a count of s is refused, naming the count."""
     if count_table is None:
         count_table = digraph_count_table(s)
+    for (_e, c) in s.transition_classes:
+        if c not in count_table:
+            raise SoficError("no path length for count %s" % _clip(_count_text(c)))
     pts = s.points()  # in sort_key order
     name = {p: "v%d" % i for i, p in enumerate(pts)}
     arcs = []

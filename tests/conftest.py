@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the test suite."""
 
+import itertools
 import random
 from math import lcm
 
@@ -8,6 +9,7 @@ import pytest
 from sofic2 import (
     CombRep,
     LabeledGraph,
+    Mode,
     PeriodicOrbit,
     StructureGraph,
     analyze,
@@ -114,6 +116,32 @@ def periods_structure(periods, tag=0):
     for i, p in enumerate(periods):
         diags.append((tuple("t%d_%d_%d" % (tag, i, k) for k in range(p)), 1))
     return make_structure(diags)
+
+
+def fixed_points_structure(name, k, every=True, extra=None):
+    """k fixed points name00, name01, ..., each with a count-1 diagonal,
+    joined by a count-1 transition from every one to every other when
+    `every`, else by one from the first to the second; plus, given
+    `extra`, one orbit of that period."""
+    diags = [(("%s%02d" % (name, i),), 1) for i in range(k)]
+    if extra:
+        diags.append((tuple("%s_%d" % (name, r) for r in range(extra)), 1))
+    arcs = itertools.permutations(range(k), 2) if every else [(0, 1)]
+    return make_structure(diags, [((diags[i][0], 0), (diags[j][0], 0), 1)
+                                  for i, j in arcs])
+
+
+def budget_exhausting_noes(k):
+    """Two NO pairs that periods alone settle, as (mode, source, target),
+    on which a search without that gate takes over 10^6 nodes at k = 10:
+    k + 1 fixed points with one transition into k fixed points with every
+    transition plus a period-2 orbit (embed), and k fixed points with
+    every transition plus a period-2 orbit onto k - 2 with every transition
+    plus a period-3 orbit (factor)."""
+    return [(Mode.EMBEDDING, fixed_points_structure("a", k + 1, every=False),
+             fixed_points_structure("b", k, extra=2)),
+            (Mode.FACTOR, fixed_points_structure("a", k, extra=2),
+             fixed_points_structure("b", k - 2, extra=3))]
 
 
 def rename_structure(s, suffix):

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from sofic2 import formats
 from sofic2.cli import main
 
-from conftest import FIG1_TERMS, chain_graph, make_structure, rename_structure
+from conftest import (FIG1_TERMS, budget_exhausting_noes, chain_graph, make_structure,
+                      rename_structure)
 
 
 @pytest.fixture
@@ -167,6 +168,18 @@ def test_decide_budget(tmp_path, fig1_sg_file, fig1_structure, capsys):
     assert main(["decide", "--mode", "conj", "--budget", "0", str(rpath),
                  str(rpath)]) == 2
     assert "node budget 0 is below 1" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_decide_answers_a_no_that_periods_settle(tmp_path, capsys, k):
+    # with default flags; these searches passed the default budget (exit 2)
+    # before the counting gate answered them
+    a, b = tmp_path / "a.sg", tmp_path / "b.sg"
+    for mode, x, y in budget_exhausting_noes(k):
+        a.write_text(formats.format_structure(x))
+        b.write_text(formats.format_structure(y))
+        assert main(["decide", "--mode", mode.value, str(a), str(b)]) == 1, mode
+        assert capsys.readouterr().out == "NO\n", mode
 
 
 def test_decide_fastpath_consistency(tmp_path, capsys):

@@ -43,6 +43,7 @@ from sofic2.errors import BudgetExceeded, NotRankOne, SoficError, WitnessInvalid
 from sofic2.reductions import Digraph
 
 from conftest import (
+    budget_exhausting_noes,
     chain_graph,
     make_structure,
     periods_structure,
@@ -630,17 +631,23 @@ def test_rank1_factor_rule_matches_reference():
     pairs += itertools.product(grid, grid)
     yes = 0
     for x, y in pairs:
-        got = decisions._rank1_targets(Mode.FACTOR, x, y)
+        xt, yt = _tables(x), _tables(y)
+        got = (None if _refuted(Mode.FACTOR, xt, yt)
+               else decisions._rank1_targets(Mode.FACTOR, xt, yt))
         assert got == _rank1_factor_reference(x, y), (x.orbits, y.orbits)
         yes += got is not None
     assert len(pairs) == 20000 + 461 ** 2 and yes >= 10000
 
 
 def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
-    # searches for an augmenting path, counted: the flow starts empty, so
-    # one per target class at least; one on the deep pair whatever its
-    # size, which moves every unit at once, and then no class has slack to
-    # search from (a second search finds the NO)
+    # searches for an augmenting path in `decide(FACTOR)` on rank-1 pairs
+    # of unequal periods, counted: the flow of `_cover` starts empty, so one
+    # per target class at least, once in the gate `_refuted` and once more
+    # for `_rank1_targets` to mend; a NO ends in the gate, and the gate
+    # needs no flow when every target period divides every source period.
+    # Four on a deep pair whatever its size, two per flow, the first of
+    # which moves every fixed point at once, and then no class has slack
+    # to search from
     calls = []
     augment = decisions._augment
 
@@ -648,32 +655,28 @@ def test_rank1_factor_flow_augments_a_pinned_number_of_times(monkeypatch):
         calls.append(args)
         return augment(*args)
 
+    def count(ps, qs):
+        calls.clear()
+        w = decide(Mode.FACTOR, periods_structure(ps, tag=1),
+                   periods_structure(qs, tag=2))
+        return w is not None, len(calls)
+
     monkeypatch.setattr(decisions, "_augment", counted)
-    for ps, qs, n in (([1, 1, 2], [1, 2], 2), ([2, 2, 2, 2], [1, 1, 2], 2),
-                      ([2, 3], [1, 2], 3), ([2, 3, 3], [1, 2, 2], 3)):
-        calls.clear()
-        rank1_decide(Mode.FACTOR, periods_structure(ps, tag=1),
-                     periods_structure(qs, tag=2))
-        assert len(calls) == n, (ps, qs)
-    small = periods_structure([1] * 1200, tag=1)
+    for ps, qs, n in (([1, 1, 2], [1, 2], 4), ([2, 2, 2, 2], [1, 1, 2], 2),
+                      ([2, 3], [1, 2], 5)):
+        assert count(ps, qs) == (True, n), (ps, qs)
+    assert count([2, 3, 3], [1, 2, 2]) == (False, 3)
     for size in (1200, 12000):
-        x = periods_structure([1] * size, tag=1)
-        y = periods_structure([1] * size, tag=2)
-        calls.clear()
-        assert rank1_decide(Mode.FACTOR, x, y)
-        assert len(calls) == 1, size
-    calls.clear()
-    assert not rank1_decide(Mode.FACTOR, small, y)
-    assert len(calls) == 2
+        assert count([2] * size + [3], [1] * size + [3]) == (True, 4), size
+    # the gate's flow covers the fixed points at once and finds no feeder
+    # for the period-3 target
+    assert count([2] * 1201, [1] * 1200 + [3]) == (False, 2)
     # the scaling of the kept flow: 900 orbits of periods 1 .. 30 against
     # 600 and 870, where a fresh flow per check (`_rank1_factor_reference`)
     # takes over 30 times as long
-    x = periods_structure(list(range(1, 31)) * 30, tag=1)
-    for copies, n in ((20, 1790), (29, 1710)):
-        calls.clear()
-        assert rank1_decide(Mode.FACTOR, x,
-                            periods_structure(list(range(1, 31)) * copies, tag=2))
-        assert len(calls) == n, copies
+    x = list(range(1, 31)) * 30
+    for copies, n in ((20, 1820), (29, 1740)):
+        assert count(x, list(range(1, 31)) * copies) == (True, n), copies
 
 
 def test_search_tables_grow_linearly_in_the_graph():
@@ -717,6 +720,30 @@ def test_rank1_refusal_quoting_a_long_orbit_stays_short():
     text = str(info.value)
     assert text.startswith("transition edge PeriodicPoint(")
     assert text.endswith(" characters) count 2") and len(text) < 300, text
+
+
+def test_each_decision_runs_the_gate_once(monkeypatch, fig1_structure):
+    # `decide` on rank-1 pairs, YES and NO, and on a rank-2 pair, which it
+    # hands to `search`; `search`; and `rank1_decide`
+    calls = []
+    gate = decisions._refuted
+
+    def counted(*args):
+        calls.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(decisions, "_refuted", counted)
+    twin = rename_structure(fig1_structure, "r")
+    yes = periods_structure([1, 2, 2], 1), periods_structure([1, 2], 2)
+    no = periods_structure([1, 2], 3), periods_structure([3], 4)
+    for mode in ALL_MODES:
+        for run, (x, y) in ((decide, yes), (decide, no),
+                            (decide, (fig1_structure, twin)),
+                            (search, (fig1_structure, twin)),
+                            (rank1_decide, yes), (rank1_decide, no)):
+            calls.clear()
+            run(mode, x, y)
+            assert calls == [(mode, _tables(x), _tables(y))], (mode, run)
 
 
 def test_rank1_agrees_with_general_decide():
@@ -1041,15 +1068,16 @@ def test_search_first_witnesses_on_the_gadget_stream_are_pinned():
     assert h.hexdigest() == GADGET_STREAM_DIGEST
 
 
+@pytest.mark.slow
 def test_counting_refutations_hold_no_witness():
-    # whenever orbit or class counts alone refute a pair, exhaustive
+    # whenever periods or class counts alone refute a pair, exhaustive
     # enumeration finds no witness either; the class counts refute factors
     # whose orbit counts would allow one, and every refuted embedding
     fired = Counter()
     for (x, y) in _seeded_pairs(74, 200):
         for (a, b) in ((x, y), (y, x)):
             for mode in ALL_MODES:
-                if not _refuted(mode, a, b):
+                if not _refuted(mode, _tables(a), _tables(b)):
                     continue
                 assert _first_witness_by_enumeration(mode, a, b) is None, \
                     (mode, a, b)
@@ -1057,7 +1085,23 @@ def test_counting_refutations_hold_no_witness():
     assert fired[Mode.FACTOR, True] >= 20, fired
     assert fired[Mode.EMBEDDING, True] + fired[Mode.EMBEDDING, False] >= 20, fired
     assert fired[Mode.CONJUGACY, True] >= 20, fired
-    assert not fired[Mode.BLOCK_MAP, True] + fired[Mode.BLOCK_MAP, False]
+    # a source period that no target period divides
+    assert fired[Mode.BLOCK_MAP, True] + fired[Mode.BLOCK_MAP, False] >= 90, fired
+    # in rank 1 the gate is exact: on the criterion-8 multisets of at most
+    # 3 orbits, it refutes a pair exactly when enumeration finds no witness
+    multisets = [m for k in range(1, 4)
+                 for m in itertools.combinations_with_replacement(range(1, 7), k)]
+    graphs = [periods_structure(m, tag=i) for i, m in enumerate(multisets)]
+    fired.clear()
+    for a, b in itertools.product(graphs, graphs):
+        for mode in ALL_MODES:
+            refuted = _refuted(mode, _tables(a), _tables(b))
+            assert refuted == (_first_witness_by_enumeration(mode, a, b) is None), \
+                (mode, a, b)
+            fired[mode, refuted] += 1
+    assert len(multisets) == 83 and all(fired[mode, True] >= 3000
+                                        for mode in ALL_MODES), fired
+    assert all(fired[mode, False] >= 80 for mode in ALL_MODES), fired
 
 
 def test_search_counts_one_node_per_accepted_choice(fig1_structure):
@@ -1107,6 +1151,19 @@ def test_every_search_stops_at_the_default_budget(run):
     with pytest.raises(BudgetExceeded,
                        match="more than %d nodes" % DEFAULT_BUDGET):
         run(Mode.BLOCK_MAP, x, y)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_periods_settle_a_no_before_any_search(k):
+    # an embedding with a fixed point too many and a factor onto a period-3
+    # orbit that no source period feeds: without the gate's period counts,
+    # each search passed the 10^6-node default budget at k = 10 and 12, in
+    # 0.8-1.2s; the gate answers them within the smallest budget
+    for mode, x, y in budget_exhausting_noes(k):
+        t0 = time.perf_counter()
+        assert decide(mode, x, y) is None, mode
+        assert time.perf_counter() - t0 < 0.01, mode
+        assert search(mode, x, y, budget=1) is None, mode
 
 
 def test_no_budget_is_refused():
@@ -1192,7 +1249,7 @@ def test_block_maps_into_k3_match_an_exact_three_colouring():
 SEARCH_NODES = (
     6, 1, 6, 1, 6, 1, 6, 1, 3, 3, 1, 1, 3, 1, 3, 1, 8, 1, 725, 1, 4, 1, 4,
     1, 4, 1, 6, 1, 3, 3, 1, 1, 2, 1, 2, 1, 2, 2, 1, 1, 6, 1, 6, 1, 3, 6, 1,
-    1, 4, 1, 2, 1, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 3, 1, 4, 4, 4,
+    1, 4, 1, 1, 1, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 4, 1, 3, 1, 4, 4, 4,
     4, 3, 1, 1, 1, 3, 3, 3, 3, 3, 1, 1, 1, 3, 3, 3, 3, 2, 1, 1, 1, 2, 2, 2,
     2, 3, 1, 1, 1, 3, 3, 3, 3, 1, 1, 1, 1, 2, 2, 2, 2, 3, 1, 4, 1, 3, 3, 3,
     3, 1, 1, 1, 1, 3, 3, 3, 3, 2, 1, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1,

@@ -13,7 +13,10 @@ in the library is that of `decisions._tables`, under the key `_tables`.
 Every enumeration stops at a budget: no parameter named `budget` or
 `path_budget` defaults to None (`unbounded_budgets`), and no module but
 core compares one with a constant (`budget_comparisons`), so a budget
-below 1, or None, is refused by one rule, `core._check_budget`."""
+below 1, or None, is refused by one rule, `core._check_budget`.  Every NO
+that periods and class counts settle comes from one gate,
+`decisions._refuted`: the rank-1 rules of `_rank1_targets` return no None
+(`none_returns`)."""
 
 import ast
 import sys
@@ -319,3 +322,33 @@ def test_only_core_refuses_a_budget():
     path = SRC / "core.py"
     assert budget_comparisons(ast.parse(path.read_text(), str(path)))
     assert _outside_core(budget_comparisons) == []
+
+
+def none_returns(tree, function):
+    """Line numbers of the bare `return` and `return None` statements in
+    the body of `function`; None when the tree defines no such function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return sorted(n.lineno for n in ast.walk(node)
+                          if isinstance(n, ast.Return)
+                          and (n.value is None
+                               or isinstance(n.value, ast.Constant)
+                               and n.value.value is None))
+    return None
+
+
+def test_none_returns_sees_bare_and_explicit_none():
+    tree = ast.parse("def f(x):\n"
+                     "    if x:\n"
+                     "        return\n"
+                     "    if x > 1:\n"
+                     "        return None\n"
+                     "    return [x] or 0\n")
+    assert none_returns(tree, "f") == [3, 5]
+    assert none_returns(tree, "g") is None
+
+
+def test_the_rank1_rules_only_build_witnesses():
+    path = SRC / "decisions.py"
+    assert none_returns(ast.parse(path.read_text(), str(path)),
+                        "_rank1_targets") == []

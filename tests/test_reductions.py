@@ -26,9 +26,10 @@ from sofic2 import (
 )
 from sofic2.core import refine_colors
 from sofic2.errors import (BudgetExceeded, ImproperColoring, IsolatedVertex,
-                           ReservedSymbol, TooLarge)
+                           ReservedSymbol, SoficError, TooLarge)
 
 from conftest import (
+    make_structure,
     periods_structure,
     random_colored_graph,
     random_simple_graph,
@@ -242,6 +243,18 @@ def test_digraph_gadget_empty():
     from sofic2 import StructureGraph
     d = digraph_gadget(StructureGraph.make((), {}))
     assert not d.vertices and not d.arcs
+
+
+def test_digraph_gadget_refuses_a_table_without_a_count():
+    # a SoficError that names the missing count, clipped through core._clip
+    # past 60 characters, where a bare KeyError escaped
+    with pytest.raises(SoficError, match="^no path length for count 2$"):
+        digraph_gadget(make_structure([(("a",), 2)]), {1: 4})
+    # 2**15000 has 4,516 digits, past Python's default int/str limit
+    with pytest.raises(SoficError) as info:
+        digraph_gadget(make_structure([(("a",), 2 ** 15000)]), {1: 4})
+    text = str(info.value)
+    assert text.endswith("... (4516 characters)") and len(text) < 150, text
 
 
 def test_hom_gadget_refuses_isolated():
