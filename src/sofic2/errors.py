@@ -67,4 +67,5 @@ class ParseError(SoficError):
 
 
 class SizeLimitExceeded(SoficError):
-    """Internal subset construction grew past its guard."""
+    """An internal subset construction, or an output such as a gadget,
+    would grow past its guard."""

@@ -1,6 +1,7 @@
 """Hardness gadget generators and the brute-force graph oracles used to
-validate the decision procedures against classical graph problems.
-`digraph_isomorphic` has no search of its own: `decide` answers it."""
+validate the decision procedures against classical graph problems.  Each
+gadget is written down directly, with no presentation or structure builder
+run.  `digraph_isomorphic` has no search of its own: `decide` answers it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .core import (
     PeriodicOrbit,
@@ -15,13 +17,11 @@ from .core import (
     _check_symbol,
     _clip,
     _count_text,
-    comb_rep,
+    canonicalize_point,
 )
 from .decisions import Mode, decide
-from .errors import (ImproperColoring, IsolatedVertex, ReservedSymbol, SoficError,
-                     TooLarge)
-from .presentation import from_comb_rep
-from .structure import build_structure
+from .errors import (ImproperColoring, IsolatedVertex, ReservedSymbol,
+                     SizeLimitExceeded, SoficError, TooLarge)
 
 BRUTE_CAP = 8
 
@@ -40,7 +40,7 @@ class SimpleGraph:
         for e in edges:
             a, b = tuple(e)
             if a == b:
-                raise ValueError("self-loop %r" % (a,))
+                raise ValueError("self-loop %s" % _clip(repr(a)))
             vs |= {a, b}
             es.add(frozenset((a, b)))
         return cls(frozenset(vs), frozenset(es))
@@ -58,11 +58,12 @@ class ColoredGraph:
         g = SimpleGraph.make(colors.keys(), edges)
         for v in sorted(g.vertices):
             if colors.get(v) not in (0, 1):
-                raise ImproperColoring("vertex %r lacks a 0/1 color" % (v,))
-        for e in g.edges:
+                raise ImproperColoring("vertex %s lacks a 0/1 color" % _clip(repr(v)))
+        for e in sorted(g.edges, key=sorted):
             a, b = tuple(e)
             if colors[a] == colors[b]:
-                raise ImproperColoring("edge %r joins equal colors" % (sorted(e),))
+                raise ImproperColoring("edge %s joins equal colors"
+                                       % _clip(repr(sorted(e))))
         return cls(g, tuple(sorted(colors.items())))
 
     @cached_property
@@ -116,14 +117,15 @@ MARKER = "%"
 
 
 def hom_gadget(g: SimpleGraph) -> StructureGraph:
-    """Structure graph of the shift that encodes graph homomorphisms from g:
-    per vertex u a period-2 orbit spelled MARKER u, and per edge and per
-    ordered direction the junction families of (m u)*(m v)* and
-    (m u)*(v m)* where m is the fresh marker symbol.
-
-    Computed by presenting the union and running the structure builder, so
-    the junction phases come from the real configurations rather than a
-    hand-derived pattern.  A vertex named MARKER raises ReservedSymbol.
+    """Structure graph of the shift that encodes graph homomorphisms from g,
+    the union over the edges {u, v}, in both directions, of (m u)*(m v)*
+    and (m u)*(v m)*, where m is the marker symbol MARKER: per vertex v the
+    period-2 orbit of (m, v) with a count-1 diagonal, and per edge and
+    direction two count-1 classes, from phase 0 of u's orbit to phases 0
+    and 1 of v's.  Listing both relative phases makes it exact whichever
+    rotation of (m, v) is canonical; the tests keep the former route,
+    presenting the union and running the structure builder, as its
+    reference.  A vertex named MARKER raises ReservedSymbol.
     """
     _no_isolated(g)
     for v in sorted(g.vertices):
@@ -131,12 +133,11 @@ def hom_gadget(g: SimpleGraph) -> StructureGraph:
         if v == MARKER:
             raise ReservedSymbol("vertex name %r collides with the marker symbol"
                                  % (MARKER,))
-    raw = []
-    for e in sorted(g.edges, key=sorted):
-        for (u, v) in (tuple(sorted(e)), tuple(sorted(e))[::-1]):
-            raw.append(((MARKER, u), (), (MARKER, v)))
-            raw.append(((MARKER, u), (), (v, MARKER)))
-    return build_structure(from_comb_rep(comb_rep(raw)))
+    pts = {v: canonicalize_point((MARKER, v)).orbit.points for v in g.vertices}
+    counts = {(p[0], p[0]): 1 for p in pts.values()}
+    counts.update(((pts[u][0], y), 1) for e in g.edges
+                  for (u, v) in itertools.permutations(e) for y in pts[v])
+    return StructureGraph.make((), counts)
 
 
 def digraph_count_table(*graphs):
@@ -148,16 +149,29 @@ def digraph_count_table(*graphs):
     return {c: 4 + i for i, c in enumerate(counts)}
 
 
+# the most arcs `digraph_gadget` builds: over 390 times the largest in the
+# tests (2,518), demos (148) or CLI fuzz; 2.8M arcs took 954MB
+MAX_DIGRAPH_ARCS = 10 ** 6
+
+
 def digraph_gadget(s: StructureGraph, count_table=None) -> Digraph:
     """Unlabeled digraph isomorphic-equivalent to the structure graph:
     every rotation edge becomes 3 parallel length-3 paths, every transition
     edge with count k becomes m parallel length-m paths for the table entry
-    m of k; a table lacking a count of s is refused, naming the count."""
+    m of k; a table lacking a count of s is refused, naming the count.
+    Raises SizeLimitExceeded before building a gadget of more than
+    MAX_DIGRAPH_ARCS arcs: 9 per point, and m * m per member of a class."""
     if count_table is None:
         count_table = digraph_count_table(s)
     for (_e, c) in s.transition_classes:
         if c not in count_table:
             raise SoficError("no path length for count %s" % _clip(_count_text(c)))
+    size = 9 * sum(o.period for o in s.orbits) + sum(
+        lcm(x.period, y.period) * count_table[c] ** 2
+        for ((x, y), c) in s.transition_classes)
+    if size > MAX_DIGRAPH_ARCS:
+        raise SizeLimitExceeded("the digraph gadget needs %s arcs, more than %d"
+                                % (_clip(_count_text(size)), MAX_DIGRAPH_ARCS))
     pts = s.points()  # in sort_key order
     name = {p: "v%d" % i for i, p in enumerate(pts)}
     arcs = []

@@ -383,7 +383,7 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys):
 
 def test_refusals_of_long_input_are_one_short_line(tmp_path, capsys):
     # each refusal quotes a 10,000-character token clipped: unclipped, these
-    # lines ran from 10,045 to 30,087 characters
+    # lines ran from 10,032 to 30,087 characters
     v, w, u = "v" * 10000, "w" * 10000, "u" * 10000
     cases = [
         (["structure"], "x.graph", "edge %s %s a\nedge %s %s a\nedge %s %s b\n"
@@ -395,6 +395,14 @@ def test_refusals_of_long_input_are_one_short_line(tmp_path, capsys):
          "RankTooHigh: a path from the cycle through vertex "),
         (["reduce", "--gadget", "hom"], "x.simple", "vertex %s\nedge a b\n" % v,
          "IsolatedVertex: isolated vertices "),
+        (["reduce", "--gadget", "hom"], "x.simple", "edge %s %s\n" % (v, v),
+         "ParseError: self-loop 'vvv"),
+        (["reduce", "--gadget", "gi"], "x.colored",
+         "color a 0\ncolor b 1\nedge a b\nedge b %s\n" % v,
+         "ParseError: vertex 'vvv"),
+        (["reduce", "--gadget", "gi"], "x.colored",
+         "color %s 0\ncolor %s 0\nedge %s %s\n" % (v, w, v, w),
+         "ParseError: edge ['vvv"),
         (["rank"], "x.rep", "term %s %s %s\n" % (v, v, v),
          "ParseError: invalid representation: junction 0 of term "),
         (["synthesize"], "x.sg", "orbit o0 word=a.b\ntrans o0:0 o0:0 count=1\n"

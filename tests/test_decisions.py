@@ -2,6 +2,7 @@
 rank-1 fast paths and witness realization."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -132,57 +133,74 @@ def test_verify_witness_examples(fig1_structure):
         Mode.BLOCK_MAP, fig1_structure, fig1_structure, SGHomomorphism.make(bad2))
 
 
-def reference_verify(mode, x, y, h):
-    """Definitional witness check, member by member: the map names every
-    point of x once, as a point of y, commutes with the shift at every
-    point, and meets the mode's condition at every transition."""
-    vm = dict(h.pairs)
+def reference_check(mode, x, y):
+    """The definitional witness check for one (mode, x, y), as a function
+    of the map: it names every point of x once, as a point of y, commutes
+    with the shift at every point, and meets the mode's condition at every
+    transition, member by member.  The points of both graphs are listed
+    once, and their transitions expanded once, when a map first reaches
+    them, for every map the check is applied to."""
     pts_x, pts_y = x.points(), set(y.points())
-    if len(vm) != len(h.pairs) or set(vm) != set(pts_x):
-        return False
-    if not all(v in pts_y for v in vm.values()):
-        return False
-    for p in pts_x:
-        if vm[p.shift(1)] != vm[p].shift(1):
+
+    @functools.cache
+    def expanded():
+        return tuple(x.transitions), dict(y.transitions)
+
+    def check(h):
+        vm = dict(h.pairs)
+        if len(vm) != len(h.pairs) or set(vm) != set(pts_x):
             return False
-    ycount = dict(y.transitions)
-    edge_images = []
-    for ((a, b), c) in x.transitions:
-        key = (vm[a], vm[b])
-        if key not in ycount:
+        if not all(v in pts_y for v in vm.values()):
             return False
-        edge_images.append(key)
-    if mode is Mode.BLOCK_MAP:
-        return True
-    if mode is Mode.EMBEDDING:
-        if len(set(edge_images)) != len(edge_images):
-            return False
-        return all(c <= ycount[vm[a], vm[b]] for ((a, b), c) in x.transitions)
-    if mode is Mode.FACTOR:
-        # every target transition needs a preimage whose aperiodic supply
-        # covers its aperiodic orbits
-        supply = {}
-        for (((a, b), c), key) in zip(x.transitions, edge_images):
-            supply[key] = supply.get(key, 0) + (c - 1 if a == b else c)
-        return all(supply.get(key, -1) >= (c - 1 if key[0] == key[1] else c)
-                   for (key, c) in y.transitions)
-    if mode is Mode.CONJUGACY:
-        if len(set(vm.values())) != len(pts_x) or len(pts_x) != len(pts_y):
-            return False
-        if len(edge_images) != len(set(edge_images)):
-            return False
-        if len(tuple(x.transitions)) != len(tuple(y.transitions)):
-            return False
-        return all(c == ycount[vm[a], vm[b]] for ((a, b), c) in x.transitions)
-    raise ValueError("unknown mode %r" % (mode,))
+        for p in pts_x:
+            if vm[p.shift(1)] != vm[p].shift(1):
+                return False
+        x_transitions, ycount = expanded()
+        edge_images = []
+        for ((a, b), c) in x_transitions:
+            key = (vm[a], vm[b])
+            if key not in ycount:
+                return False
+            edge_images.append(key)
+        if mode is Mode.BLOCK_MAP:
+            return True
+        if mode is Mode.EMBEDDING:
+            if len(set(edge_images)) != len(edge_images):
+                return False
+            return all(c <= ycount[vm[a], vm[b]] for ((a, b), c) in x_transitions)
+        if mode is Mode.FACTOR:
+            # every target transition needs a preimage whose aperiodic supply
+            # covers its aperiodic orbits
+            supply = {}
+            for (((a, b), c), key) in zip(x_transitions, edge_images):
+                supply[key] = supply.get(key, 0) + (c - 1 if a == b else c)
+            return all(supply.get(key, -1) >= (c - 1 if key[0] == key[1] else c)
+                       for (key, c) in ycount.items())
+        if mode is Mode.CONJUGACY:
+            if len(set(vm.values())) != len(pts_x) or len(pts_x) != len(pts_y):
+                return False
+            if len(edge_images) != len(set(edge_images)):
+                return False
+            if len(x_transitions) != len(ycount):
+                return False
+            return all(c == ycount[vm[a], vm[b]] for ((a, b), c) in x_transitions)
+        raise ValueError("unknown mode %r" % (mode,))
+
+    return check
+
+
+def reference_verify(mode, x, y, h):
+    """`reference_check` applied to one map."""
+    return reference_check(mode, x, y)(h)
 
 
 def _first_witness_by_enumeration(mode, x, y):
     """Independent exhaustive oracle: the first rotation-commuting orbit
-    assignment that `reference_verify` accepts, in lexicographic order of
+    assignment that `reference_check` accepts, in lexicographic order of
     the (target orbit, phase offset) choices with source and target orbits
     by period then root, or None when there is none.  An orbit of period p
     commutes with the rotation only onto a target whose period divides p."""
+    check = reference_check(mode, x, y)
     xs = sorted(x.orbits, key=lambda o: o.sort_key())
     ys = sorted(y.orbits, key=lambda o: o.sort_key())
     choice_sets = [[(t, off) for t in ys if o.period % t.period == 0
@@ -193,7 +211,7 @@ def _first_witness_by_enumeration(mode, x, y):
             for r in range(o.period):
                 vmap[o.point(r)] = t.point((r + off) % t.period)
         h = SGHomomorphism.make(vmap)
-        if reference_verify(mode, x, y, h):
+        if check(h):
             return h
     return None
 

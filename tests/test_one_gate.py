@@ -16,7 +16,9 @@ core compares one with a constant (`budget_comparisons`), so a budget
 below 1, or None, is refused by one rule, `core._check_budget`.  Every NO
 that periods and class counts settle comes from one gate,
 `decisions._refuted`: the rank-1 rules of `_rank1_targets` return no None
-(`none_returns`)."""
+(`none_returns`).  The gadgets are written down, not built through the
+pipeline: `reductions` imports nothing from `presentation` or `structure`
+(`package_imports`)."""
 
 import ast
 import sys
@@ -102,9 +104,11 @@ def test_only_core_constructs_points():
     assert _outside_core(point_constructions) == []
 
 
-# the search, its tables and its helpers
+# the search, its tables and its helpers, and the gate's period-class flow
+# with the rank-1 rules that read it
 SEARCH_NAMES = {"search", "_tables", "_source", "_options",
-                "_support", "_witness", "_covers_demand", "_refuted"}
+                "_support", "_witness", "_covers_demand", "_refuted",
+                "_cover", "_augment", "_rank1_targets"}
 
 
 def names_used(tree, function):
@@ -352,3 +356,47 @@ def test_the_rank1_rules_only_build_witnesses():
     path = SRC / "decisions.py"
     assert none_returns(ast.parse(path.read_text(), str(path)),
                         "_rank1_targets") == []
+
+
+def package_imports(tree):
+    """(line, module) for each module of the package that the tree imports,
+    relatively (`from .m import x`, `from . import m`) or by the package's
+    name (`import sofic2.m`, `from sofic2.m import x`, `from sofic2 import
+    m`); a name imported from the package itself counts as a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[1]) for a in node.names
+                      if a.name.startswith("sofic2.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "sofic2" and not module.startswith("sofic2."):
+                    continue
+                module = module[len("sofic2."):]
+            if module:
+                found.append((node.lineno, module.split(".")[0]))
+            else:
+                found += [(node.lineno, a.name) for a in node.names]
+    return sorted(found)
+
+
+def test_package_imports_sees_relative_and_absolute_forms():
+    tree = ast.parse("from .core import word\n"
+                     "from . import formats, structure\n"
+                     "import sofic2.presentation\n"
+                     "from sofic2.decisions import Mode\n"
+                     "from sofic2 import errors\n"
+                     "import os, sofic2\n"
+                     "from collections import Counter\n")
+    assert package_imports(tree) == [(1, "core"), (2, "formats"), (2, "structure"),
+                                     (3, "presentation"), (4, "decisions"),
+                                     (5, "errors")]
+
+
+def test_reductions_never_runs_the_pipeline():
+    path = SRC / "reductions.py"
+    imported = {m for (_line, m) in package_imports(ast.parse(path.read_text(),
+                                                              str(path)))}
+    assert "core" in imported
+    assert imported.isdisjoint({"presentation", "structure"}), sorted(imported)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -23,10 +24,12 @@ from sofic2 import (
     gi_gadget,
     hom_gadget,
     oracle_structure,
+    reductions,
 )
-from sofic2.core import refine_colors
+from sofic2.cli import main
+from sofic2.core import _check_symbol, refine_colors
 from sofic2.errors import (BudgetExceeded, ImproperColoring, IsolatedVertex,
-                           ReservedSymbol, SoficError, TooLarge)
+                           ReservedSymbol, SizeLimitExceeded, SoficError, TooLarge)
 
 from conftest import (
     make_structure,
@@ -76,6 +79,16 @@ def test_gi_gadget_validation():
         ColoredGraph.make({"u": 0, "v": 0}, [("u", "v")])
 
 
+def test_colored_graph_names_the_least_edge_joining_equal_colors():
+    # the edge named does not hang on the hash order of the edge set
+    for i in range(20):
+        a, b, c, d = ("%s%d" % (x, i) for x in "abcd")
+        with pytest.raises(ImproperColoring,
+                           match=r"^edge \['%s', '%s'\] joins" % (a, b)):
+            ColoredGraph.make(dict.fromkeys((a, b, c, d), 0),
+                              [(c, d), (a, d), (b, a)])
+
+
 def test_colored_graph_refuses_an_uncoloured_vertex():
     with pytest.raises(ImproperColoring, match="vertex 'w' lacks a 0/1 color"):
         ColoredGraph.make({"u": 0, "v": 1}, [("u", "v"), ("v", "w")])
@@ -106,6 +119,77 @@ def test_hom_gadget_matches_oracle_on_direct_presentation():
         terms.append(((MARKER, a), (), (b, MARKER)))
     g = from_comb_rep(comb_rep(terms))
     assert hg == oracle_structure(g)
+
+
+def hom_presentation(g):
+    """A presentation of the shift that `hom_gadget` encodes: the union of
+    (m u)*(m v)* and (m u)*(v m)* over the edges {u, v} in both directions,
+    where m is the marker."""
+    m = reductions.MARKER
+    raw = []
+    for e in sorted(g.edges, key=sorted):
+        for (u, v) in (tuple(sorted(e)), tuple(sorted(e))[::-1]):
+            raw.append(((m, u), (), (m, v)))
+            raw.append(((m, u), (), (v, m)))
+    return from_comb_rep(comb_rep(raw))
+
+
+def reference_hom_gadget(g):
+    """The former `hom_gadget`, kept as its reference: its refusals, then
+    the structure builder run on `hom_presentation`, so the junction phases
+    come from the real configurations rather than a hand-derived pattern."""
+    reductions._no_isolated(g)
+    for v in sorted(g.vertices):
+        _check_symbol(v)
+        if v == reductions.MARKER:
+            raise ReservedSymbol("vertex name %r collides with the marker symbol"
+                                 % (reductions.MARKER,))
+    return build_structure(hom_presentation(g))
+
+
+# vertex names that sort before, after and around the marker "%"
+_NAMES = ("!", "#", "$", "&", "(", "0", "9", "A", "Z", "a", "~", "%%", "%a",
+          "x%", "\u00e9", "v12", "\u0665")
+
+
+def _named_graph(rng, max_vertices):
+    names = rng.sample(_NAMES, rng.randint(2, max_vertices))
+    while True:
+        edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                 if rng.random() < 0.4]
+        if edges:
+            return SimpleGraph.make((v for e in edges for v in e), edges)
+
+
+def test_hom_gadget_matches_the_presentation_route():
+    rng = random.Random(35)
+    graphs = [SimpleGraph.make([], [])]
+    graphs += [_named_graph(rng, 4 if i % 3 else 9) for i in range(330)]
+    sizes = set()
+    for g in graphs:
+        hg = hom_gadget(g)
+        assert hg == reference_hom_gadget(g), g
+        sizes.add(len(g.vertices))
+        if len(g.vertices) <= 3:
+            assert hg == oracle_structure(hom_presentation(g)), g
+    assert hom_gadget(graphs[0]).is_empty()
+    assert sizes == set(range(10)) - {1}, sizes
+
+
+def test_hom_gadget_refuses_what_the_presentation_route_refuses():
+    cases = [SimpleGraph.make(["u", "v", "w"], [("u", "v")]),
+             SimpleGraph.make([], [("%", "u")]),
+             SimpleGraph.make([], [("a b", "u")]),
+             SimpleGraph.make([], [("", "u")]),
+             SimpleGraph.make([], [(7, 8)]),
+             SimpleGraph.make(["lone"], [("%", "u"), ("a b", "u")])]
+    for g in cases:
+        refusals = []
+        for build in (hom_gadget, reference_hom_gadget):
+            with pytest.raises((SoficError, ValueError)) as info:
+                build(g)
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals[0] == refusals[1], refusals
 
 
 def test_hom_gadget_p3_k3():
@@ -255,6 +339,39 @@ def test_digraph_gadget_refuses_a_table_without_a_count():
         digraph_gadget(make_structure([(("a",), 2 ** 15000)]), {1: 4})
     text = str(info.value)
     assert text.endswith("... (4516 characters)") and len(text) < 150, text
+
+
+def test_digraph_gadget_counts_its_arcs_before_building(monkeypatch):
+    # the cap admits a gadget of exactly its size and refuses one arc more,
+    # so the count taken before building is the number of arcs built
+    rng = random.Random(131)
+    for _ in range(20):
+        s = random_structure_graph(rng, max_orbits=4, max_period=4, max_count=5)
+        d = digraph_gadget(s)
+        monkeypatch.setattr(reductions, "MAX_DIGRAPH_ARCS", len(d.arcs))
+        assert digraph_gadget(s) == d
+        monkeypatch.setattr(reductions, "MAX_DIGRAPH_ARCS", len(d.arcs) - 1)
+        with pytest.raises(SizeLimitExceeded, match="needs %d arcs" % len(d.arcs)):
+            digraph_gadget(s)
+        monkeypatch.undo()
+
+
+def test_digraph_gadget_refuses_an_oversized_output_up_front(tmp_path, capsys):
+    # 200 fixed points with diagonal counts 2..201 take path lengths 4..203:
+    # a 9KB structure file whose gadget would have 2.81M arcs
+    s = make_structure([(("p%03d" % i,), i + 2) for i in range(200)])
+    arcs = 9 * 200 + sum(m * m for m in range(4, 204))
+    path = tmp_path / "counts.sg"
+    path.write_text(formats.format_structure(s))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded) as info:
+        digraph_gadget(s)
+    assert main(["reduce", "--gadget", "digraph", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == ("the digraph gadget needs %d arcs, more than %d"
+                               % (arcs, reductions.MAX_DIGRAPH_ARCS))
+    assert capsys.readouterr().err == "error: SizeLimitExceeded: %s\n" % info.value
+    assert len(path.read_text()) < 10000 and arcs > 2800000
 
 
 def test_hom_gadget_refuses_isolated():
