@@ -34,12 +34,14 @@ def _read(path):
         raise ParseError("%s is not UTF-8 text: %s" % (path, e.reason)) from None
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
+    """Write the chunks of text, such as a file's lines, as they come: to
+    out_path, or to stdout without one."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_graph_any(path):
@@ -70,20 +72,20 @@ def _cmd_analyze(args):
 def _cmd_structure(args):
     g = _load_graph_any(args.graph)
     s = build_structure(g)
-    _emit(formats.format_structure(s), args.output)
+    _emit(formats.structure_lines(s), args.output)
     return 0
 
 
 def _cmd_oracle_structure(args):
     g = _load_graph_any(args.graph)
     s = oracle_structure(g, args.budget)
-    _emit(formats.format_structure(s), args.output)
+    _emit(formats.structure_lines(s), args.output)
     return 0
 
 
 def _cmd_synthesize(args):
     s = formats.parse_structure(_read(args.structure))
-    _emit(formats.format_graph(synthesize(s)), args.output)
+    _emit([formats.format_graph(synthesize(s))], args.output)
     return 0
 
 
@@ -96,7 +98,7 @@ def _cmd_decide(args):
         print("NO")
         return 1
     if args.witness:  # written before the verdict, so a failed write prints none
-        _emit(formats.format_witness(witness), args.witness)
+        _emit([formats.format_witness(witness)], args.witness)
         print("YES")
     else:
         sys.stdout.write("YES\n" + formats.format_witness(witness))
@@ -111,23 +113,23 @@ def _cmd_rank(args):
 
 def _cmd_derive(args):
     r = formats.parse_comb_rep(_read(args.rep))
-    _emit(formats.format_comb_rep(derivative_of_comb_rep(r)), args.output)
+    _emit([formats.format_comb_rep(derivative_of_comb_rep(r))], args.output)
     return 0
 
 
 def _cmd_reduce(args):
     if args.gadget == "gi":
         g = formats.parse_colored(_read(args.input))
-        _emit(formats.format_structure(gi_gadget(g)), args.output)
+        _emit(formats.structure_lines(gi_gadget(g)), args.output)
     elif args.gadget == "hom":
         g = formats.parse_simple(_read(args.input))
-        _emit(formats.format_structure(hom_gadget(g)), args.output)
+        _emit(formats.structure_lines(hom_gadget(g)), args.output)
     else:
         s = formats.parse_structure(_read(args.input))
         others = ([formats.parse_structure(_read(args.with_counts_from))]
                   if args.with_counts_from else [])
         table = digraph_count_table(s, *others)
-        _emit(formats.format_digraph(digraph_gadget(s, table)), args.output)
+        _emit([formats.format_digraph(digraph_gadget(s, table))], args.output)
     return 0
 
 

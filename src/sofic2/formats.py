@@ -116,15 +116,24 @@ def _parse_count(tok, n) -> int:
         return int(Decimal(tok))
 
 
-def format_structure(s: StructureGraph) -> str:
+def structure_lines(s: StructureGraph):
+    """The lines of the structure file of s, each ending in a newline, made
+    one at a time, so that a file of Σ lcm lines is never held whole; the
+    empty graph's file is one blank line."""
+    if s.is_empty():
+        yield "\n"
     oid = {o: "o%d" % i for i, o in enumerate(s.orbits)}
-    out = ["orbit %s word=%s" % (oid[o], format_word(o.root)) for o in s.orbits]
+    for o in s.orbits:
+        yield "orbit %s word=%s\n" % (oid[o], format_word(o.root))
     # each distinct count is spelled once per file
     digits = {c: _count_text(c) for (_pair, c) in s.transition_classes}
     for ((a, b), c) in s.transitions:
-        out.append("trans %s:%d %s:%d count=%s"
-                   % (oid[a.orbit], a.phase, oid[b.orbit], b.phase, digits[c]))
-    return "\n".join(out) + "\n"
+        yield ("trans %s:%d %s:%d count=%s\n"
+               % (oid[a.orbit], a.phase, oid[b.orbit], b.phase, digits[c]))
+
+
+def format_structure(s: StructureGraph) -> str:
+    return "".join(structure_lines(s))
 
 
 def _parse_orbit(tok, n) -> PeriodicOrbit:

@@ -1,7 +1,9 @@
 """Hardness gadget generators and the brute-force graph oracles used to
-validate the decision procedures against classical graph problems.  Each
-gadget is written down directly, with no presentation or structure builder
-run.  `digraph_isomorphic` has no search of its own: `decide` answers it."""
+validate the decision procedures against classical graph problems.  The
+reductions share one encoding, `_graph_shift`: a graph becomes the shift
+whose periodic orbits are its vertices and whose transitions are its arcs.
+No presentation or structure builder is run, and `digraph_isomorphic` has
+no search of its own: `decide` answers it."""
 
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from math import lcm
 from .core import (
     PeriodicOrbit,
     StructureGraph,
-    _check_symbol,
     _clip,
     _count_text,
     canonicalize_point,
@@ -28,7 +29,8 @@ BRUTE_CAP = 8
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected graph without self-loops or parallel edges."""
+    """Undirected graph without self-loops or parallel edges, on vertex
+    names that sort together: the gadgets and oracles take them in order."""
 
     vertices: frozenset
     edges: frozenset  # frozensets of size 2
@@ -43,6 +45,11 @@ class SimpleGraph:
                 raise ValueError("self-loop %s" % _clip(repr(a)))
             vs |= {a, b}
             es.add(frozenset((a, b)))
+        try:
+            sorted(vs)
+        except TypeError as e:
+            raise SoficError("vertex names that do not sort together: %s"
+                             % _clip(str(e))) from None
         return cls(frozenset(vs), frozenset(es))
 
 
@@ -85,7 +92,11 @@ class Digraph:
         for (a, b) in arcs:
             vs |= {a, b}
             out.append((a, b))
-        return cls(frozenset(vs), tuple(sorted(out)))
+        # each name by its type's name, then itself: names of types that do
+        # not compare, such as 1 and 'a', still sort, and names of one type
+        # keep their own order
+        return cls(frozenset(vs), tuple(sorted(
+            out, key=lambda arc: [(type(v).__name__, v) for v in arc])))
 
 
 def _no_isolated(g: SimpleGraph):
@@ -95,22 +106,24 @@ def _no_isolated(g: SimpleGraph):
         raise IsolatedVertex("isolated vertices %s" % _clip(repr(lonely)))
 
 
+def _graph_shift(orbits, arcs) -> StructureGraph:
+    """The shift of a graph: vertex v is the orbit orbits[v], with a
+    count-1 diagonal class, and each arc (u, v) adds one to the class from
+    phase 0 of u's orbit to each phase of v's orbit, so a loop raises the
+    diagonal and parallel arcs add up."""
+    counts = Counter((o.points[0], o.points[0]) for o in orbits.values())
+    counts.update((orbits[u].points[0], y) for (u, v) in arcs
+                  for y in orbits[v].points)
+    return StructureGraph.make((), counts)
+
+
 def gi_gadget(g: ColoredGraph) -> StructureGraph:
     """Structure graph whose conjugacy class mirrors color-preserving
-    isomorphism of g: one fixed point per vertex with a count-1 self
-    transition, plus a count-1 transition from the 0-colored endpoint to the
-    1-colored endpoint of every edge."""
+    isomorphism of g: the `_graph_shift` of g with a fixed point named by
+    each vertex and every edge oriented from its 0-colored endpoint."""
     _no_isolated(g.graph)
-    pts = {}
-    for v in sorted(g.graph.vertices):
-        pts[v] = PeriodicOrbit((v,)).point(0)
-    counts = {(p, p): 1 for p in pts.values()}
-    for e in sorted(g.graph.edges, key=sorted):
-        a, b = sorted(e)
-        if g.color[a] == 1:
-            a, b = b, a
-        counts[(pts[a], pts[b])] = 1
-    return StructureGraph.make([p.orbit for p in pts.values()], counts)
+    orbits = {v: PeriodicOrbit((v,)) for v in sorted(g.graph.vertices)}
+    return _graph_shift(orbits, [sorted(e, key=g.color.get) for e in g.graph.edges])
 
 
 MARKER = "%"
@@ -119,25 +132,21 @@ MARKER = "%"
 def hom_gadget(g: SimpleGraph) -> StructureGraph:
     """Structure graph of the shift that encodes graph homomorphisms from g,
     the union over the edges {u, v}, in both directions, of (m u)*(m v)*
-    and (m u)*(v m)*, where m is the marker symbol MARKER: per vertex v the
-    period-2 orbit of (m, v) with a count-1 diagonal, and per edge and
-    direction two count-1 classes, from phase 0 of u's orbit to phases 0
-    and 1 of v's.  Listing both relative phases makes it exact whichever
-    rotation of (m, v) is canonical; the tests keep the former route,
-    presenting the union and running the structure builder, as its
-    reference.  A vertex named MARKER raises ReservedSymbol.
+    and (m u)*(v m)*, where m is the marker symbol MARKER: the
+    `_graph_shift` of the period-2 orbits of (m, v) and both directions of
+    every edge.  Reaching both phases of v's orbit makes it exact whichever
+    rotation of (m, v) is canonical; the tests keep the structure builder
+    run on a presentation of the union as its reference.  A vertex named
+    MARKER raises ReservedSymbol.
     """
     _no_isolated(g)
+    orbits = {}
     for v in sorted(g.vertices):
-        _check_symbol(v)
         if v == MARKER:
             raise ReservedSymbol("vertex name %r collides with the marker symbol"
                                  % (MARKER,))
-    pts = {v: canonicalize_point((MARKER, v)).orbit.points for v in g.vertices}
-    counts = {(p[0], p[0]): 1 for p in pts.values()}
-    counts.update(((pts[u][0], y), 1) for e in g.edges
-                  for (u, v) in itertools.permutations(e) for y in pts[v])
-    return StructureGraph.make((), counts)
+        orbits[v] = canonicalize_point((MARKER, v)).orbit
+    return _graph_shift(orbits, [a for e in g.edges for a in itertools.permutations(e)])
 
 
 def digraph_count_table(*graphs):
@@ -246,13 +255,13 @@ def brute_graph_oracle(kind: str, g, h) -> bool:
 
 
 def _fixed_point_graph(d: Digraph) -> StructureGraph:
-    """The structure graph with one fixed point per vertex of d: the
+    """The `_graph_shift` of d with one fixed point per vertex: the
     diagonal class of a vertex has its number of loops plus one as its
-    count (every orbit needs its diagonal), and each other vertex pair its
-    number of arcs.  Vertices are indexed depth first along out-arcs, from
-    roots by degree descending, then `str`, and named "v" plus the padded
-    index, so `search` takes them in index order, most right after a
-    neighbour whose image has already narrowed their choices."""
+    count, and each other vertex pair its number of arcs.  Vertices are
+    indexed depth first along out-arcs, from roots by degree descending,
+    then `str`, and named "v" plus the padded index, so `search` takes them
+    in index order, most right after a neighbour whose image has already
+    narrowed their choices."""
     degree, succ = Counter(), {}
     for (a, b) in d.arcs:
         degree[a] += 1
@@ -267,11 +276,8 @@ def _fixed_point_graph(d: Digraph) -> StructureGraph:
             index[v] = len(index)
             stack += reversed(succ.get(v, ()))
     width = len(str(len(index)))
-    pts = {v: PeriodicOrbit(("v%0*d" % (width, i),)).point(0)
-           for v, i in index.items()}
-    counts = Counter((pts[a], pts[b]) for (a, b) in d.arcs)
-    counts.update((p, p) for p in pts.values())
-    return StructureGraph.make((), counts)
+    return _graph_shift({v: PeriodicOrbit(("v%0*d" % (width, i),))
+                         for v, i in index.items()}, d.arcs)
 
 
 def digraph_isomorphic(g: Digraph, h: Digraph) -> bool:

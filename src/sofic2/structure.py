@@ -34,8 +34,8 @@ from itertools import compress
 from math import lcm
 
 from .core import (DEFAULT_BUDGET, LabeledGraph, EventuallyPeriodicPoint, StructureGraph,
-                   _check_budget, canonicalize_config)
-from .errors import BudgetExceeded
+                   _check_budget, _clip, _count_text, canonicalize_config)
+from .errors import BudgetExceeded, SizeLimitExceeded
 from .presentation import admit
 
 
@@ -180,6 +180,27 @@ def oracle_structure(g: LabeledGraph, path_budget: int = DEFAULT_BUDGET) -> Stru
     return _structure_graph(points, Counter((cfg.left, cfg.right) for cfg in configs))
 
 
+# the most edges `synthesize` builds: over 130 times the largest in the
+# tests (1,507), perfbench (1,290, seeds 1-3) or demos (5).  Under Python
+# 3.11, `sofic2 synthesize` peaks near 110MB writing 2 * 10 ** 5 edges, and
+# near 490MB writing 10 ** 6
+MAX_SYNTHESIZE_EDGES = 2 * 10 ** 5
+
+
+def _gadget_paths(s: StructureGraph):
+    """(x, y, k, length) per gadget path of `synthesize`, in the order it
+    builds them: per transition class (x, y) and set bit 2^k of its
+    aperiodic count, the least positive multiple of lcm(m_i, m_j) that is
+    >= k + 2.  The bits are read off the count's binary digits, one pass."""
+    for ((x, y), c) in s.transition_classes:
+        aperiodic = c - 1 if x == y else c
+        if aperiodic:
+            base = lcm(x.period, y.period)
+            for k, bit in enumerate(bin(aperiodic)[:1:-1]):
+                if bit == "1":
+                    yield x, y, k, base * -(-(k + 2) // base)
+
+
 def synthesize(s: StructureGraph) -> LabeledGraph:
     """Right-resolving essential presentation over a fresh alphabet whose
     structure graph equals s with each orbit root renamed.
@@ -192,37 +213,40 @@ def synthesize(s: StructureGraph) -> LabeledGraph:
     fresh-labeled edges, padded with single fresh-labeled edges to the least
     positive multiple of lcm(m_i, m_j) that is >= k + 2, so the gadget
     contributes exactly to its class.  Every vertex lies on a cycle or on a
-    gadget path between two, so the output is essential as built."""
+    gadget path between two, so the output is essential as built.
+
+    Raises SizeLimitExceeded before building more than MAX_SYNTHESIZE_EDGES
+    edges: one per cycle vertex, and length + k per gadget path."""
     orbits = list(s.orbits)
     index = {o: i for i, o in enumerate(orbits)}
+    size, needs_p, paths = sum(o.period for o in orbits), set(), []
+    for path in _gadget_paths(s):
+        (_x, y, k, length) = path
+        size += length + k
+        needs_p.add(index[y.orbit])
+        if size <= MAX_SYNTHESIZE_EDGES:  # a refused output's paths are not kept
+            paths.append(path)
+    size += sum(orbits[j].period for j in needs_p)
+    if size > MAX_SYNTHESIZE_EDGES:
+        raise SizeLimitExceeded("synthesize needs %s edges, more than %d"
+                                % (_clip(_count_text(size)), MAX_SYNTHESIZE_EDGES))
     edges = []
     for i, o in enumerate(orbits):
         m = o.period
         for r in range(m):
             edges.append(("q%d_%d" % (i, r), "q%d_%d" % (i, (r + 1) % m),
                           "a%d_%d" % (i, r)))
-    needs_p = set()
     gadget_edges = []
-    gid = 0
-    for ((x, y), c) in s.transition_classes:
-        cp = c - 1 if x == y else c
-        if cp == 0:
-            continue
-        i, j = index[x.orbit], index[y.orbit]
-        needs_p.add(j)
-        base = lcm(x.period, y.period)
-        for k in [k for k in range(cp.bit_length()) if cp >> k & 1]:
-            length = base * ((k + 2 + base - 1) // base)
-            nodes = (["q%d_%d" % (i, x.phase)]
-                     + ["x%d_%d" % (gid, t) for t in range(1, length)]
-                     + ["p%d_%d" % (j, y.phase)])
-            for t in range(length):
-                if 1 <= t <= k:
-                    gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%da" % (gid, t)))
-                    gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%db" % (gid, t)))
-                else:
-                    gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%d" % (gid, t)))
-            gid += 1
+    for gid, (x, y, k, length) in enumerate(paths):
+        nodes = (["q%d_%d" % (index[x.orbit], x.phase)]
+                 + ["x%d_%d" % (gid, t) for t in range(1, length)]
+                 + ["p%d_%d" % (index[y.orbit], y.phase)])
+        for t in range(length):
+            if 1 <= t <= k:
+                gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%da" % (gid, t)))
+                gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%db" % (gid, t)))
+            else:
+                gadget_edges.append((nodes[t], nodes[t + 1], "e%d_%d" % (gid, t)))
     for j in sorted(needs_p):
         m = orbits[j].period
         for r in range(m):

@@ -541,3 +541,115 @@ def test_cli_fuzz_exits_cleanly(edits, mode):
                     assert err.getvalue().count("\n") == 1, argv
         finally:
             signal.signal(signal.SIGALRM, previous)
+
+
+def _two_cycles(p, q):
+    """A graph file: cycles of p and q vertices, one edge from the first to
+    the second; its structure file has p + q + lcm(p, q) + 2 lines."""
+    lines = []
+    for name, n, label, last in (("a", p, "a", "b"), ("c", q, "c", "d")):
+        lines += ["edge %s%d %s%d %s" % (name, i, name, (i + 1) % n,
+                                          last if i == n - 1 else label)
+                  for i in range(n)]
+    return "\n".join(lines + ["edge a0 c0 x"]) + "\n"
+
+
+def _de_bruijn(n):
+    """A binary de Bruijn word of order n (Fredricksen, Kessler and Maiorana):
+    each word of length n occurs once around it, so determinizing a cycle
+    that spells it from the set of all its vertices finds a state per word
+    of length at most n, 2^17 - 1 for n = 16."""
+    word, a = [], [0] * (n + 1)
+    t, p = 1, 1
+    while True:  # the lexicographically least necklaces in order
+        if t > n:
+            if n % p == 0:
+                word += a[1:p + 1]
+            t -= 1
+            while t and a[t] == 1:
+                t -= 1
+            if not t:
+                return "".join("ab"[x] for x in word)
+            a[t] += 1
+            p, t = t, t + 1
+        else:
+            a[t] = a[t - p]
+            t += 1
+
+
+# the address space each CLI child may take: both outputs that were built
+# whole crashed under it, at about 565MB of RSS
+AS_CAP = 600 * 2 ** 20
+
+
+def _run_capped(argv, tmp_path):
+    """Run `sofic2 argv` in a child that caps its own address space at
+    AS_CAP, stdout discarded; (exit code, stderr, peak RSS in MB)."""
+    import resource
+
+    def cap():  # runs in the child only, after the fork
+        resource.setrlimit(resource.RLIMIT_AS, (AS_CAP, AS_CAP))
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    child = subprocess.Popen([sys.executable, "-m", "sofic2"] + argv, env=env,
+                             cwd=str(tmp_path), preexec_fn=cap,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    _pid, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, err, usage.ru_maxrss / 1024
+
+
+@pytest.mark.slow
+def test_cli_stays_within_an_address_space_cap(tmp_path):
+    # the two inputs that crashed with a MemoryError traceback and exit 1,
+    # which `decide` uses for NO, and one input past each size cap the CLI
+    # reaches: synthesize, digraph gadget, forbidden words, determinization
+    files = {
+        "wide.sg": formats.format_structure(make_structure([(("a",), 2 ** 3000)])),
+        "two_cycles.graph": _two_cycles(1999, 2003),
+        "counts.sg": formats.format_structure(
+            make_structure([(("p%03d" % i,), i + 2) for i in range(200)])),
+        "wide.forbid": "alphabet 0 1 2 3 4 5 6 7 8 9\nforbid 0.1.2.3.4.5.6.7.8\n",
+        "de_bruijn.rep": "term %s a c\n" % ".".join(_de_bruijn(16)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cases = [(["synthesize", "wide.sg"], 2, "SizeLimitExceeded: synthesize needs"),
+             (["structure", "two_cycles.graph"], 0, None),
+             (["reduce", "--gadget", "digraph", "counts.sg"], 2,
+              "SizeLimitExceeded: the digraph gadget needs"),
+             (["structure", "wide.forbid"], 2, "SizeLimitExceeded: more than 100000"),
+             (["structure", "de_bruijn.rep"], 2,
+              "SizeLimitExceeded: determinization exceeded")]
+    for argv, want, refusal in cases:
+        code, err, peak_mb = _run_capped(argv, tmp_path)
+        assert (code, "Traceback" in err) == (want, False), (argv, err[-2000:])
+        if refusal:
+            assert err.startswith("error: " + refusal) and err.count("\n") == 1, err
+        else:
+            # 4,008,001 lines written as they are made
+            assert err == "" and peak_mb < 100, (argv, peak_mb)
+
+
+def test_structure_file_written_line_by_line_is_format_structure(tmp_path, capsys):
+    import hashlib
+    from sofic2 import build_structure
+
+    text = _two_cycles(499, 503)
+    (tmp_path / "g.graph").write_text(text)
+    want = formats.format_structure(build_structure(formats.parse_graph(text)))
+    assert want.count("\n") == 499 + 503 + 499 * 503 + 2
+    digest = hashlib.sha256(want.encode()).hexdigest()
+    out = tmp_path / "g.sg"
+    assert main(["structure", str(tmp_path / "g.graph"), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["structure", str(tmp_path / "g.graph")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    # the empty graph's file is one blank line
+    (tmp_path / "empty.graph").write_text("")
+    assert main(["structure", str(tmp_path / "empty.graph"), "-o", str(out)]) == 0
+    assert out.read_text() == "\n"

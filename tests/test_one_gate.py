@@ -18,7 +18,9 @@ that periods and class counts settle comes from one gate,
 `decisions._refuted`: the rank-1 rules of `_rank1_targets` return no None
 (`none_returns`).  The gadgets are written down, not built through the
 pipeline: `reductions` imports nothing from `presentation` or `structure`
-(`package_imports`)."""
+(`package_imports`), and they share one graph-to-shift writer: the one
+`StructureGraph.make` call in `reductions` is in `_graph_shift`
+(`structure_graph_makes`)."""
 
 import ast
 import sys
@@ -400,3 +402,41 @@ def test_reductions_never_runs_the_pipeline():
                                                               str(path)))}
     assert "core" in imported
     assert imported.isdisjoint({"presentation", "structure"}), sorted(imported)
+
+
+def structure_graph_makes(tree):
+    """(line, name of the innermost enclosing function, or None at module
+    level) for each call `StructureGraph.make(...)` or
+    `<anything>.StructureGraph.make(...)` in the tree."""
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "make"
+                and (isinstance(node.func.value, ast.Name)
+                     and node.func.value.id == "StructureGraph"
+                     or isinstance(node.func.value, ast.Attribute)
+                     and node.func.value.attr == "StructureGraph")):
+            found.append((node.lineno, function))
+        stack += [(child, function) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_structure_graph_makes_names_the_enclosing_function():
+    tree = ast.parse("x = StructureGraph.make((), {})\n"
+                     "def f(c):\n"
+                     "    return core.StructureGraph.make((), c)\n"
+                     "def g(c):\n"
+                     "    def h():\n"
+                     "        return StructureGraph.make((), c)\n"
+                     "    return LabeledGraph.make([], c), StructureGraph(c), make(c)\n")
+    assert structure_graph_makes(tree) == [(1, None), (3, "f"), (6, "h")]
+
+
+def test_reductions_write_one_graph_shift():
+    path = SRC / "reductions.py"
+    makes = structure_graph_makes(ast.parse(path.read_text(), str(path)))
+    assert [function for (_line, function) in makes] == ["_graph_shift"], makes

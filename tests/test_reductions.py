@@ -1,8 +1,10 @@
 """Hardness gadgets and brute-force graph oracles."""
 
 import hashlib
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,9 @@ from sofic2 import (
     ColoredGraph,
     Digraph,
     Mode,
+    PeriodicOrbit,
     SimpleGraph,
+    StructureGraph,
     brute_graph_oracle,
     build_structure,
     canonicalize_point,
@@ -174,6 +178,101 @@ def test_hom_gadget_matches_the_presentation_route():
             assert hg == oracle_structure(hom_presentation(g)), g
     assert hom_gadget(graphs[0]).is_empty()
     assert sizes == set(range(10)) - {1}, sizes
+
+
+# The count tables that `_graph_shift` replaced, kept as references: each
+# wrote the one encoding out for its own gadget.
+
+def reference_gi_table(g):
+    pts = {}
+    for v in sorted(g.graph.vertices):
+        pts[v] = PeriodicOrbit((v,)).point(0)
+    counts = {(p, p): 1 for p in pts.values()}
+    for e in sorted(g.graph.edges, key=sorted):
+        a, b = sorted(e)
+        if g.color[a] == 1:
+            a, b = b, a
+        counts[(pts[a], pts[b])] = 1
+    return StructureGraph.make([p.orbit for p in pts.values()], counts)
+
+
+def reference_hom_table(g):
+    m = reductions.MARKER
+    pts = {v: canonicalize_point((m, v)).orbit.points for v in g.vertices}
+    counts = {(p[0], p[0]): 1 for p in pts.values()}
+    counts.update(((pts[u][0], y), 1) for e in g.edges
+                  for (u, v) in itertools.permutations(e) for y in pts[v])
+    return StructureGraph.make((), counts)
+
+
+def reference_fixed_point_graph(d):
+    degree, succ = Counter(), {}
+    for (a, b) in d.arcs:
+        degree[a] += 1
+        degree[b] += 1
+        succ.setdefault(a, []).append(b)
+    index = {}
+    stack = sorted(d.vertices, key=lambda v: (-degree[v], str(v)), reverse=True)
+    while stack:
+        v = stack.pop()
+        if v not in index:
+            index[v] = len(index)
+            stack += reversed(succ.get(v, ()))
+    width = len(str(len(index)))
+    pts = {v: PeriodicOrbit(("v%0*d" % (width, i),)).point(0)
+           for v, i in index.items()}
+    counts = Counter((pts[a], pts[b]) for (a, b) in d.arcs)
+    counts.update((p, p) for p in pts.values())
+    return StructureGraph.make((), counts)
+
+
+def _colored_graph(rng):
+    names = rng.sample(_NAMES, rng.randint(2, 9))
+    color = {v: rng.randint(0, 1) for v in names}
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if color[a] != color[b] and rng.random() < 0.6]
+    touched = {v for e in edges for v in e}
+    return ColoredGraph.make({v: color[v] for v in touched}, edges)
+
+
+def test_every_gadget_equals_its_former_count_table():
+    rng = random.Random(36)
+    loops = parallel = 0
+    for i in range(330):
+        g = _named_graph(rng, 4 if i % 3 else 9)
+        assert hom_gadget(g) == reference_hom_table(g), g
+        c = _colored_graph(rng)
+        assert gi_gadget(c) == reference_gi_table(c), c
+        names = rng.sample(_NAMES + ("%",), rng.randint(1, 6))
+        d = Digraph.make(names, [(rng.choice(names), rng.choice(names))
+                                 for _ in range(rng.randint(0, 12))])
+        assert reductions._fixed_point_graph(d) == reference_fixed_point_graph(d), d
+        loops += any(a == b for (a, b) in d.arcs)
+        parallel += len(set(d.arcs)) < len(d.arcs)
+    assert loops > 100 and parallel > 100, (loops, parallel)
+    empty = ColoredGraph.make({}, [])
+    assert gi_gadget(empty) == reference_gi_table(empty)
+    assert hom_gadget(SimpleGraph.make([], [])).is_empty()
+    assert reductions._fixed_point_graph(Digraph.make([], [])).is_empty()
+
+
+def test_names_of_mixed_types_are_refused_or_sorted():
+    # simple and coloured graphs refuse names that do not sort together
+    for build in (lambda: hom_gadget(SimpleGraph.make([], [(1, "a")])),
+                  lambda: ColoredGraph.make({1: 0, "a": 1}, [(1, "a")])):
+        with pytest.raises(SoficError, match="^vertex names that do not sort together: "):
+            build()
+    # a digraph sorts them by type name first, and answers as before
+    d = Digraph.make([], [("a", 1), (1, "a")])
+    assert d.arcs == ((1, "a"), ("a", 1))
+    assert digraph_isomorphic(d, Digraph.make([], [("x", "y"), ("y", "x")]))
+    assert not digraph_isomorphic(d, Digraph.make([], [("x", "y"), ("x", "y")]))
+    assert digraph_isomorphic(Digraph.make([], [(1, "a")]), Digraph.make([], [("b", 2)]))
+    # names of one type keep their order
+    rng = random.Random(37)
+    for names in (_NAMES, range(-5, 5)):
+        arcs = [(rng.choice(names), rng.choice(names)) for _ in range(60)]
+        assert Digraph.make([], arcs).arcs == tuple(sorted(arcs))
 
 
 def test_hom_gadget_refuses_what_the_presentation_route_refuses():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from math import gcd, lcm
 
 import pytest
@@ -16,14 +17,17 @@ from sofic2 import (
     formats,
     oracle_structure,
     primitive_root,
+    structure,
     synthesize,
     verify_witness,
 )
+from sofic2.cli import main
 from sofic2.errors import (
     BudgetExceeded,
     NotCountableCertified,
     NotRightResolving,
     RankTooHigh,
+    SizeLimitExceeded,
 )
 
 from conftest import (
@@ -327,6 +331,40 @@ def test_synthesize_output_is_pinned():
         h.update(formats.format_graph(synthesize(s)).encode())
     assert several >= 100
     assert h.hexdigest() == SYNTHESIZE_DIGEST
+
+
+def test_synthesize_counts_its_edges_before_building(monkeypatch):
+    # the cap admits an output of exactly its size and refuses one edge
+    # more, so the count taken before building is the number of edges built
+    rng = random.Random(137)
+    for _ in range(30):
+        s = random_structure_graph(rng, max_period=6)
+        g = synthesize(s)
+        monkeypatch.setattr(structure, "MAX_SYNTHESIZE_EDGES", len(g.edges))
+        assert synthesize(s) == g
+        monkeypatch.setattr(structure, "MAX_SYNTHESIZE_EDGES", len(g.edges) - 1)
+        with pytest.raises(SizeLimitExceeded, match="needs %d edges" % len(g.edges)):
+            synthesize(s)
+        monkeypatch.undo()
+
+
+def test_synthesize_refuses_an_oversized_output_up_front(tmp_path, capsys):
+    # a count of 2**3000 on a fixed point: a 943-byte structure file whose
+    # presentation would have 9,003,002 edges, one per cycle vertex and
+    # 2k + 2 per set bit k of the aperiodic count 2**3000 - 1
+    s = make_structure([("a", 2 ** 3000)])
+    path = tmp_path / "wide.sg"
+    path.write_text(formats.format_structure(s))
+    edges = 2 + sum(2 * k + 2 for k in range(3000))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded) as info:
+        synthesize(s)
+    assert main(["synthesize", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == ("synthesize needs %d edges, more than %d"
+                               % (edges, structure.MAX_SYNTHESIZE_EDGES))
+    assert capsys.readouterr().err == "error: SizeLimitExceeded: %s\n" % info.value
+    assert len(path.read_bytes()) == 943 and edges == 9003002
 
 
 def test_synthesize_output_is_right_resolving_and_certified():
