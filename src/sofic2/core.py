@@ -30,7 +30,8 @@ from decimal import Decimal
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import BudgetExceeded, EmptyWord, InvalidCombRep, MalformedStructureGraph
+from .errors import (BudgetExceeded, EmptyWord, InvalidCombRep, MalformedStructureGraph,
+                     SoficError)
 
 # A word is a tuple of symbol tokens.  Tokens are nonempty strings without
 # whitespace; multi-character tokens are fine (gadget builders mint them).
@@ -299,6 +300,15 @@ def canonicalize_config(left: PeriodicPoint, middle, right: PeriodicPoint):
     return EventuallyPeriodicPoint(left.shift(r), defect, right.shift(r))
 
 
+def _sorted_names(items):
+    """sorted(items), refusing vertex names that do not sort together."""
+    try:
+        return sorted(items)
+    except TypeError as e:
+        raise SoficError("vertex names that do not sort together: %s"
+                         % _clip(str(e))) from None
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Finite directed multigraph with edge labels: a presentation of a
@@ -311,7 +321,9 @@ class LabeledGraph:
     def make(cls, vertices, edges) -> "LabeledGraph":
         """The graph on the given vertices and the edge endpoints; checks
         each distinct label once, in edge order, so a ValueError names the
-        first bad label."""
+        first bad label.  Endpoint names that do not sort together are
+        refused with a SoficError when the edges are sorted, and any others
+        when `index` sorts the vertices."""
         vs = set(vertices)
         es = []
         checked = set()
@@ -322,7 +334,7 @@ class LabeledGraph:
             vs.add(a)
             vs.add(b)
             es.append((a, b, s))
-        return cls(frozenset(vs), tuple(sorted(es)))
+        return cls(frozenset(vs), tuple(_sorted_names(es)))
 
     @cached_property
     def index(self):
@@ -330,7 +342,7 @@ class LabeledGraph:
         in that order its out edges as (position, label) pairs in edge
         order, so ascending by (target, label).  Every pass that walks the
         graph reads this one adjacency."""
-        verts = sorted(self.vertices)
+        verts = _sorted_names(self.vertices)
         position = {v: i for i, v in enumerate(verts)}
         out = [[] for _ in verts]
         for (a, b, s) in self.edges:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import (LabeledGraph, CombRep, CombTerm, canonicalize_point, refine_colors,
-                   word, _check_symbol, _clip)
+from .core import (LabeledGraph, CombRep, CombTerm, canonicalize_point, word,
+                   _check_symbol, _clip)
 from .errors import (
     EmptyRepresentation,
     NotCountableCertified,
@@ -33,19 +33,17 @@ from .errors import (
 RANK_HIGH = ">=3"
 RANK_UNCERTIFIED = "not-certified"
 MAX_DETERMINIZE_STATES = 100_000
+# the most positions the subset construction holds, summed over its
+# states: over 5 times the largest sum in the tests (352,420, a 2,000-term
+# representation), perfbench (120, seeds 1-3) or demos (66).  Under Python
+# 3.11 it holds about 65 bytes per position, near 150MB at this cap
+MAX_DETERMINIZE_SIZE = 2 * 10 ** 6
 
 
-def trim_essential(g: LabeledGraph) -> LabeledGraph:
-    """Maximal subgraph in which every vertex lies on a bi-infinite walk.
-
-    Removes vertices lacking an incoming or outgoing edge, one at a time
-    from a queue while updating the degrees of their neighbours; the
-    presented shift is unchanged.  Runs on the positions of `g.index`, and
-    returns g itself when it is already essential.  May return the empty graph.
-    """
-    verts, out = g.index
-    if all(out) and len(set(map(itemgetter(1), g.edges))) == len(out):
-        return g
+def _dead(out):
+    """The positions of `out` that lie on no bi-infinite walk: those
+    lacking an incoming or outgoing edge, removed one at a time from a queue
+    while updating the degrees of their neighbours."""
     pred = [[] for _ in out]
     for a, row in enumerate(out):
         for (b, s) in row:
@@ -62,7 +60,31 @@ def trim_essential(g: LabeledGraph) -> LabeledGraph:
                 if not deg[w] and w not in gone:
                     gone.add(w)
                     queue.append(w)
-    names = {verts[v] for v in gone}
+    return gone
+
+
+def _trimmed(out):
+    """(rows, kept): `out` without its dead positions, the rest renumbered
+    in ascending order, and per new position its old one."""
+    gone = _dead(out)
+    kept = [v for v in range(len(out)) if v not in gone]
+    if not gone:
+        return out, kept
+    new = {v: i for i, v in enumerate(kept)}
+    return [[(new[b], s) for (b, s) in out[v] if b in new] for v in kept], kept
+
+
+def trim_essential(g: LabeledGraph) -> LabeledGraph:
+    """Maximal subgraph in which every vertex lies on a bi-infinite walk.
+
+    The presented shift is unchanged.  Runs on the positions of `g.index`,
+    and returns g itself when it is already essential.  May return the
+    empty graph.
+    """
+    verts, out = g.index
+    if all(out) and len(set(map(itemgetter(1), g.edges))) == len(out):
+        return g
+    names = {verts[v] for v in _dead(out)}
     # a filtered sorted tuple stays sorted, and its labels are already checked
     return LabeledGraph(g.vertices - names, tuple(e for e in g.edges
                                                   if e[0] not in names and e[1] not in names))
@@ -91,68 +113,150 @@ def _require_rr(g: LabeledGraph):
         raise NotRightResolving("label collisions at %s" % _clip(repr(bad[:5])))
 
 
+def _subsets(out):
+    """The subset construction on `out`, seeded with every position, as
+    rows: per state its (state, label) pairs in ascending label order.
+    States are numbered in the order they are found, breadth first.
+    Refuses with SizeLimitExceeded past MAX_DETERMINIZE_STATES states or
+    MAX_DETERMINIZE_SIZE positions summed over them."""
+    states = [frozenset(range(len(out)))]
+    ids = {states[0]: 0}
+    size = len(out)
+    rows = []
+    for state in states:  # grows as states are found
+        step = {}
+        for v in state:
+            for (b, s) in out[v]:
+                step.setdefault(s, []).append(b)
+        row = []
+        for s in sorted(step):
+            succ = frozenset(step[s])
+            i = ids.get(succ)
+            if i is None:
+                size += len(succ)
+                if len(states) >= MAX_DETERMINIZE_STATES:
+                    raise SizeLimitExceeded("determinization exceeded %d states"
+                                            % MAX_DETERMINIZE_STATES)
+                if size > MAX_DETERMINIZE_SIZE:
+                    raise SizeLimitExceeded("determinization exceeded %d positions summed"
+                                            " over its states" % MAX_DETERMINIZE_SIZE)
+                i = ids[succ] = len(states)
+                states.append(succ)
+            row.append((i, s))
+        rows.append(row)
+    return rows
+
+
+def _determinized(out):
+    """(rows, ranks): the subset construction on `out`, trimmed, and per
+    state the rank of its number among the kept ones sorted as decimal
+    strings, the order in which names d0, d1, ... sort."""
+    rows, kept = _trimmed(_subsets(out))
+    rank = [0] * len(kept)
+    for r, i in enumerate(sorted(range(len(kept)), key=lambda i: "%d" % kept[i])):
+        rank[i] = r
+    return rows, rank
+
+
 def determinize(g: LabeledGraph) -> LabeledGraph:
     """Right-resolving presentation of the same shift via the subset
     construction seeded with the full vertex set, on sets of positions in
-    `g.index`.  States are named d0, d1, ... in the order they are found:
-    breadth first, each state's successors in ascending label order.
+    `g.index`, then trimmed.  States are numbered in the order they are
+    found, breadth first, each state's successors in ascending label order,
+    and named s0, s1, ... in the order of their numbers as decimal strings.
     Already-deterministic graphs pass through unchanged."""
     if is_right_resolving(g):
         return g
-    _verts, out = g.index
-    full = frozenset(range(len(out)))
-    names = {full: "d0"}
-    edges = []
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            step = {}
-            for v in state:
-                for (b, s) in out[v]:
-                    step.setdefault(s, set()).add(b)
-            for s in sorted(step):
-                succ = frozenset(step[s])
-                if succ not in names:
-                    if len(names) >= MAX_DETERMINIZE_STATES:
-                        raise SizeLimitExceeded("determinization exceeded %d states"
-                                                % MAX_DETERMINIZE_STATES)
-                    names[succ] = "d%d" % len(names)
-                    nxt.append(succ)
-                edges.append((names[state], names[succ], s))
-        frontier = nxt
-    det = trim_essential(LabeledGraph.make(names.values(), edges))
-    return _canonical_rename(det)
+    rows, rank = _determinized(g.index[1])
+    names = ["s%d" % r for r in rank]
+    return LabeledGraph.make(names, [(names[a], names[b], s)
+                                     for a, row in enumerate(rows) for (b, s) in row])
 
 
-def _canonical_rename(g: LabeledGraph, prefix: str = "s") -> LabeledGraph:
-    """Rename vertices to prefix0..prefixN in a deterministic order
-    (by sorted original names)."""
-    names = {v: "%s%d" % (prefix, i) for i, v in enumerate(sorted(g.vertices, key=str))}
-    return LabeledGraph.make(names.values(),
-                             [(names[a], names[b], s) for (a, b, s) in g.edges])
+def _coarsest(rows):
+    """Per position of right-resolving `rows`, its block in the coarsest
+    partition whose blocks share one out-label set and, for each label,
+    step into one block: the vertices with equal follower sets.
+
+    Hopcroft's smaller-half refinement (1971) in the partial-transition
+    form of Valmari and Lehtinen (2008), O(E log V).  Blocks start as the
+    vertices that share one out-label set; a splitter is a (block, label)
+    pair, and splits every block into the vertices that step into it by the
+    label and the rest.  The smaller half gets a new block and a splitter
+    per label stepping into it; the larger half keeps the old block and its
+    queued splitters, so both halves are queued when the block was.  Per
+    label, the largest initial block is never queued: the vertices stepping
+    into all blocks by a label are a union of initial blocks.
+    """
+    into = [{} for _ in rows]  # per position: label -> the positions stepping into it
+    first = {}
+    block = []
+    for v, row in enumerate(rows):
+        for (b, s) in row:
+            into[b].setdefault(s, []).append(v)
+        block.append(first.setdefault(frozenset([s for (_b, s) in row]), len(first)))
+    members = [set() for _ in first]
+    for v, x in enumerate(block):
+        members[x].add(v)
+    heads = {}  # label -> the initial blocks it steps into
+    for b, d in enumerate(into):
+        for s in d:
+            heads.setdefault(s, set()).add(block[b])
+    queue = []
+    for s, xs in heads.items():
+        xs.remove(max(xs, key=lambda x: len(members[x])))
+        queue.extend([(x, s) for x in xs])
+    while queue:
+        x, s = queue.pop()
+        touched = {}
+        for w in members[x]:
+            for v in into[w].get(s, ()):
+                touched.setdefault(block[v], []).append(v)
+        for y, marked in touched.items():
+            ms = members[y]
+            if len(marked) < len(ms):
+                small = set(marked) if 2 * len(marked) <= len(ms) else ms.difference(marked)
+                ms -= small
+                z = len(members)
+                members.append(small)
+                labels = set()
+                for v in small:
+                    block[v] = z
+                    labels.update(into[v])
+                queue.extend([(z, s) for s in labels])
+    return block
+
+
+def _quotient(rows, block, first, key):
+    """The quotient of `rows` by `block`, named m0, m1, ... in the order of
+    `key` over the representatives, each block's first position in
+    `first`.  Right-resolving, so a representative's row is its block's."""
+    reps = {}
+    for v in first:
+        reps.setdefault(block[v], v)
+    name = {}
+    for v in sorted(reps.values(), key=key):
+        name[block[v]] = "m%d" % len(name)
+    return LabeledGraph.make(name.values(), [(name[block[v]], name[block[b]], s)
+                                             for v in reps.values() for (b, s) in rows[v]])
 
 
 def minimize_right_resolving(g: LabeledGraph) -> LabeledGraph:
     """Merge vertices with equal follower behavior by partition refinement.
 
-    Refines the one-class partition by (class, label -> successor class)
-    signatures until stable, then quotients.  The presented shift is
-    unchanged; output is right-resolving, essential (a quotient of an
-    essential graph is essential) and a fixed point of this operation.
+    Trims, then quotients by the coarsest partition whose blocks share one
+    out-label set and, per label, one successor block (Hopcroft refinement
+    on the positions of `g.index`).  Each block is represented by its least
+    vertex, and the blocks are named m0, m1, ... in the `str` order of
+    their representatives.  The presented shift is unchanged; output is
+    right-resolving, essential (a quotient of an essential graph is
+    essential) and a fixed point of this operation.
     """
     _require_rr(g)
-    g = trim_essential(g)
     verts, out = g.index
-    # right-resolving: a vertex's (label, successor) pairs sorted by label
-    # name its follower behaviour up to the successors' classes
-    succ = [sorted((s, b) for (b, s) in row) for row in out]
-    color = refine_colors(range(len(out)), lambda color, v: tuple(
-        (s, color[b]) for (s, b) in succ[v]))
-    rep = {}  # per class, the name of its smallest position: its smallest name
-    name = [rep.setdefault(color[v], verts[v]) for v in range(len(out))]
-    quot_edges = {(name[a], name[b], s) for a, row in enumerate(out) for (b, s) in row}
-    return _canonical_rename(LabeledGraph.make(set(name), sorted(quot_edges)), "m")
+    rows, kept = _trimmed(out)
+    return _quotient(rows, _coarsest(rows), range(len(rows)),
+                     lambda v: str(verts[kept[v]]))
 
 
 @dataclass(frozen=True)
@@ -324,34 +428,43 @@ def from_comb_rep(r: CombRep) -> LabeledGraph:
     vertex lies on a cycle or on a path between two cycle vertices, so the
     union automaton is essential as built; it is then determinized (subset
     construction, which only ever shrinks state sets on right-resolving
-    parts) and minimized.
+    parts) and minimized, as `determinize` and `minimize_right_resolving`
+    would, all on positions: the one graph built is the result.  Where the
+    union is right-resolving, its vertex names t{term}_c{u}_{k} (cycles)
+    and t{term}_p{i}_{j}_{k} (paths) order the blocks; otherwise the
+    subset states' names do.
     """
     if not isinstance(r, CombRep):
         r = CombRep.make(tuple(r))
-    vertices = []
-    edges = []
+    rows = []   # per position of the union, its (position, label) pairs
+    names = []  # per position, its name
     for ti, term in enumerate(r.terms):
-        cycle_v = []
+        starts = []
         for ui, u in enumerate(term.us):
-            names = ["t%d_c%d_%d" % (ti, ui, k) for k in range(len(u))]
-            cycle_v.append(names)
-            vertices.extend(names)
+            start = len(rows)
+            starts.append(start)
             for k, s in enumerate(u):
-                edges.append((names[k], names[(k + 1) % len(u)], s))
+                rows.append([(start + (k + 1) % len(u), s)])
+                names.append("t%d_c%d_%d" % (ti, ui, k))
         # junction paths: from cycle i, skipping interiors i+1..j-1 entirely,
         # into cycle j one symbol deep
         for i in range(term.arity + 1):
             for j in range(i + 1, term.arity + 1):
-                labels = []
-                for k in range(i, j):
-                    labels.extend(term.vs[k])
-                labels.append(term.us[j][0])
-                # a fresh path spelling the labels, through t{ti}_p{i}_{j}_{k}
-                path = ([cycle_v[i][0]]
-                        + ["t%d_p%d_%d_%d" % (ti, i, j, k) for k in range(len(labels) - 1)]
-                        + [cycle_v[j][1 % len(term.us[j])]])
-                edges.extend(zip(path, path[1:], labels))
-    return minimize_right_resolving(determinize(LabeledGraph.make(vertices, edges)))
+                labels = [s for k in range(i, j) for s in term.vs[k]]
+                a = starts[i]
+                for k, s in enumerate(labels):
+                    rows[a].append((len(rows), s))
+                    a = len(rows)
+                    rows.append([])
+                    names.append("t%d_p%d_%d_%d" % (ti, i, j, k))
+                rows[a].append((starts[j] + 1 % len(term.us[j]), term.us[j][0]))
+    if all(len({s for (_b, s) in row}) == len(row) for row in rows):
+        key = names
+    else:
+        rows, rank = _determinized(rows)
+        key = ["%d" % r for r in rank]
+    return _quotient(rows, _coarsest(rows), sorted(range(len(rows)), key=key.__getitem__),
+                     key.__getitem__)
 
 
 def from_forbidden_words(alphabet, forbidden, symbol_map=None) -> LabeledGraph:

@@ -18,6 +18,7 @@ from .core import (
     StructureGraph,
     _clip,
     _count_text,
+    _sorted_names,
     canonicalize_point,
 )
 from .decisions import Mode, decide
@@ -45,11 +46,7 @@ class SimpleGraph:
                 raise ValueError("self-loop %s" % _clip(repr(a)))
             vs |= {a, b}
             es.add(frozenset((a, b)))
-        try:
-            sorted(vs)
-        except TypeError as e:
-            raise SoficError("vertex names that do not sort together: %s"
-                             % _clip(str(e))) from None
+        _sorted_names(vs)
         return cls(frozenset(vs), frozenset(es))
 
 

@@ -45,7 +45,8 @@ def _anchored_counts(g: LabeledGraph, points):
     For each periodic point x, a frontier of subset states of g starts at
     the cycle vertices whose entry in admission's point list is x, leaves
     it by every edge but its cycle edge, and stops at the first state that
-    lies on a cycle of the future graph; counts are summed per state.
+    lies on a cycle of the future graph; counts are summed per state.  The
+    seed is stepped once before the frontier starts, and never numbered.
     States get small int ids (the numbered subset construction, Rabin and
     Scott 1959).  State {v} is position v of `g.index`, stepped on v's own
     `index` row of (successor id, label) pairs, never mutated; only states
@@ -81,18 +82,26 @@ def _anchored_counts(g: LabeledGraph, points):
         seeds.setdefault(points[v], []).append(v)
     anchored = {}
     for x_hat, start in seeds.items():
-        cycle_label = x_hat.at(0)
-        vec = {state_id(start): 1}
-        ell = 0
+        # the walk departs from x's cycle: step the seed once by every
+        # label but x_hat.at(0), its cycle edge's, without numbering it
+        succ = {}
+        for v in start:
+            for (b, s) in out[v]:
+                succ.setdefault(s, []).append(b)
+        del succ[x_hat.at(0)]
+        vec = {}
+        for b in succ.values():
+            sid = state_id(b)
+            vec[sid] = vec.get(sid, 0) + 1
+        ell = 1
         while vec:
-            # a transitional path is simple, so the ell + 1 states along it
-            # are distinct, and each has been numbered
-            if ell >= len(stream):
+            # a transitional path is simple, so the ell states along it after
+            # the seed are distinct, and each has been numbered
+            if ell > len(stream):
                 raise AssertionError("transitional frontier failed to terminate")
             nxt = {}
             for sid, cnt in vec.items():
-                # the start lies on x's cycle; the walk departs from it
-                if ell and stream[sid] is not None:
+                if stream[sid] is not None:
                     key = (x_hat, stream[sid].shift(-ell))
                     anchored[key] = anchored.get(key, 0) + cnt
                     continue
@@ -103,10 +112,8 @@ def _anchored_counts(g: LabeledGraph, points):
                         for (b, s) in out[v]:
                             succ.setdefault(s, []).append(b)
                     pairs = steps[sid] = [(state_id(b), s) for s, b in succ.items()]
-                for (b, s) in pairs:
-                    # the start's edge labelled x_hat.at(0) is its cycle edge
-                    if ell or s != cycle_label:
-                        nxt[b] = nxt.get(b, 0) + cnt
+                for (b, _s) in pairs:
+                    nxt[b] = nxt.get(b, 0) + cnt
             vec = nxt
             ell += 1
     return anchored

@@ -604,9 +604,10 @@ def _run_capped(argv, tmp_path):
 
 @pytest.mark.slow
 def test_cli_stays_within_an_address_space_cap(tmp_path):
-    # the two inputs that crashed with a MemoryError traceback and exit 1,
+    # the three inputs that crashed with a MemoryError traceback and exit 1,
     # which `decide` uses for NO, and one input past each size cap the CLI
     # reaches: synthesize, digraph gadget, forbidden words, determinization
+    # (its states, and the positions summed over them)
     files = {
         "wide.sg": formats.format_structure(make_structure([(("a",), 2 ** 3000)])),
         "two_cycles.graph": _two_cycles(1999, 2003),
@@ -614,6 +615,7 @@ def test_cli_stays_within_an_address_space_cap(tmp_path):
             make_structure([(("p%03d" % i,), i + 2) for i in range(200)])),
         "wide.forbid": "alphabet 0 1 2 3 4 5 6 7 8 9\nforbid 0.1.2.3.4.5.6.7.8\n",
         "de_bruijn.rep": "term %s a c\n" % ".".join(_de_bruijn(16)),
+        "long_word.rep": "term %s.b a c\n" % ".".join(["a"] * 20000),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -623,7 +625,9 @@ def test_cli_stays_within_an_address_space_cap(tmp_path):
               "SizeLimitExceeded: the digraph gadget needs"),
              (["structure", "wide.forbid"], 2, "SizeLimitExceeded: more than 100000"),
              (["structure", "de_bruijn.rep"], 2,
-              "SizeLimitExceeded: determinization exceeded")]
+              "SizeLimitExceeded: determinization exceeded"),
+             (["structure", "long_word.rep"], 2,
+              "SizeLimitExceeded: determinization exceeded 2000000 positions")]
     for argv, want, refusal in cases:
         code, err, peak_mb = _run_capped(argv, tmp_path)
         assert (code, "Traceback" in err) == (want, False), (argv, err[-2000:])

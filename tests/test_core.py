@@ -17,6 +17,7 @@ from sofic2 import (
     CombRep,
     CombTerm,
     EventuallyPeriodicPoint,
+    LabeledGraph,
     PeriodicOrbit,
     PeriodicPoint,
     StructureGraph,
@@ -28,7 +29,7 @@ from sofic2 import (
 )
 from sofic2 import core, formats
 from sofic2.core import refine_colors
-from sofic2.errors import EmptyWord, InvalidCombRep, MalformedStructureGraph
+from sofic2.errors import EmptyWord, InvalidCombRep, MalformedStructureGraph, SoficError
 
 from conftest import random_structure_graph
 
@@ -372,3 +373,14 @@ def test_concurrent_creation_yields_one_orbit_per_root():
     for i, r in enumerate(roots):
         assert made[0][i].root == r
         assert all(m[i] is made[0][i] for m in made)
+
+
+def test_labeled_graph_refuses_vertex_names_that_do_not_sort_together():
+    # sorting the edges meets the two names
+    with pytest.raises(SoficError, match="vertex names that do not sort together"):
+        LabeledGraph.make([], [(1, "a", "x"), ("a", 1, "y")])
+    # one edge sorts alone, so `index` meets them when it sorts the vertices
+    g = LabeledGraph.make([], [(1, "a", "x")])
+    with pytest.raises(SoficError, match="vertex names that do not sort together"):
+        g.index
+    assert LabeledGraph.make([], [(1, 2, "x"), (2, 1.5, "y")]).index[0] == [1, 1.5, 2]

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -20,6 +22,7 @@ from sofic2 import (
     word,
 )
 from sofic2 import presentation
+from sofic2.core import refine_colors
 from sofic2.errors import EmptyRepresentation, NotRightResolving, SizeLimitExceeded
 from sofic2.presentation import RANK_HIGH, RANK_UNCERTIFIED
 
@@ -239,6 +242,150 @@ def test_determinize_output_is_pinned():
     for g in graphs:
         h.update(formats.format_graph(determinize(g)).encode())
     assert h.hexdigest() == DETERMINIZE_DIGEST
+
+
+# -- the named-graph pipeline, as it was before it ran on positions ----------
+
+
+def determinize_reference(g):
+    """The subset construction seeded with every vertex, named d0, d1, ...
+    breadth first (successors in ascending label order), built, trimmed and
+    renamed s0, s1, ... by `_canonical_rename_reference`."""
+    if check_right_resolving(g) == []:
+        return g
+    _verts, out = g.index
+    full = frozenset(range(len(out)))
+    names = {full: "d0"}
+    edges = []
+    frontier = [full]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            step = {}
+            for v in state:
+                for (b, s) in out[v]:
+                    step.setdefault(s, set()).add(b)
+            for s in sorted(step):
+                succ = frozenset(step[s])
+                if succ not in names:
+                    names[succ] = "d%d" % len(names)
+                    nxt.append(succ)
+                edges.append((names[state], names[succ], s))
+        frontier = nxt
+    det = trim_essential(LabeledGraph.make(names.values(), edges))
+    return _canonical_rename_reference(det)
+
+
+def _canonical_rename_reference(g, prefix="s"):
+    """Vertices renamed prefix0..prefixN in the order of their names by `str`."""
+    names = {v: "%s%d" % (prefix, i) for i, v in enumerate(sorted(g.vertices, key=str))}
+    return LabeledGraph.make(names.values(),
+                             [(names[a], names[b], s) for (a, b, s) in g.edges])
+
+
+def minimize_reference(g):
+    """Color refinement by (label, successor color) signatures until the
+    number of colors stops growing, then the quotient on each class's least
+    vertex, renamed m0, m1, ... by `_canonical_rename_reference`."""
+    if check_right_resolving(g):
+        raise NotRightResolving("not right-resolving")
+    g = trim_essential(g)
+    verts, out = g.index
+    succ = [sorted((s, b) for (b, s) in row) for row in out]
+    color = refine_colors(range(len(out)), lambda color, v: tuple(
+        (s, color[b]) for (s, b) in succ[v]))
+    rep = {}
+    name = [rep.setdefault(color[v], verts[v]) for v in range(len(out))]
+    quot_edges = {(name[a], name[b], s) for a, row in enumerate(out) for (b, s) in row}
+    return _canonical_rename_reference(LabeledGraph.make(set(name), sorted(quot_edges)), "m")
+
+
+def from_comb_rep_reference(r):
+    """The union of the terms as a named graph (one cycle per u word, one
+    path per pair of cycles i < j of a term), then
+    `minimize_reference(determinize_reference(union))`."""
+    vertices = []
+    edges = []
+    for ti, term in enumerate(r.terms):
+        cycle_v = []
+        for ui, u in enumerate(term.us):
+            names = ["t%d_c%d_%d" % (ti, ui, k) for k in range(len(u))]
+            cycle_v.append(names)
+            vertices.extend(names)
+            for k, s in enumerate(u):
+                edges.append((names[k], names[(k + 1) % len(u)], s))
+        for i in range(term.arity + 1):
+            for j in range(i + 1, term.arity + 1):
+                labels = []
+                for k in range(i, j):
+                    labels.extend(term.vs[k])
+                labels.append(term.us[j][0])
+                path = ([cycle_v[i][0]]
+                        + ["t%d_p%d_%d_%d" % (ti, i, j, k) for k in range(len(labels) - 1)]
+                        + [cycle_v[j][1 % len(term.us[j])]])
+                edges.extend(zip(path, path[1:], labels))
+    return minimize_reference(determinize_reference(LabeledGraph.make(vertices, edges)))
+
+
+def long_word_rep(k):
+    """Two terms on the word a^k b: its cycle, and two of its cycles
+    joined by c.  The union is right-resolving, so minimization does all
+    the work."""
+    w = ("a",) * k + ("b",)
+    return comb_rep([(w,), (w, "c", w)])
+
+
+def test_presentation_matches_the_named_graph_reference():
+    rng = random.Random(43)
+    reps = [random_comb_rep(rng, max_arity=rng.randint(0, 3)) for _ in range(300)]
+    reps += [long_word_rep(k) for k in (1, 2, 5, 40, 300)]
+    reps += [comb_rep([(("a",) * k + ("b",), "a", "c")]) for k in (1, 2, 5, 40, 300)]
+    kinds = Counter()
+    for r in reps:
+        assert from_comb_rep(r) == from_comb_rep_reference(r), r
+        kinds[max(t.arity for t in r.terms)] += 1
+    assert sorted(kinds) == [0, 1, 2, 3]
+    rng = random.Random(101)
+    graphs = [_random_labeled_graph(rng) for _ in range(150)]
+    rng = random.Random(113)
+    for _ in range(100):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(0, 3))]
+        graphs.append(from_forbidden_words(alphabet, forbidden,
+                                           {a: rng.choice("xy") for a in alphabet}))
+    merged = 0
+    for g in graphs:
+        d = determinize(g)
+        assert d == determinize_reference(g), g
+        m = minimize_right_resolving(d)
+        assert m == minimize_reference(d), g
+        merged += len(m.vertices) < len(d.vertices)
+    assert merged >= 50
+
+
+def test_from_comb_rep_on_a_long_word_is_fast():
+    # color refinement re-signed every vertex once per vertex of the
+    # a^2000 b cycle: about 20s
+    r = long_word_rep(2000)
+    t = time.perf_counter()
+    g = from_comb_rep(r)
+    assert time.perf_counter() - t < 1.0
+    # the cycle a^2000 b, and one vertex per symbol of the second word
+    # before it enters the first: every other vertex merges
+    assert len(g.vertices) == 2 * 2001 and len(g.edges) == 2 * 2001 + 1
+
+
+def test_determinize_caps_the_positions_summed_over_its_states(monkeypatch):
+    # a^40 b a c: the union has 43 vertices, and the state reached by a^i
+    # holds about 41 - i of them, 906 positions summed over the states
+    r = comb_rep([(("a",) * 40 + ("b",), "a", "c")])
+    monkeypatch.setattr(presentation, "MAX_DETERMINIZE_SIZE", 906)
+    assert from_comb_rep(r) == from_comb_rep_reference(r)
+    monkeypatch.setattr(presentation, "MAX_DETERMINIZE_SIZE", 905)
+    with pytest.raises(SizeLimitExceeded,
+                       match="determinization exceeded 905 positions summed over its states"):
+        from_comb_rep(r)
 
 
 def test_from_forbidden_words_caps_the_words_of_each_length(monkeypatch):

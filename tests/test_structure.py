@@ -9,19 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sofic2 import (
+    CombRep,
     LabeledGraph,
     Mode,
+    PeriodicPoint,
+    StructureGraph,
     build_structure,
     canonicalize_point,
     decide,
     formats,
+    from_comb_rep,
     oracle_structure,
     primitive_root,
     structure,
     synthesize,
     verify_witness,
+    word,
 )
 from sofic2.cli import main
+from sofic2.core import CombTerm
 from sofic2.errors import (
     BudgetExceeded,
     NotCountableCertified,
@@ -717,3 +723,70 @@ def fans(draw):
 @given(st.one_of(long_cycles(), coprime_cycles(), fans()))
 def test_builder_matches_oracle_property(g):
     assert build_structure(g) == oracle_structure(g)
+
+
+# -- the builder against its definition, on comb representations -------------
+
+
+def comb_structure_reference(r):
+    """The structure graph of a representation of rank at most 2 from its
+    definition: the shift is the union of its terms, and an arity-1 term
+    (u0, v, u1) adds exactly one transitional orbit, `CombTerm.junction(0)`.
+    So each u-orbit gets a count-1 diagonal, and each class one count per
+    distinct junction in it.  Its own count table, then
+    `StructureGraph.make`."""
+    counts = {}
+    for t in r.terms:
+        for u in t.us:
+            o = canonicalize_point(u).orbit
+            counts[(o, o, 0)] = 1
+    for j in {t.junction(0) for t in r.terms if t.arity == 1}:
+        key = StructureGraph.shift_class(j.left, j.right)
+        counts[key] = counts.get(key, 0) + 1
+    return StructureGraph.make((), {(xo.points[0], yo.points[r]): c
+                                    for ((xo, yo, r), c) in counts.items()})
+
+
+def _rank2_rep(rng, n_terms):
+    """A representation of about n_terms terms of arity at most 1 over
+    "abc": u words from a shared pool, some long (up to 40 symbols, so
+    periods are often coprime), some homoclinic terms (u1 a rotation of
+    u0), and some terms that repeat another's junction, written with one
+    symbol of u1 moved into v.  Periodic junctions are redrawn."""
+    def draw(lo, hi):
+        return "".join(rng.choice("abc") for _ in range(rng.randint(lo, hi)))
+    pool = [draw(1, 4) for _ in range(max(4, n_terms // 8))]
+    pool += [draw(10, 40) for _ in range(max(2, n_terms // 40))]
+    terms = []
+    while len(terms) < n_terms:
+        u0 = rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.1:
+            terms.append(CombTerm((u0,), ()))
+            continue
+        if roll < 0.25:
+            k = rng.randrange(len(u0))
+            u1 = u0[k:] + u0[:k]
+        else:
+            u1 = rng.choice(pool)
+        t = CombTerm((u0, u1), (draw(0, 3),))
+        if isinstance(t.junction(0), PeriodicPoint):
+            continue
+        terms.append(t)
+        if rng.random() < 0.2:
+            u0, u1 = t.us
+            terms.append(CombTerm((u0, u1[1:] + u1[:1]), (t.vs[0] + u1[:1],)))
+    return CombRep.make([CombTerm(tuple(map(word, t.us)), tuple(map(word, t.vs)))
+                         for t in terms])
+
+
+def test_builder_matches_the_comb_definition_at_scale():
+    rng = random.Random(9)
+    repeated = homoclinic = 0
+    for n_terms in (100, 200, 500, 1000, 2000):
+        r = _rank2_rep(rng, n_terms)
+        assert build_structure(from_comb_rep(r)) == comb_structure_reference(r)
+        junctions = [t.junction(0) for t in r.terms if t.arity == 1]
+        repeated += len(junctions) - len(set(junctions))
+        homoclinic += sum(j.left.orbit is j.right.orbit for j in junctions)
+    assert repeated >= 100 and homoclinic >= 100
